@@ -14,6 +14,10 @@
 # under concurrent submits, so ASan/UBSan validate the liveness-assigned
 # arena slicing and TSan the sharded servers' per-replica plan reuse.
 #
+# test_gemm rides it too: its bit-exact sweep of the batched conv forward
+# and its concurrent conv calls from pool workers run the per-thread strip
+# buffers of PackedA::conv2d_forward under both sanitizers.
+#
 # test_serve_anytime and test_tiling ride the same label: the first drives
 # the ResultStream channel (bounded drop-oldest buffer, terminal promise)
 # and progressive delivery from 3 workers — the producer/consumer pairing

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <stdexcept>
 
 #include "nn/threadpool.h"
 #include "nn/workspace.h"
@@ -95,6 +96,70 @@ void pack_b(bool trans_b, const float* b, int64_t ldb, int64_t pc, int64_t kc,
         dst[p * NR + j] = load_b(trans_b, b, ldb, pc + p, jc + j0 + j);
       }
       for (int64_t j = nr; j < NR; ++j) dst[p * NR + j] = 0.0f;
+    }
+  }
+}
+
+// Packs the B strip of one conv2d forward task: rows [0, c*kh*kw) x output
+// pixels [j0, j0 + nr) of one image's im2col matrix, read straight from the
+// (c, h, w) input, stored k-major as bp[p*NR + j] and zero-padded past
+// column nr — the layout pack_b gives one NR panel, holding exactly the
+// values im2col would have written (0 where a tap falls in padding).
+// The strip is cut into runs that stay within one output row, and
+// (ci, ky, kx) advance as loop counters, so packing a row costs no division.
+void pack_conv_strip(const float* x, int c, int h, int w, int kh, int kw,
+                     int stride, int pad, int wo, int64_t j0, int64_t nr,
+                     float* bp) {
+  struct Run {
+    int oy, ox, jd, len;  // output row, first column, strip offset, length
+  };
+  Run runs[NR];
+  int nruns = 0;
+  int oy = static_cast<int>(j0 / wo);
+  int ox = static_cast<int>(j0 % wo);
+  for (int jd = 0; jd < nr; ++oy, ox = 0) {
+    const int len = std::min(static_cast<int>(nr) - jd, wo - ox);
+    runs[nruns++] = Run{oy, ox, jd, len};
+    jd += len;
+  }
+  const int64_t k = static_cast<int64_t>(c) * kh * kw;
+  if (nr < NR) {
+    for (int64_t p = 0; p < k; ++p) {
+      std::fill(bp + p * NR + nr, bp + (p + 1) * NR, 0.0f);
+    }
+  }
+  float* dst = bp;  // row (ci, ky, kx = 0) of the strip
+  for (int ci = 0; ci < c; ++ci) {
+    const float* xc = x + static_cast<int64_t>(ci) * h * w;
+    for (int ky = 0; ky < kh; ++ky, dst += static_cast<int64_t>(kw) * NR) {
+      for (int r = 0; r < nruns; ++r) {
+        const Run& run = runs[r];
+        const int iy = run.oy * stride - pad + ky;
+        if (iy < 0 || iy >= h) {
+          for (int kx = 0; kx < kw; ++kx) {
+            std::fill_n(dst + kx * NR + run.jd, run.len, 0.0f);
+          }
+          continue;
+        }
+        const float* srow = xc + static_cast<int64_t>(iy) * w;
+        for (int kx = 0; kx < kw; ++kx) {
+          float* d = dst + kx * NR + run.jd;
+          const int ix0 = run.ox * stride - pad + kx;  // input column of t = 0
+          if (stride == 1) {
+            // In-bounds taps are t in [lo, hi): 0 <= ix0 + t < w.
+            const int lo = std::clamp(-ix0, 0, run.len);
+            const int hi = std::clamp(w - ix0, lo, run.len);
+            std::fill(d, d + lo, 0.0f);
+            if (lo < hi) std::copy(srow + ix0 + lo, srow + ix0 + hi, d + lo);
+            std::fill(d + hi, d + run.len, 0.0f);
+          } else {
+            for (int t = 0; t < run.len; ++t) {
+              const int ix = ix0 + t * stride;
+              d[t] = ix >= 0 && ix < w ? srow[ix] : 0.0f;
+            }
+          }
+        }
+      }
     }
   }
 }
@@ -297,6 +362,73 @@ void PackedA::run(int64_t n, const float* b, int64_t ldb, float beta, float* c,
       });
     }
   }
+}
+
+void PackedA::conv2d_forward(const float* x, int n, int c, int h, int w,
+                             int kh, int kw, int stride, int pad, int ho,
+                             int wo, const float* bias, float* out) const {
+  if (static_cast<int64_t>(c) * kh * kw != k_) {
+    throw std::invalid_argument("PackedA::conv2d_forward: c*kh*kw != k");
+  }
+  const int64_t npix = static_cast<int64_t>(ho) * wo;
+  if (m_ <= 0 || n <= 0 || npix <= 0) return;
+  const int64_t in_plane = static_cast<int64_t>(c) * h * w;
+  const int64_t out_plane = m_ * npix;
+  // run()'s per-image routing: every image of the batch has the same shape,
+  // so the whole batch takes the naive or the blocked path. The naive path
+  // keeps the per-image im2col + gemm() it replaces: GCC vectorizes
+  // gemm_naive's K loop into unfused vector products summed in order, with
+  // fused tails, so its bits belong to that compiled loop and its B stride,
+  // and a sum written any other way would not reproduce them.
+  if (k_ <= 0 || gemm_naive_enabled() || m_ * npix * k_ <= kSmallProblem) {
+    Workspace::Scope scope;
+    float* col = Workspace::tls().floats(static_cast<size_t>(k_ * npix));
+    for (int ni = 0; ni < n; ++ni) {
+      im2col(x + ni * in_plane, c, h, w, kh, kw, stride, pad, ho, wo, col);
+      gemm(trans_a_, false, m_, npix, k_, a_, lda_, col, npix, 0.0f,
+           out + ni * out_plane, npix);
+    }
+    if (bias) {
+      for (int64_t r = 0; r < n * m_; ++r) {
+        const float b = bias[r % m_];
+        float* crow = out + r * npix;
+        for (int64_t j = 0; j < npix; ++j) crow[j] += b;
+      }
+    }
+    return;
+  }
+  const int64_t row_panels = (m_ + MR - 1) / MR;
+  const int64_t strips = (npix + NR - 1) / NR;
+  const int64_t grain = std::max<int64_t>(1, kGrainMacs / (m_ * k_ * NR));
+  parallel_for_ranges(n * strips, grain, [&](int64_t t0, int64_t t1) {
+    Workspace::Scope scope;
+    float* bp = Workspace::tls().floats(static_cast<size_t>(k_ * NR));
+    for (int64_t t = t0; t < t1; ++t) {
+      const int64_t ni = t / strips;
+      const int64_t j0 = (t % strips) * NR;
+      const int64_t nr = std::min(NR, npix - j0);
+      pack_conv_strip(x + ni * in_plane, c, h, w, kh, kw, stride, pad, wo, j0,
+                      nr, bp);
+      float* cs = out + ni * out_plane + j0;
+      int64_t block = 0;
+      for (int64_t pc = 0; pc < k_; pc += KC, ++block) {
+        const int64_t kc = std::min(KC, k_ - pc);
+        const float* ap =
+            panels_.data() + block_offset_[static_cast<size_t>(block)];
+        for (int64_t ir = 0; ir < row_panels; ++ir) {
+          micro_kernel(kc, ap + ir * kc * MR, bp + pc * NR,
+                       cs + ir * MR * npix, npix, std::min(MR, m_ - ir * MR),
+                       nr, pc == 0 ? 0.0f : 1.0f);
+        }
+      }
+      if (bias) {
+        for (int64_t i = 0; i < m_; ++i) {
+          float* crow = cs + i * npix;
+          for (int64_t j = 0; j < nr; ++j) crow[j] += bias[i];
+        }
+      }
+    }
+  });
 }
 
 void im2col(const float* x, int c, int h, int w, int kh, int kw, int stride,

@@ -1,14 +1,15 @@
-// Cache-blocked single-precision GEMM and the im2col/col2im patch
-// transforms behind conv2d/linear.
+// Cache-blocked single-precision GEMM, the batched conv2d forward built on
+// it, and the im2col/col2im patch transforms behind the conv2d gradients.
 //
 // One micro-kernel (6x16 register tile, FMA-friendly inner loop) serves
-// every matrix product in the library: conv2d forward (weights x im2col
-// patches), the conv2d input gradient (transposed weights x output
-// gradient, scattered back through col2im), the conv2d weight gradient
-// (output gradient x transposed patches), and linear forward/backward.
-// Operands are packed into contiguous K-blocked panels allocated from the
-// calling thread's Workspace; the micro-tile grid is parallelized over the
-// global thread pool.
+// every matrix product in the library: conv2d forward (weights x patches,
+// packed strip by strip straight from the input), the conv2d input gradient
+// (transposed weights x output gradient, scattered back through col2im),
+// the conv2d weight gradient (output gradient x transposed im2col patches),
+// and linear forward/backward. Operands are packed into contiguous
+// K-blocked panels allocated from the calling thread's Workspace; the work
+// is parallelized over ThreadPool::current(), the calling thread's bound
+// pool partition (or the global pool when none is bound).
 //
 // Setting DCDIFF_GEMM_NAIVE=1 (or set_gemm_naive(true)) routes every call
 // through an unblocked reference loop instead — the A/B escape hatch for
@@ -53,9 +54,9 @@ void im2col(const float* x, int c, int h, int w, int kh, int kw, int stride,
 //
 // gemm() repacks A into micro-kernel panels for every NC-column block of
 // every call. When the same matrix multiplies a batch of right-hand sides
-// (conv2d weights against each image's patch matrix), that packing is pure
+// (conv2d weights against every image of every call), that packing is pure
 // waste: PackedA packs A_op (m x k) into panel layout exactly once and
-// run() reuses it for every B. run() executes the identical blocked loop
+// run() / conv2d_forward() reuse it for every B. run() executes the identical blocked loop
 // with the identical micro-kernel and K-block accumulation order as
 // gemm(false, false, ...) on the same operands, so results are bit-equal —
 // batching stays a pure performance transform.
@@ -71,6 +72,20 @@ class PackedA {
   // with leading dimension ldb (trans_b = false).
   void run(int64_t n, const float* b, int64_t ldb, float beta, float* c,
            int64_t ldc) const;
+
+  // Batched conv2d forward with A_op holding the flattened (F, C, kH, kW)
+  // weights (m = F, k = c*kh*kw; throws std::invalid_argument otherwise):
+  // out (n, m, ho, wo) = conv2d(x (n, c, h, w), stride, zero pad) + bias
+  // (bias[m], skipped when null). Bit-equal to im2col + run(beta = 0) per
+  // image followed by a separate bias pass, with one dispatch for the whole
+  // batch: tasks are (image, 16-column output strip) pairs, each packing
+  // its B strip straight from x into Workspace scratch, running every
+  // weight row-panel over it K-block by K-block, and adding the bias last.
+  // Problems run() would route to the naive loop keep that route: im2col
+  // into Workspace scratch and gemm(), image by image.
+  void conv2d_forward(const float* x, int n, int c, int h, int w, int kh,
+                      int kw, int stride, int pad, int ho, int wo,
+                      const float* bias, float* out) const;
 
  private:
   int64_t m_ = 0;

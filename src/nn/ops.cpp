@@ -618,61 +618,29 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b, int stride,
   const int64_t npix = static_cast<int64_t>(ho) * wo;  // output pixels
   // 1x1 stride-1 unpadded convs (attention q/k/v/proj, ResBlock shortcuts)
   // are already a plain channel-mixing GEMM: the input plane IS the patch
-  // matrix, so the im2col copy is skipped entirely.
+  // matrix, so the gradients skip the im2col / col2im copies entirely.
   const bool fast_1x1 = kh == 1 && kw == 1 && stride == 1 && pad == 0;
 
   std::vector<float> out(static_cast<size_t>(n) * f * npix);
-  const float* xv = x.value().data();
   const float* wv = w.value().data();
-  const float* bv = b.defined() ? b.value().data() : nullptr;
   // The weight matrix is identical for every sample, so it is packed into
-  // micro-kernel panels exactly once (PackedA) and reused across the batch:
-  // at batch n the serial path would pack it n times over. Each image's
-  // patch matrix stays per-image sized (kdim x npix), keeping the working
-  // set cache-resident instead of materializing one n-times-wider patch
-  // matrix. PackedA::run is bit-equal to the gemm() call the single-image
-  // path issues, so batching stays a pure performance transform.
-  {
-    Workspace::Scope scope;
-    float* col =
-        fast_1x1 ? nullptr
-                 : Workspace::tls().floats(static_cast<size_t>(kdim) * npix);
-    // Frozen weights under a bound PackCache (inference through a trained
-    // model) reuse process-lifetime panels: packed once per weight node per
-    // process instead of once per call, and shared across model replicas.
-    // Anything that might still train re-packs locally, as before.
-    PackCache* pack_cache = PackCache::current();
-    std::optional<PackedA> local_pack;
-    const PackedA* pw = nullptr;
-    if (pack_cache != nullptr && !grad_enabled() && !w.requires_grad()) {
-      pw = &pack_cache->get(w, f, kdim);
-    } else {
-      local_pack.emplace(false, f, kdim, wv, kdim);
-      pw = &*local_pack;
-    }
-    for (int ni = 0; ni < n; ++ni) {
-      const float* xplane = xv + static_cast<size_t>(ni) * c * h * ww;
-      const float* patches = xplane;
-      if (!fast_1x1) {
-        im2col(xplane, c, h, ww, kh, kw, stride, pad, ho, wo, col);
-        patches = col;
-      }
-      // out plane (f x npix) = W (f x kdim) * patches (kdim x npix).
-      pw->run(npix, patches, npix, 0.0f,
-             out.data() + static_cast<size_t>(ni) * f * npix, npix);
-    }
+  // micro-kernel panels once (PackedA) and the whole batch, bias included,
+  // runs as one conv2d_forward dispatch. Frozen weights under a bound
+  // PackCache (inference through a trained model) reuse process-lifetime
+  // panels: packed once per weight node per process instead of once per
+  // call, and shared across model replicas. Anything that might still train
+  // re-packs locally.
+  PackCache* pack_cache = PackCache::current();
+  std::optional<PackedA> local_pack;
+  const PackedA* pw = nullptr;
+  if (pack_cache != nullptr && !grad_enabled() && !w.requires_grad()) {
+    pw = &pack_cache->get(w, f, kdim);
+  } else {
+    local_pack.emplace(false, f, kdim, wv, kdim);
+    pw = &*local_pack;
   }
-  if (bv) {
-    parallel_for_ranges(
-        static_cast<int64_t>(n) * f, std::max<int64_t>(1, kEwGrain / npix),
-        [&](int64_t t0, int64_t t1) {
-          for (int64_t t = t0; t < t1; ++t) {
-            const float bias = bv[t % f];
-            float* oplane = out.data() + t * npix;
-            for (int64_t i = 0; i < npix; ++i) oplane[i] += bias;
-          }
-        });
-  }
+  pw->conv2d_forward(x.value().data(), n, c, h, ww, kh, kw, stride, pad, ho,
+                     wo, b.defined() ? b.value().data() : nullptr, out.data());
 
   std::vector<Tensor> parents = b.defined()
                                     ? std::vector<Tensor>{x, w, b}

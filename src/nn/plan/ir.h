@@ -81,10 +81,6 @@ struct Op {
   TensorId out = kNoTensor;
   int i0 = 0, i1 = 0, i2 = 0, i3 = 0;
   float f0 = 0.0f, f1 = 0.0f;
-  // Conv im2col scratch (kdim * npix floats, per-sample), arena-assigned by
-  // plan_memory(); 0 floats for 1x1 stride-1 unpadded convs.
-  size_t scratch_off = 0;
-  size_t scratch_floats = 0;
 };
 
 // Trace-span boundary: before executing op index `op`, a non-null `name`

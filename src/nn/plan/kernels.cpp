@@ -101,34 +101,9 @@ void k_slice_channels(const float* a, float* out, int n, size_t stride_in,
 }
 
 void k_conv2d(const float* x, int n, int c, int h, int w, const PackedA& pw,
-              int f, int kh, int kw, int stride, int pad, int ho, int wo,
-              const float* bias, float* col, float* out) {
-  const int kdim = c * kh * kw;
-  const int64_t npix = static_cast<int64_t>(ho) * wo;
-  const bool fast_1x1 = kh == 1 && kw == 1 && stride == 1 && pad == 0;
-  for (int ni = 0; ni < n; ++ni) {
-    const float* xplane = x + static_cast<size_t>(ni) * c * h * w;
-    const float* patches = xplane;
-    if (!fast_1x1) {
-      im2col(xplane, c, h, w, kh, kw, stride, pad, ho, wo, col);
-      patches = col;
-    }
-    // out plane (f x npix) = W (f x kdim) * patches (kdim x npix).
-    pw.run(npix, patches, npix, 0.0f,
-           out + static_cast<size_t>(ni) * f * npix, npix);
-  }
-  if (bias) {
-    parallel_for_ranges(
-        static_cast<int64_t>(n) * f, std::max<int64_t>(1, kEwGrain / npix),
-        [&](int64_t t0, int64_t t1) {
-          for (int64_t t = t0; t < t1; ++t) {
-            const float b = bias[t % f];
-            float* oplane = out + t * npix;
-            for (int64_t i = 0; i < npix; ++i) oplane[i] += b;
-          }
-        });
-  }
-  (void)kdim;
+              int kh, int kw, int stride, int pad, int ho, int wo,
+              const float* bias, float* out) {
+  pw.conv2d_forward(x, n, c, h, w, kh, kw, stride, pad, ho, wo, bias, out);
 }
 
 void k_linear(const float* x, int n, int k, int m, const float* w,
@@ -189,34 +164,38 @@ void k_group_norm(const float* x, const float* gamma, const float* beta,
                   float eps) {
   const int cpg = c / groups;
   const size_t gsize = static_cast<size_t>(cpg) * inner;
-  for (int ni = 0; ni < n; ++ni) {
-    for (int gi = 0; gi < groups; ++gi) {
-      const size_t base =
-          (static_cast<size_t>(ni) * c + static_cast<size_t>(gi) * cpg) *
-          inner;
-      const double mu = lat_hiding_sum(x + base, gsize) /
-                        static_cast<double>(gsize);
-      const double var = lat_hiding_sumsq(x + base, gsize, mu) /
-                         static_cast<double>(gsize);
-      const float is = static_cast<float>(1.0 / std::sqrt(var + eps));
-      const float muf = static_cast<float>(mu);
-      // Per-channel affine, hoisted out of the element loop (no per-element
-      // channel division; the scale/shift fold into one FMA-friendly form).
-      for (int cc = 0; cc < cpg; ++cc) {
-        const size_t ch = static_cast<size_t>(gi) * cpg +
-                          static_cast<size_t>(cc);
-        const float ga = gamma[ch];
-        const float b = beta[ch];
-        const float* xp = x + base + static_cast<size_t>(cc) * inner;
-        float* op = out + base + static_cast<size_t>(cc) * inner;
-        for (size_t i = 0; i < inner; ++i) {
-          // Element arithmetic unchanged from eager: (x - mu) * is, then
-          // gamma * xh + beta — only the mu/var reductions reassociate.
-          op[i] = ga * ((xp[i] - muf) * is) + b;
+  parallel_for_ranges(
+      static_cast<int64_t>(n) * groups,
+      std::max<int64_t>(1, kEwGrain / std::max<int64_t>(1, gsize)),
+      [&](int64_t t0, int64_t t1) {
+        for (int64_t t = t0; t < t1; ++t) {
+          const int gi = static_cast<int>(t % groups);
+          // Pair t = (sample t / groups, group gi) is contiguous in NCHW.
+          const size_t base = static_cast<size_t>(t) * gsize;
+          const double mu = lat_hiding_sum(x + base, gsize) /
+                            static_cast<double>(gsize);
+          const double var = lat_hiding_sumsq(x + base, gsize, mu) /
+                             static_cast<double>(gsize);
+          const float is = static_cast<float>(1.0 / std::sqrt(var + eps));
+          const float muf = static_cast<float>(mu);
+          // Per-channel affine, hoisted out of the element loop (no
+          // per-element channel division; the scale/shift fold into one
+          // FMA-friendly form).
+          for (int cc = 0; cc < cpg; ++cc) {
+            const size_t ch = static_cast<size_t>(gi) * cpg +
+                              static_cast<size_t>(cc);
+            const float ga = gamma[ch];
+            const float b = beta[ch];
+            const float* xp = x + base + static_cast<size_t>(cc) * inner;
+            float* op = out + base + static_cast<size_t>(cc) * inner;
+            for (size_t i = 0; i < inner; ++i) {
+              // Element arithmetic unchanged from eager: (x - mu) * is, then
+              // gamma * xh + beta — only the mu/var reductions reassociate.
+              op[i] = ga * ((xp[i] - muf) * is) + b;
+            }
+          }
         }
-      }
-    }
-  }
+      });
 }
 
 void k_avg_pool2d(const float* x, float* out, int n, int c, int h, int w,

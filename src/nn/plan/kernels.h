@@ -44,18 +44,19 @@ void k_concat_channels(const float* a, const float* b, float* out, int n,
 void k_slice_channels(const float* a, float* out, int n, size_t stride_in,
                       size_t stride_out, size_t skip);
 
-// out (n,f,ho,wo) = conv2d(x (n,c,h,w), packed W) + bias; `col` is the
-// im2col scratch (kdim * npix floats; unused for 1x1 stride-1 unpadded).
+// out (n,f,ho,wo) = conv2d(x (n,c,h,w), packed W) + bias: the same
+// PackedA::conv2d_forward dispatch the eager conv2d makes.
 void k_conv2d(const float* x, int n, int c, int h, int w, const PackedA& pw,
-              int f, int kh, int kw, int stride, int pad, int ho, int wo,
-              const float* bias, float* col, float* out);
+              int kh, int kw, int stride, int pad, int ho, int wo,
+              const float* bias, float* out);
 
 // out (n,m) = x (n,k) * w^T + bias (same gemm call as the eager linear).
 void k_linear(const float* x, int n, int k, int m, const float* w,
               const float* bias, float* out);
 
-// Group norm; `x` and `out` may be the same buffer (fused conv epilogue) —
-// every element is read before its slot is written.
+// Group norm, parallel over (sample, group) pairs; `x` and `out` may be the
+// same buffer (fused conv epilogue) — every element is read before its slot
+// is written, and each pair touches only its own slice.
 void k_group_norm(const float* x, const float* gamma, const float* beta,
                   float* out, int n, int c, int groups, size_t inner,
                   float eps);

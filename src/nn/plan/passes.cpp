@@ -191,29 +191,14 @@ size_t plan_memory(Graph* g) {
   }
 
   for (int i = 0; i < nops; ++i) {
-    Op& op = g->ops[i];
+    const Op& op = g->ops[i];
     // Output first: it must not alias any input still live at this op.
     TensorInfo& out = g->tensors[static_cast<size_t>(op.out)];
     out.offset = alloc(out.numel);
-    if (op.kind == OpKind::kConv2d) {
-      const TensorInfo& w = g->tensors[static_cast<size_t>(op.in[1])];
-      const int kh = w.shape[2], kw = w.shape[3];
-      const bool fast_1x1 =
-          kh == 1 && kw == 1 && op.i0 == 1 && op.i1 == 0;
-      if (!fast_1x1) {
-        const TensorInfo& x = g->tensors[static_cast<size_t>(op.in[0])];
-        const size_t kdim = static_cast<size_t>(x.shape[1]) * kh * kw;
-        const size_t npix =
-            static_cast<size_t>(out.shape[2]) * out.shape[3];
-        op.scratch_floats = kdim * npix;
-        op.scratch_off = alloc(op.scratch_floats);
-      }
-    }
     for (TensorId t : expire[static_cast<size_t>(i)]) {
       free_block(g->tensors[static_cast<size_t>(t)].offset,
                  g->tensors[static_cast<size_t>(t)].numel);
     }
-    if (op.scratch_floats) free_block(op.scratch_off, op.scratch_floats);
   }
   return high;
 }

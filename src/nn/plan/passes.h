@@ -26,8 +26,8 @@ struct FusionStats {
 // so fused execution stays bit-identical to eager.
 FusionStats fuse_graph(Graph* g);
 
-// Assigns every live kArena tensor (and per-conv im2col scratch) an offset
-// into one shared arena via interval liveness + best-fit free-list reuse.
+// Assigns every live kArena tensor an offset into one shared arena via
+// interval liveness + best-fit free-list reuse.
 // Graph outputs are pinned live to the end. Returns the arena size in
 // floats; offsets are 64-byte aligned.
 size_t plan_memory(Graph* g);

@@ -164,9 +164,8 @@ void Plan::run(ExecArena& arena, const std::vector<const float*>& inputs,
         const float* bias =
             op.i2 ? resolve(op.in[2], base, inputs) : nullptr;
         k_conv2d(a, xt.shape[0], xt.shape[1], xt.shape[2], xt.shape[3],
-                 *conv_packs_[i].panels, wt.shape[0], wt.shape[2],
-                 wt.shape[3], op.i0, op.i1, ot.shape[2], ot.shape[3], bias,
-                 op.scratch_floats ? base + op.scratch_off : nullptr, out);
+                 *conv_packs_[i].panels, wt.shape[2], wt.shape[3], op.i0,
+                 op.i1, ot.shape[2], ot.shape[3], bias, out);
         if (op.fused_gn) {
           const size_t nin = op.in.size();
           const float* gamma = resolve(op.in[nin - 2], base, inputs);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #ifdef __linux__
 #include <pthread.h>
@@ -28,6 +29,69 @@ thread_local bool tl_in_parallel_region = false;
 
 // The calling thread's bound partition (PoolBinding); nullptr = global pool.
 thread_local ThreadPool* tl_bound_pool = nullptr;
+
+// How long a waiting thread spins before it blocks on a condition variable
+// (see the hand-off note in threadpool.h). A named constant, not an option:
+// it only has to exceed the gap between dispatches of one forward.
+constexpr std::chrono::microseconds kSpinBudget{100};
+
+// Marks the current thread as inside a parallel region for one scope and
+// restores the previous state on exit, exceptions included.
+class ParallelRegion {
+ public:
+  ParallelRegion() : prev_(tl_in_parallel_region) {
+    tl_in_parallel_region = true;
+  }
+  ~ParallelRegion() { tl_in_parallel_region = prev_; }
+  ParallelRegion(const ParallelRegion&) = delete;
+  ParallelRegion& operator=(const ParallelRegion&) = delete;
+
+ private:
+  bool prev_;
+};
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+// Polls that only pause the core before a spinning thread starts yielding
+// it (~4 us): long enough for the back-to-back dispatches of one forward.
+constexpr int kPausePolls = 64;
+
+// Spins until done() holds or kSpinBudget has passed; returns done(). After
+// the first kPausePolls polls each poll also yields the CPU, so a spinning
+// thread steps aside for any other runnable thread on its core (another
+// process, or a thread of this one) instead of holding it for the budget.
+template <typename Done>
+bool spin_until(Done done) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
+  for (int polls = 0; !done(); ++polls) {
+    if (std::chrono::steady_clock::now() >= deadline) return done();
+    if (polls < kPausePolls) {
+      cpu_relax();
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  return true;
+}
+
+// Runs fn(begin, end) as one range of a dispatch inside a parallel region
+// and adds its wall time to `busy_ns`. Exceptions propagate to the caller.
+void run_range(const std::function<void(int64_t, int64_t)>& fn, int64_t begin,
+               int64_t end, std::atomic<uint64_t>& busy_ns) {
+  ParallelRegion region;
+  const auto t0 = std::chrono::steady_clock::now();
+  fn(begin, end);
+  busy_ns.fetch_add(
+      static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count()),
+      std::memory_order_relaxed);
+}
 
 }  // namespace
 
@@ -65,8 +129,7 @@ PoolBinding::~PoolBinding() { tl_bound_pool = prev_; }
 ThreadPool::ThreadPool(int num_threads, int cpu_first)
     : cpu_first_(cpu_first) {
   const int workers = std::max(0, num_threads - 1);
-  tasks_.resize(static_cast<size_t>(workers));
-  task_ready_.assign(static_cast<size_t>(workers), false);
+  slots_ = std::make_unique<Slot[]>(static_cast<size_t>(workers));
   workers_.reserve(static_cast<size_t>(workers));
   for (int i = 0; i < workers; ++i) {
     workers_.emplace_back([this, i] {
@@ -79,43 +142,56 @@ ThreadPool::ThreadPool(int num_threads, int cpu_first)
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
+    stop_.store(true);
   }
   cv_.notify_all();
   for (auto& t : workers_) t.join();
 }
 
+bool ThreadPool::await_task(const Slot& slot, uint64_t ran) {
+  const auto ready = [&] {
+    return stop_.load(std::memory_order_acquire) ||
+           slot.generation.load(std::memory_order_acquire) != ran;
+  };
+  if (!spin_until(ready)) {
+    // Park. parked_ is raised before the generation is re-read (both
+    // seq_cst), and the dispatcher stores the generation before it reads
+    // parked_: either this thread sees the new generation, or the
+    // dispatcher sees a parked worker and notifies under mu_.
+    std::unique_lock<std::mutex> lock(mu_);
+    parked_.fetch_add(1);
+    cv_.wait(lock, [&] {
+      return stop_.load() || slot.generation.load() != ran;
+    });
+    parked_.fetch_sub(1);
+  }
+  return !stop_.load(std::memory_order_acquire);
+}
+
+void ThreadPool::record_error(std::exception_ptr e) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!error_) error_ = std::move(e);
+}
+
 void ThreadPool::worker_loop(int worker_index) {
-  uint64_t seen_generation = 0;
-  for (;;) {
-    Task task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] {
-        return stop_ || (task_ready_[static_cast<size_t>(worker_index)] &&
-                         generation_ != seen_generation);
-      });
-      if (stop_) return;
-      seen_generation = generation_;
-      task = tasks_[static_cast<size_t>(worker_index)];
-      task_ready_[static_cast<size_t>(worker_index)] = false;
-    }
-    if (task.fn && task.begin < task.end) {
+  const Slot& slot = slots_[static_cast<size_t>(worker_index)];
+  uint64_t ran = 0;
+  while (await_task(slot, ran)) {
+    ran = slot.generation.load(std::memory_order_acquire);
+    const std::function<void(int64_t, int64_t)>* fn = slot.fn;
+    const int64_t begin = slot.begin;
+    const int64_t end = slot.end;
+    try {
       obs::ScopedLatency timer(task_histogram());
-      const auto t0 = std::chrono::steady_clock::now();
-      tl_in_parallel_region = true;
-      (*task.fn)(task.begin, task.end);
-      tl_in_parallel_region = false;
-      busy_ns_.fetch_add(
-          static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count()),
-          std::memory_order_relaxed);
+      run_range(*fn, begin, end, busy_ns_);
+    } catch (...) {
+      record_error(std::current_exception());
     }
-    {
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      // Taking mu_ orders this notify after a caller that has checked
+      // pending_ under mu_ is inside done_cv_.wait.
       std::lock_guard<std::mutex> lock(mu_);
-      if (--pending_ == 0) done_cv_.notify_all();
+      done_cv_.notify_all();
     }
   }
 }
@@ -132,8 +208,8 @@ void ThreadPool::parallel_ranges(
     fn(0, n);
     return;
   }
-  // One dispatch at a time: the task slots and pending_/generation_ pair
-  // describe a single job. A second top-level caller (another serve worker
+  // One dispatch at a time: the task slots and the pending_ count describe
+  // a single job. A second top-level caller (another serve worker
   // mid-batch) would otherwise overwrite live slots; it runs inline instead.
   std::unique_lock<std::mutex> dispatch(dispatch_mu_, std::try_to_lock);
   if (!dispatch.owns_lock()) {
@@ -148,42 +224,47 @@ void ThreadPool::parallel_ranges(
   const int64_t chunk = (n + parts - 1) / parts;
   // Worker i handles [i*chunk, min((i+1)*chunk, n)); caller takes part 0.
   int launched = 0;
+  while (launched + 1 < parts && (launched + 1) * chunk < n) ++launched;
+  pending_.store(launched, std::memory_order_relaxed);
+  const uint64_t generation = ++dispatch_generation_;
+  for (int i = 1; i <= launched; ++i) {
+    Slot& slot = slots_[static_cast<size_t>(i - 1)];
+    slot.fn = &fn;
+    slot.begin = i * chunk;
+    slot.end = std::min<int64_t>(n, slot.begin + chunk);
+    slot.generation.store(generation);
+  }
+  if (parked_.load() > 0) {
+    { std::lock_guard<std::mutex> lock(mu_); }
+    cv_.notify_all();
+  }
+  // Queue depth at dispatch time: how many ranges are waiting on workers.
+  static obs::Gauge& depth = obs::gauge("nn.threadpool.queue_depth");
+  static obs::Gauge& peak = obs::gauge("nn.threadpool.queue_depth_peak");
+  static obs::Counter& dispatched = obs::counter("nn.threadpool.tasks");
+  depth.set(static_cast<double>(launched));
+  peak.set_max(static_cast<double>(launched));
+  dispatched.inc(static_cast<uint64_t>(launched));
+  try {
+    run_range(fn, 0, std::min<int64_t>(n, chunk), busy_ns_);
+  } catch (...) {
+    record_error(std::current_exception());
+  }
+  // Every worker range must finish before returning or unwinding: they
+  // hold &fn, which lives in the caller's frame.
+  const auto done = [&] {
+    return pending_.load(std::memory_order_acquire) == 0;
+  };
+  if (!spin_until(done)) {
+    std::unique_lock<std::mutex> lock(mu_);
+    done_cv_.wait(lock, done);
+  }
+  std::exception_ptr error;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (int i = 1; i < parts; ++i) {
-      const int64_t begin = i * chunk;
-      const int64_t end = std::min<int64_t>(n, begin + chunk);
-      if (begin >= end) break;
-      auto& slot = tasks_[static_cast<size_t>(i - 1)];
-      slot.fn = &fn;
-      slot.begin = begin;
-      slot.end = end;
-      task_ready_[static_cast<size_t>(i - 1)] = true;
-      ++launched;
-    }
-    pending_ += launched;
-    ++generation_;
-    // Queue depth at dispatch time: how many ranges are waiting on workers.
-    static obs::Gauge& depth = obs::gauge("nn.threadpool.queue_depth");
-    static obs::Gauge& peak = obs::gauge("nn.threadpool.queue_depth_peak");
-    static obs::Counter& dispatched = obs::counter("nn.threadpool.tasks");
-    depth.set(static_cast<double>(pending_));
-    peak.set_max(static_cast<double>(pending_));
-    dispatched.inc(static_cast<uint64_t>(launched));
+    error = std::exchange(error_, nullptr);
   }
-  cv_.notify_all();
-  const auto t0 = std::chrono::steady_clock::now();
-  tl_in_parallel_region = true;
-  fn(0, std::min<int64_t>(n, chunk));
-  tl_in_parallel_region = false;
-  busy_ns_.fetch_add(
-      static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()),
-      std::memory_order_relaxed);
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return pending_ == 0; });
+  if (error) std::rethrow_exception(error);
 }
 
 std::vector<std::unique_ptr<ThreadPool>> partition_pools(int parts,

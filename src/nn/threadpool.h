@@ -4,6 +4,20 @@
 // element is written by exactly one thread: results are bit-identical to the
 // serial execution regardless of scheduling.
 //
+// Hand-off: spin, then park. A model forward issues hundreds of dispatches
+// whose bodies are often shorter than a condvar/futex wake-up (tens of
+// microseconds), so a worker that has finished its range spins on its task
+// slot's atomic dispatch generation for a fixed budget (kSpinBudget, 100 us
+// of steady clock) before it parks on a condition variable. The budget
+// covers the gap between back-to-back dispatches of one forward, so a busy
+// pool hands work over without a futex wake-up; it also caps what an idle
+// pool burns at one budget per worker after its last dispatch. Past its
+// first few microseconds the spin yields the CPU on every poll, so it steps
+// aside for other runnable threads on a loaded host. The dispatcher takes
+// the mutex and notifies only when some worker is parked, and the caller,
+// after running its own range, spins on the atomic pending count for the
+// same budget before it waits for the workers on a condvar.
+//
 // Partitioning: the process-wide pool (`instance()`) serves single-tenant
 // workloads. Multi-tenant callers (the serving engine's replica workers)
 // instead carve the machine into independent pools via `partition_pools` and
@@ -17,6 +31,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -70,33 +85,46 @@ class ThreadPool {
   // forwards at once) are safe: the pool's task slots serve one dispatch at
   // a time, and a caller that finds them busy runs its loop inline rather
   // than waiting — losers degrade to serial, they never corrupt the pool.
+  // If fn throws on any range, every range still runs to completion (or to
+  // its own throw) and the first exception recorded is rethrown here, on
+  // the calling thread, after all workers are done with `fn`.
   void parallel_ranges(int64_t n,
                        const std::function<void(int64_t, int64_t)>& fn,
                        int64_t grain = 1);
 
  private:
-  struct Task {
+  // One worker's task slot, on its own cache line. The dispatcher writes
+  // fn/begin/end, then publishes them by storing a new `generation`; the
+  // worker runs the slot when `generation` differs from the last one it ran.
+  struct alignas(64) Slot {
     const std::function<void(int64_t, int64_t)>* fn = nullptr;
     int64_t begin = 0;
     int64_t end = 0;
+    std::atomic<uint64_t> generation{0};
   };
 
   void worker_loop(int worker_index);
+  // Blocks (spin, then park) until `slot` carries a generation other than
+  // `ran` or the pool stops; returns false on stop.
+  bool await_task(const Slot& slot, uint64_t ran);
+  void record_error(std::exception_ptr e);
 
   std::atomic<uint64_t> busy_ns_{0};
-  std::vector<std::thread> workers_;
-  int cpu_first_ = -1;
+  std::unique_ptr<Slot[]> slots_;  // one per worker
   // Held for the duration of one dispatch (slot writes through completion
   // wait). try_lock only: a busy pool means the caller runs inline.
   std::mutex dispatch_mu_;
-  std::mutex mu_;
+  uint64_t dispatch_generation_ = 0;  // guarded by dispatch_mu_
+  std::atomic<int> pending_{0};       // worker ranges of this dispatch not done
+  std::atomic<int> parked_{0};        // workers waiting on cv_
+  std::atomic<bool> stop_{false};
+  std::mutex mu_;  // pairs with cv_ / done_cv_; guards error_
   std::condition_variable cv_;
   std::condition_variable done_cv_;
-  std::vector<Task> tasks_;       // one slot per worker
-  std::vector<bool> task_ready_;  // per worker
-  int pending_ = 0;
-  uint64_t generation_ = 0;
-  bool stop_ = false;
+  std::exception_ptr error_;
+  int cpu_first_ = -1;
+  // Last: workers start in the constructor and use every member above.
+  std::vector<std::thread> workers_;
 };
 
 // RAII: binds `pool` as the calling thread's current() pool for the scope

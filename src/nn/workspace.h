@@ -1,7 +1,8 @@
-// Thread-local scratch arena for the GEMM/im2col compute path.
+// Thread-local scratch arena for the GEMM/conv compute path.
 //
 // The hot inference loop (hundreds of conv2d calls per DDIM step) needs
-// short-lived buffers: im2col patch matrices and packed GEMM panels. Going
+// short-lived buffers: conv B strips, packed GEMM panels and, for the
+// gradients, im2col patch matrices. Going
 // through the allocator for each would dominate small-tensor calls, so every
 // thread owns a bump arena whose blocks persist for the thread's lifetime
 // and are reused across calls. A `Scope` marks a checkpoint on construction

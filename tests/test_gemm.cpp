@@ -1,5 +1,6 @@
 // The blocked GEMM compute path: kernel vs reference over a shape sweep,
-// im2col/col2im adjointness, conv2d/linear equivalence between the blocked
+// im2col/col2im adjointness, the batched conv forward bit for bit against
+// the per-image im2col route, conv2d/linear equivalence between the blocked
 // and naive routes, gradient checks through the GEMM path, and workspace
 // reuse from concurrent pool workers.
 #include "nn/gemm.h"
@@ -9,6 +10,9 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -212,6 +216,133 @@ TEST(Im2col, Col2imRoundTripScalesByPatchCoverage) {
       }
     }
   }
+}
+
+// ---------- batched conv forward, bit for bit ----------
+
+struct ConvGeom {
+  int c, h, w, f, kh, kw, stride, pad;
+};
+
+// Every distinct convolution of the paper-default model at 64x64 input
+// (perfbench/layers.cpp lists them as per-image GEMMs m = f, k = c*kh*kw,
+// n = ho*wo), then edge cases of the strip packer and the routing.
+const ConvGeom kConvSweep[] = {
+    {3, 32, 32, 16, 3, 3, 1, 1},    // m16_k27_n1024
+    {16, 32, 32, 32, 3, 3, 2, 1},   // m32_k144_n256
+    {32, 16, 16, 32, 3, 3, 1, 1},   // m32_k288_n256
+    {36, 16, 16, 48, 3, 3, 1, 1},   // m48_k324_n256
+    {48, 16, 16, 48, 3, 3, 1, 1},   // m48_k432_n256
+    {36, 16, 16, 48, 1, 1, 1, 0},   // m48_k36_n256
+    {64, 32, 32, 32, 3, 3, 1, 1},   // m32_k576_n1024
+    {32, 64, 64, 16, 3, 3, 1, 1},   // m16_k288_n4096
+    {16, 64, 64, 3, 3, 3, 1, 1},    // m3_k144_n4096
+    {32, 8, 8, 64, 3, 3, 1, 1},     // m64_k288_n64
+    {4, 16, 16, 32, 3, 3, 1, 1},    // m32_k36_n256
+    {32, 16, 16, 32, 3, 3, 2, 1},   // m32_k288_n64
+    {64, 8, 8, 64, 3, 3, 1, 1},     // m64_k576_n64
+    {32, 8, 8, 64, 1, 1, 1, 0},     // m64_k32_n64
+    {96, 16, 16, 32, 3, 3, 1, 1},   // m32_k864_n256
+    {96, 16, 16, 32, 1, 1, 1, 0},   // m32_k96_n256
+    {32, 16, 16, 4, 3, 3, 1, 1},    // m4_k288_n256
+    {3, 32, 32, 8, 3, 3, 1, 1},     // m8_k27_n1024
+    {8, 32, 32, 16, 3, 3, 2, 1},    // m16_k72_n256
+    {16, 16, 16, 16, 3, 3, 2, 1},   // m16_k144_n64
+    {5, 5, 7, 7, 3, 3, 1, 1},       // 5x7 plane: ragged strips across rows
+    {34, 6, 6, 13, 3, 3, 1, 1},     // K = 306, M = 13: K-block tail, M tail
+    {6, 13, 11, 13, 3, 3, 2, 0},    // strided, unpadded, odd planes
+    {4, 9, 9, 7, 5, 5, 1, 2},       // 5x5 taps, pad 2
+    {16, 10, 10, 12, 1, 1, 2, 0},   // strided 1x1 (not the plain GEMM)
+    {2, 4, 4, 3, 3, 3, 1, 1},       // under kSmallProblem: naive route
+};
+
+std::string geom_name(const ConvGeom& g, int n) {
+  return "c" + std::to_string(g.c) + " " + std::to_string(g.h) + "x" +
+         std::to_string(g.w) + " f" + std::to_string(g.f) + " k" +
+         std::to_string(g.kh) + "x" + std::to_string(g.kw) + " s" +
+         std::to_string(g.stride) + " p" + std::to_string(g.pad) + " n" +
+         std::to_string(n);
+}
+
+// Runs the sweep at batch 1, 3 and 8, with and without bias, comparing
+// PackedA::conv2d_forward with memcmp against the per-image route it
+// replaced: im2col, then `product` (out plane = W * patches, beta 0), then
+// a separate bias pass. Both run on a 2-thread pool, the serve partition
+// size, so the batched entry's task split is exercised while the sweep
+// leaves the rest of the machine to concurrently running tests.
+template <typename Product>
+void sweep_conv_forward(Product product) {
+  ThreadPool pool(2);
+  PoolBinding bind(&pool);
+  uint64_t seed = 41;
+  for (const ConvGeom& g : kConvSweep) {
+    const int ho = (g.h + 2 * g.pad - g.kh) / g.stride + 1;
+    const int wo = (g.w + 2 * g.pad - g.kw) / g.stride + 1;
+    const int kdim = g.c * g.kh * g.kw;
+    const int64_t npix = static_cast<int64_t>(ho) * wo;
+    Rng rng(++seed);
+    const std::vector<float> w =
+        random_vec(static_cast<size_t>(g.f) * kdim, rng);
+    const std::vector<float> bias = random_vec(static_cast<size_t>(g.f), rng);
+    const PackedA packed(false, g.f, kdim, w.data(), kdim);
+    for (int n : {1, 3, 8}) {
+      const std::vector<float> x =
+          random_vec(static_cast<size_t>(n) * g.c * g.h * g.w, rng);
+      const size_t out_size = static_cast<size_t>(n) * g.f * npix;
+      std::vector<float> want(out_size);
+      std::vector<float> col(static_cast<size_t>(kdim) * npix);
+      for (int ni = 0; ni < n; ++ni) {
+        im2col(x.data() + static_cast<size_t>(ni) * g.c * g.h * g.w, g.c,
+               g.h, g.w, g.kh, g.kw, g.stride, g.pad, ho, wo, col.data());
+        product(packed, w, g.f, kdim, npix, col.data(),
+                want.data() + static_cast<size_t>(ni) * g.f * npix);
+      }
+      std::vector<float> got(out_size, -7.0f);
+      packed.conv2d_forward(x.data(), n, g.c, g.h, g.w, g.kh, g.kw, g.stride,
+                            g.pad, ho, wo, nullptr, got.data());
+      ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                               out_size * sizeof(float)))
+          << geom_name(g, n) << ", no bias";
+      for (size_t t = 0; t < static_cast<size_t>(n) * g.f; ++t) {
+        for (int64_t j = 0; j < npix; ++j) {
+          want[t * static_cast<size_t>(npix) + static_cast<size_t>(j)] +=
+              bias[t % static_cast<size_t>(g.f)];
+        }
+      }
+      std::fill(got.begin(), got.end(), -7.0f);
+      packed.conv2d_forward(x.data(), n, g.c, g.h, g.w, g.kh, g.kw, g.stride,
+                            g.pad, ho, wo, bias.data(), got.data());
+      ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                               out_size * sizeof(float)))
+          << geom_name(g, n) << ", bias";
+    }
+  }
+}
+
+TEST(ConvForward, BatchedEntryBitEqualsPerImageIm2colAndPackedRun) {
+  NaiveGuard guard(false);
+  sweep_conv_forward([](const PackedA& packed, const std::vector<float>&, int,
+                        int, int64_t npix, const float* col, float* out) {
+    packed.run(npix, col, npix, 0.0f, out, npix);
+  });
+}
+
+TEST(ConvForward, NaiveBatchedEntryBitEqualsIm2colAndNaiveGemm) {
+  NaiveGuard guard(true);
+  sweep_conv_forward([](const PackedA&, const std::vector<float>& w, int f,
+                        int kdim, int64_t npix, const float* col, float* out) {
+    gemm(false, false, f, npix, kdim, w.data(), kdim, col, npix, 0.0f, out,
+         npix);
+  });
+}
+
+TEST(ConvForward, RejectsWeightsOfAnotherDepth) {
+  const std::vector<float> w(4 * 27, 1.0f);
+  const PackedA packed(false, 4, 27, w.data(), 27);
+  std::vector<float> x(2 * 8 * 8), out(4 * 8 * 8);
+  EXPECT_THROW(packed.conv2d_forward(x.data(), 1, 2, 8, 8, 3, 3, 1, 1, 8, 8,
+                                     nullptr, out.data()),
+               std::invalid_argument);
 }
 
 // ---------- conv2d / linear equivalence, blocked vs naive ----------
