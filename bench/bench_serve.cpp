@@ -327,9 +327,9 @@ struct PlanPoint {
 };
 
 // Times `reps` runs of `body` (fastest wins) with the plan switch forced to
-// `enabled`; restores the env-default switch before returning.
+// `enabled`; restores the default (planned) before returning.
 template <typename Body>
-double time_plan_mode(int enabled, int reps, Body&& body) {
+double time_plan_mode(bool enabled, int reps, Body&& body) {
   core::set_plan_enabled(enabled);
   body();  // warm: plan compile (planned mode), workspace/arena growth
   double best = 0;
@@ -339,7 +339,7 @@ double time_plan_mode(int enabled, int reps, Body&& body) {
     const double secs = now_seconds() - t0;
     if (rep == 0 || secs < best) best = secs;
   }
-  core::set_plan_enabled(-1);
+  core::set_plan_enabled(true);
   return best;
 }
 
@@ -362,22 +362,22 @@ int run_plan_bench(const std::string& out_path) {
   std::vector<Image> serial_eager(kImages), serial_planned(kImages);
   std::vector<Image> batch_eager, batch_planned;
 
-  const double t_serial_eager = time_plan_mode(0, kReps, [&] {
+  const double t_serial_eager = time_plan_mode(false, kReps, [&] {
     for (int i = 0; i < kImages; ++i) {
       serial_eager[static_cast<size_t>(i)] =
           model->reconstruct(coeffs[static_cast<size_t>(i)]);
     }
   });
-  const double t_serial_planned = time_plan_mode(1, kReps, [&] {
+  const double t_serial_planned = time_plan_mode(true, kReps, [&] {
     for (int i = 0; i < kImages; ++i) {
       serial_planned[static_cast<size_t>(i)] =
           model->reconstruct(coeffs[static_cast<size_t>(i)]);
     }
   });
   const double t_batch_eager =
-      time_plan_mode(0, kReps, [&] { batch_eager = model->reconstruct_batch(coeffs); });
+      time_plan_mode(false, kReps, [&] { batch_eager = model->reconstruct_batch(coeffs); });
   const double t_batch_planned =
-      time_plan_mode(1, kReps, [&] { batch_planned = model->reconstruct_batch(coeffs); });
+      time_plan_mode(true, kReps, [&] { batch_planned = model->reconstruct_batch(coeffs); });
 
   // The plan must be a pure performance transform.
   const double diff_serial = worst_diff(serial_eager, serial_planned);

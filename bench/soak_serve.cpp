@@ -203,12 +203,11 @@ RunOutcome run_cell(const std::string& plan_text, int requests,
 
     server.shutdown();
     const auto stats = server.stats();
-    if (stats.accepted != stats.completed + stats.degraded +
-                              stats.deadline_expired + stats.internal_errors) {
+    if (stats.accepted !=
+        stats.completed + stats.degraded + stats.internal_errors) {
       fail("accounting: accepted=" + std::to_string(stats.accepted) +
            " completed=" + std::to_string(stats.completed) +
            " degraded=" + std::to_string(stats.degraded) +
-           " deadline=" + std::to_string(stats.deadline_expired) +
            " internal=" + std::to_string(stats.internal_errors));
     }
     const uint64_t submit_rejected = stats.rejected_queue_full +

@@ -197,7 +197,7 @@ bool all_equal(const std::vector<int>& t) {
 Tensor predict_z0(const Tensor& z_t, const Tensor& eps,
                   const DiffusionSchedule& sched, const std::vector<int>& t) {
   const int n = z_t.dim(0);
-  // Uniform-timestep fast path (every ddim_sample step): the per-sample
+  // Uniform-timestep fast path (every DDIM sampler step): the per-sample
   // scale collapses to a scalar, so no scale vectors or (N) tensors are
   // allocated inside the sampling loop.
   if (!t.empty() && all_equal(t)) {
@@ -250,14 +250,6 @@ Tensor eps_from_z0(const Tensor& z_t, const Tensor& z0,
 // eps, the two update terms); the planned path (capture_ddim below) places
 // the same values in precomputed plan-arena slices instead, so inference
 // through a Plan runs this loop with zero per-step allocations.
-Tensor ddim_sample(const UNet& unet, const DiffusionSchedule& sched,
-                   const ControlModule::Features& ctrl, const Tensor& noise,
-                   int steps, const Tensor& s, const Tensor& b,
-                   Prediction prediction) {
-  return ddim_sample_checkpointed(unet, sched, ctrl, noise, steps, s, b,
-                                  prediction, DdimCheckpointFn());
-}
-
 Tensor ddim_sample_checkpointed(const UNet& unet,
                                 const DiffusionSchedule& sched,
                                 const ControlModule::Features& ctrl,
@@ -328,16 +320,16 @@ plan::TensorId capture_ddim(plan::GraphBuilder& g, const UNet& unet,
   if (steps < 1 || steps > sched.T) {
     throw std::invalid_argument("capture_ddim: bad step count");
   }
-  // Same evenly spaced descending subsequence as ddim_sample.
+  // Same evenly spaced descending subsequence as ddim_sample_checkpointed.
   std::vector<int> ts(static_cast<size_t>(steps));
   for (int i = 0; i < steps; ++i) {
     ts[static_cast<size_t>(i)] = static_cast<int>(
         static_cast<int64_t>(sched.T - 1) * i / std::max(1, steps - 1));
   }
   plan::TensorId z = noise;
-  // Mirror ddim_sample's trace spans so a compiled run is observable the
-  // same way the eager loop is (cmake/quickstart_trace_test.cmake asserts
-  // both names appear in the trace regardless of DCDIFF_PLAN).
+  // Mirror the eager sampler's trace spans so a compiled run is observable
+  // the same way the eager loop is (cmake/quickstart_trace_test.cmake
+  // asserts both names appear in the trace whichever executor ran).
   g.begin_span("ddim_sample");
   for (int k = steps - 1; k >= 0; --k) {
     g.begin_span("ddim_step");

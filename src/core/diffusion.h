@@ -101,29 +101,20 @@ enum class Prediction {
          // step counts for strongly-conditioned latents, used by default
 };
 
-// DDIM sampling (eta = 0) of a z0 latent. `steps` evenly-spaced timesteps;
-// `noise` is the initial z_T (shape (N, z_channels, h, w)); s/b as in
-// UNet::forward. Runs under NoGradGuard.
-nn::Tensor ddim_sample(const UNet& unet, const DiffusionSchedule& sched,
-                       const ControlModule::Features& ctrl,
-                       const nn::Tensor& noise, int steps,
-                       const nn::Tensor& s = nn::Tensor(),
-                       const nn::Tensor& b = nn::Tensor(),
-                       Prediction prediction = Prediction::kEps);
-
 // Checkpoint hook for anytime sampling: invoked once per completed DDIM step
 // with the current clamped z0 estimate — a decodable (coarser) latent — and
 // the number of steps finished so far (1..steps). Return true to keep
 // sampling, false to stop early; the sampler then returns that checkpoint
 // as its result. A run whose hook always returns true is bit-identical to
-// ddim_sample: the hook observes z0 between the existing update statements
-// and perturbs no arithmetic.
+// one without a hook: the hook observes z0 between the existing update
+// statements and perturbs no arithmetic.
 using DdimCheckpointFn = std::function<bool(const nn::Tensor& z0,
                                             int steps_done)>;
 
-// ddim_sample with a per-step checkpoint hook (anytime / early-exit
-// sampling). `on_checkpoint` may be empty, in which case this is exactly
-// ddim_sample.
+// DDIM sampling (eta = 0) of a z0 latent. `steps` evenly-spaced timesteps;
+// `noise` is the initial z_T (shape (N, z_channels, h, w)); s/b as in
+// UNet::forward (undefined tensors for s = b = 1). Runs under NoGradGuard.
+// `on_checkpoint` may be empty (a plain full-length run).
 nn::Tensor ddim_sample_checkpointed(const UNet& unet,
                                     const DiffusionSchedule& sched,
                                     const ControlModule::Features& ctrl,
@@ -132,10 +123,11 @@ nn::Tensor ddim_sample_checkpointed(const UNet& unet,
                                     Prediction prediction,
                                     const DdimCheckpointFn& on_checkpoint);
 
-// Plan capture of ddim_sample: unrolls the `steps` DDIM updates into the
-// graph with the same arithmetic as the eager loop. The per-step
-// temporaries the eager path heap-allocates every iteration (pred, z0, eps,
-// the update terms) become liveness-planned slices of the plan arena.
+// Plan capture of ddim_sample_checkpointed without a hook: unrolls the
+// `steps` DDIM updates into the graph with the same arithmetic as the eager
+// loop. The per-step temporaries the eager path heap-allocates every
+// iteration (pred, z0, eps, the update terms) become liveness-planned
+// slices of the plan arena.
 nn::plan::TensorId capture_ddim(nn::plan::GraphBuilder& g, const UNet& unet,
                                 const DiffusionSchedule& sched,
                                 nn::plan::TensorId c1, nn::plan::TensorId c2,

@@ -20,7 +20,6 @@
 #include "nn/optim.h"
 #include "nn/packcache.h"
 #include "nn/serialize.h"
-#include "obs/env.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -31,19 +30,13 @@ namespace dcdiff::core {
 using namespace dcdiff::nn;
 
 namespace {
-std::atomic<int> g_plan_override{-1};  // -1 = follow env, 0/1 = forced
+std::atomic<bool> g_plan_enabled{true};
 }  // namespace
 
-bool plan_enabled() {
-  const int o = g_plan_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  static const bool env = obs::env_int("DCDIFF_PLAN", 1) != 0;
-  return env;
-}
+bool plan_enabled() { return g_plan_enabled.load(std::memory_order_relaxed); }
 
-void set_plan_enabled(int v) {
-  g_plan_override.store(v < 0 ? -1 : (v != 0 ? 1 : 0),
-                        std::memory_order_relaxed);
+void set_plan_enabled(bool enabled) {
+  g_plan_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 struct DCDiffModel::Sample {
@@ -126,12 +119,10 @@ Tensor randn_like_shape(std::vector<int> shape, Rng& rng) {
 // sample at absolute latent coordinate (c, y0 + y, x0 + x) for ensemble
 // member `e` depends only on those coordinates and the seed, so the noise
 // of a crop equals the same crop of the full field — the property tiled
-// sampling needs to be comparable with an untiled run.
-Tensor coord_noise_field(uint64_t seed, int e, int ch, int h, int w, int y0,
-                         int x0) {
-  std::vector<float> data(static_cast<size_t>(ch) * static_cast<size_t>(h) *
-                          static_cast<size_t>(w));
-  size_t idx = 0;
+// sampling needs to be comparable with an untiled run. Writes the (ch, h, w)
+// field to `out`.
+void coord_noise_field(uint64_t seed, int e, int ch, int h, int w, int y0,
+                       int x0, float* out) {
   for (int c = 0; c < ch; ++c) {
     for (int y = 0; y < h; ++y) {
       for (int x = 0; x < w; ++x) {
@@ -141,11 +132,10 @@ Tensor coord_noise_field(uint64_t seed, int e, int ch, int h, int w, int y0,
             (static_cast<uint64_t>(static_cast<uint32_t>(y0 + y)) << 24) ^
             static_cast<uint64_t>(static_cast<uint32_t>(x0 + x));
         Rng rng(seed ^ (key * 0x9E3779B97F4A7C15ull + 0xD6E8FEB86659FD93ull));
-        data[idx++] = rng.normal();
+        *out++ = rng.normal();
       }
     }
   }
-  return Tensor::from_data({1, ch, h, w}, std::move(data));
 }
 
 void set_requires_grad(const std::vector<Tensor>& params, bool value) {
@@ -420,9 +410,9 @@ void DCDiffModel::train_or_load() {
   set_requires_grad(disc_->params(), false);
 }
 
-Status DCDiffModel::planned_group(const Tensor& tilde_b, int n, int ph,
-                                  int pw, int steps, int ensemble,
-                                  bool use_fmpp, uint64_t noise_seed,
+Status DCDiffModel::planned_group(const Tensor& tilde_b, const float* noise,
+                                  int n, int ph, int pw, int steps,
+                                  int ensemble, bool use_fmpp,
                                   Tensor* xhat) const {
   DCDIFF_TRACE_SPAN("planned_group");
   ReconPlanKey key;
@@ -438,24 +428,12 @@ Status DCDiffModel::planned_group(const Tensor& tilde_b, int n, int ph,
                                 packs_.get(), &p);
   if (!st.is_ok()) return st;
   try {
-    // Noise rows replicate the eager derivation bitwise: per image a fresh
-    // Rng(noise_seed), ensemble members drawn back to back.
-    const size_t per = static_cast<size_t>(cfg_.unet.z_channels) *
-                       static_cast<size_t>(ph / 4) *
-                       static_cast<size_t>(pw / 4);
-    std::vector<float> noise(static_cast<size_t>(n) * ensemble * per);
-    for (int i = 0; i < n; ++i) {
-      Rng rng(noise_seed);
-      float* row = noise.data() + static_cast<size_t>(i) * ensemble * per;
-      const size_t rn = static_cast<size_t>(ensemble) * per;
-      for (size_t j = 0; j < rn; ++j) row[j] = rng.normal();
-    }
     auto lease = plans_->arena_for(*p);
     // Steady state is 0: the arena pool hands back an existing buffer.
     static obs::Gauge& allocs = obs::gauge("plan.allocs_per_forward");
     allocs.set(lease.allocated() ? 1.0 : 0.0);
     std::vector<const float*> outs;
-    p->run(lease.arena(), {tilde_b.value().data(), noise.data()}, &outs);
+    p->run(lease.arena(), {tilde_b.value().data(), noise}, &outs);
     std::vector<float> out(outs[0], outs[0] + p->output_numel(0));
     *xhat = Tensor::from_data(p->output_shape(0), std::move(out));
   } catch (const std::exception& e) {
@@ -464,268 +442,19 @@ Status DCDiffModel::planned_group(const Tensor& tilde_b, int n, int ph,
   return Status::ok();
 }
 
-namespace {
-
-// Shared eager-fallback bookkeeping for the planned reconstruct paths.
-void note_plan_fallback(const Status& st) {
-  static obs::Counter& fallbacks = obs::counter("plan.eager_fallbacks");
-  fallbacks.inc();
-  DCDIFF_LOG_WARN("core.plan", "eager_fallback",
-                  {{"error", st.to_string()}});
-}
-
-}  // namespace
-
-Image DCDiffModel::reconstruct(const jpeg::CoeffImage& dropped,
-                               const ReconstructOptions& opts) const {
-  NoGradGuard no_grad;
-  nn::PackCacheBinding packs(packs_.get());
-  DCDIFF_TRACE_SPAN("reconstruct");
-  static obs::Histogram& lat = obs::histogram("core.reconstruct_seconds");
-  obs::ScopedLatency timer(lat);
-  static obs::Counter& images = obs::counter("core.reconstruct.images");
-  images.inc();
-  const Image tilde_raw = jpeg::tilde_image(dropped);
-  // Convs need dims divisible by 8 (latent /4, one UNet downsample).
-  const Image tilde = pad_to_multiple(tilde_raw, 8);
-  const Tensor tilde_t = tilde_to_tensor(tilde);
-
-  const int steps = opts.ddim_steps > 0 ? opts.ddim_steps : cfg_.ddim_steps;
-  // Posterior-mean estimate: average the z0 samples of a small ensemble of
-  // independent noise seeds (deterministic: seeds derive from the config).
-  const int ensemble =
-      opts.ensemble > 0 ? opts.ensemble : std::max(1, cfg_.sample_ensemble);
-  const uint64_t noise_seed =
-      (opts.seed ? opts.seed : cfg_.seed) ^ 0x5A3D1Eull;
-
-  Tensor xhat_t;
-  bool planned = false;
-  // Plans bake the sequential noise stream; coordinate-seeded noise runs
-  // eagerly.
-  if (plan_enabled() && !opts.coord_noise) {
-    const Status st =
-        planned_group(tilde_t, 1, tilde.height(), tilde.width(), steps,
-                      ensemble, opts.use_fmpp, noise_seed, &xhat_t);
-    planned = st.is_ok();
-    if (!planned) note_plan_fallback(st);
-  }
-  if (!planned) {
-    ControlModule::Features ctrl;
-    ACFeatures acfeat;
-    Tensor s, b;
-    {
-      DCDIFF_TRACE_SPAN("conditioner");
-      ctrl = control_->forward(tilde_t);
-      acfeat = ae_->encode_ac(tilde_t);
-      if (opts.use_fmpp) {
-        const FMPP::Factors f = fmpp_->forward(tilde_t);
-        s = f.s;
-        b = f.b;
-      }
-    }
-    Rng rng(noise_seed);
-    Tensor z0;
-    for (int e = 0; e < ensemble; ++e) {
-      DCDIFF_TRACE_SPAN("ensemble_member");
-      static obs::Histogram& member_lat =
-          obs::histogram("core.ensemble.member_seconds");
-      obs::ScopedLatency member_timer(member_lat);
-      const Tensor noise =
-          opts.coord_noise
-              ? coord_noise_field(noise_seed, e, cfg_.unet.z_channels,
-                                  tilde.height() / 4, tilde.width() / 4, 0, 0)
-              : randn_like_shape({1, cfg_.unet.z_channels, tilde.height() / 4,
-                                  tilde.width() / 4},
-                                 rng);
-      const Tensor sample = ddim_sample(*unet_, sched_, ctrl, noise, steps,
-                                        s, b, cfg_.prediction);
-      z0 = e == 0 ? sample : add(z0, sample);
-    }
-    if (ensemble > 1) z0 = scale(z0, 1.0f / static_cast<float>(ensemble));
-    {
-      DCDIFF_TRACE_SPAN("decode");
-      xhat_t = ae_->decode(z0, acfeat);
-    }
-  }
-  Image rgb = tensor_to_rgb(xhat_t);
-  if (opts.postprocess) rgb = anchor_to_corners(rgb, tilde);
-  if (rgb.width() != dropped.width || rgb.height() != dropped.height) {
-    rgb = crop(rgb, 0, 0, dropped.width, dropped.height);
-  }
-  return opts.postprocess ? project_onto_known_ac(rgb, dropped) : rgb;
-}
-
-std::vector<Image> DCDiffModel::reconstruct_batch(
-    const std::vector<const jpeg::CoeffImage*>& dropped,
-    const ReconstructOptions& opts) const {
-  NoGradGuard no_grad;
-  nn::PackCacheBinding packs(packs_.get());
-  DCDIFF_TRACE_SPAN("reconstruct_batch");
-  static obs::Histogram& lat = obs::histogram("core.reconstruct_seconds");
-  obs::ScopedLatency timer(lat);
-  static obs::Counter& images = obs::counter("core.reconstruct.images");
-  static obs::Histogram& batch_hist =
-      obs::histogram("core.reconstruct.batch_size",
-                     {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
-  const int total = static_cast<int>(dropped.size());
-  if (total == 0) return {};
-  images.inc(static_cast<uint64_t>(total));
-  batch_hist.observe(static_cast<double>(total));
-
-  const int steps = opts.ddim_steps > 0 ? opts.ddim_steps : cfg_.ddim_steps;
-  const int ensemble =
-      opts.ensemble > 0 ? opts.ensemble : std::max(1, cfg_.sample_ensemble);
-  const uint64_t noise_seed = (opts.seed ? opts.seed : cfg_.seed) ^ 0x5A3D1Eull;
-
-  // Per-image padded tilde fields. Images are grouped by padded size: every
-  // op downstream requires a uniform spatial shape per batch, and keeping
-  // each image at exactly its single-path padded size is what makes the
-  // batched outputs match the single-image path.
-  std::vector<Image> tildes(static_cast<size_t>(total));
-  std::vector<std::pair<int, int>> sizes(static_cast<size_t>(total));
-  for (int i = 0; i < total; ++i) {
-    tildes[static_cast<size_t>(i)] =
-        pad_to_multiple(jpeg::tilde_image(*dropped[static_cast<size_t>(i)]), 8);
-    sizes[static_cast<size_t>(i)] = {tildes[static_cast<size_t>(i)].height(),
-                                     tildes[static_cast<size_t>(i)].width()};
-  }
-  std::vector<std::pair<std::pair<int, int>, std::vector<int>>> groups;
-  for (int i = 0; i < total; ++i) {
-    auto it = std::find_if(groups.begin(), groups.end(), [&](const auto& g) {
-      return g.first == sizes[static_cast<size_t>(i)];
-    });
-    if (it == groups.end()) {
-      groups.push_back({sizes[static_cast<size_t>(i)], {i}});
-    } else {
-      it->second.push_back(i);
-    }
-  }
-
-  std::vector<Image> results(static_cast<size_t>(total));
-  for (const auto& group : groups) {
-    const std::vector<int>& idx = group.second;
-    const int n = static_cast<int>(idx.size());
-    const int ph = group.first.first, pw = group.first.second;
-
-    std::vector<Tensor> tilde_ts;
-    tilde_ts.reserve(idx.size());
-    for (int i : idx) {
-      tilde_ts.push_back(tilde_to_tensor(tildes[static_cast<size_t>(i)]));
-    }
-    const Tensor tilde_b = n == 1 ? tilde_ts[0] : stack_batch(tilde_ts);
-
-    Tensor xhat_b;
-    bool planned = false;
-    if (plan_enabled() && !opts.coord_noise) {
-      const Status st = planned_group(tilde_b, n, ph, pw, steps, ensemble,
-                                      opts.use_fmpp, noise_seed, &xhat_b);
-      planned = st.is_ok();
-      if (!planned) note_plan_fallback(st);
-    }
-    if (!planned) {
-      // Conditioning runs once per image (batch n); sampling runs on the
-      // folded batch axis of n * ensemble rows, each image's members
-      // adjacent.
-      ControlModule::Features ctrl;
-      ACFeatures acfeat;
-      Tensor s, b;
-      {
-        DCDIFF_TRACE_SPAN("conditioner");
-        ctrl = control_->forward(tilde_b);
-        acfeat = ae_->encode_ac(tilde_b);
-        if (opts.use_fmpp) {
-          const FMPP::Factors f = fmpp_->forward(tilde_b);
-          s = repeat_batch(f.s, ensemble);
-          b = repeat_batch(f.b, ensemble);
-        }
-        if (ensemble > 1) {
-          ctrl.c1 = repeat_batch(ctrl.c1, ensemble);
-          ctrl.c2 = repeat_batch(ctrl.c2, ensemble);
-        }
-      }
-
-      // Noise rows replicate the single-image derivation exactly: each
-      // image draws its ensemble sequence from a fresh Rng(seed ^ tweak),
-      // so row (i, e) here is bitwise the e-th member noise of a lone
-      // reconstruct().
-      const std::vector<int> noise_shape = {1, cfg_.unet.z_channels, ph / 4,
-                                            pw / 4};
-      std::vector<Tensor> noise_rows;
-      noise_rows.reserve(static_cast<size_t>(n) * ensemble);
-      for (int i = 0; i < n; ++i) {
-        Rng rng(noise_seed);
-        for (int e = 0; e < ensemble; ++e) {
-          noise_rows.push_back(
-              opts.coord_noise
-                  ? coord_noise_field(noise_seed, e, cfg_.unet.z_channels,
-                                      ph / 4, pw / 4, 0, 0)
-                  : randn_like_shape(noise_shape, rng));
-        }
-      }
-      const Tensor noise = noise_rows.size() == 1 ? noise_rows[0]
-                                                  : stack_batch(noise_rows);
-
-      const Tensor z_rows = ddim_sample(*unet_, sched_, ctrl, noise, steps,
-                                        s, b, cfg_.prediction);
-
-      // Fold ensemble members back: sequential add then scale, matching
-      // the accumulation order of the single-image loop.
-      Tensor z0;
-      if (ensemble == 1) {
-        z0 = z_rows;
-      } else {
-        std::vector<Tensor> means;
-        means.reserve(idx.size());
-        for (int i = 0; i < n; ++i) {
-          Tensor acc = take_sample(z_rows, i * ensemble);
-          for (int e = 1; e < ensemble; ++e) {
-            acc = add(acc, take_sample(z_rows, i * ensemble + e));
-          }
-          means.push_back(scale(acc, 1.0f / static_cast<float>(ensemble)));
-        }
-        z0 = n == 1 ? means[0] : stack_batch(means);
-      }
-
-      {
-        DCDIFF_TRACE_SPAN("decode");
-        xhat_b = ae_->decode(z0, acfeat);
-      }
-    }
-    for (int j = 0; j < n; ++j) {
-      const int i = idx[static_cast<size_t>(j)];
-      const jpeg::CoeffImage& ci = *dropped[static_cast<size_t>(i)];
-      Image rgb = tensor_to_rgb(n == 1 ? xhat_b : take_sample(xhat_b, j));
-      if (opts.postprocess) {
-        rgb = anchor_to_corners(rgb, tildes[static_cast<size_t>(i)]);
-      }
-      if (rgb.width() != ci.width || rgb.height() != ci.height) {
-        rgb = crop(rgb, 0, 0, ci.width, ci.height);
-      }
-      results[static_cast<size_t>(i)] =
-          opts.postprocess ? project_onto_known_ac(rgb, ci) : rgb;
-    }
-  }
-  return results;
-}
-
-std::vector<Image> DCDiffModel::reconstruct_batch(
-    const std::vector<jpeg::CoeffImage>& dropped,
-    const ReconstructOptions& opts) const {
-  std::vector<const jpeg::CoeffImage*> ptrs;
-  ptrs.reserve(dropped.size());
-  for (const auto& d : dropped) ptrs.push_back(&d);
-  return reconstruct_batch(ptrs, opts);
-}
-
 AnytimeResult DCDiffModel::reconstruct_batch_anytime(
     const std::vector<AnytimeItem>& items, const ReconstructOptions& opts,
     const AnytimeControl& ctrl) const {
   NoGradGuard no_grad;
   nn::PackCacheBinding packs(packs_.get());
-  DCDIFF_TRACE_SPAN("reconstruct_anytime");
+  DCDIFF_TRACE_SPAN("reconstruct");
   static obs::Histogram& lat = obs::histogram("core.reconstruct_seconds");
   obs::ScopedLatency timer(lat);
   static obs::Counter& images_c = obs::counter("core.reconstruct.images");
+  static obs::Histogram& batch_hist =
+      obs::histogram("core.reconstruct.batch_size",
+                     {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
+  static obs::Counter& fallbacks_c = obs::counter("plan.eager_fallbacks");
   static obs::Counter& checkpoints_c =
       obs::counter("core.anytime.checkpoints");
   static obs::Counter& partials_c = obs::counter("core.anytime.partials");
@@ -735,40 +464,42 @@ AnytimeResult DCDiffModel::reconstruct_batch_anytime(
   const int total = static_cast<int>(items.size());
   if (total == 0) return out;
   images_c.inc(static_cast<uint64_t>(total));
+  batch_hist.observe(static_cast<double>(total));
   out.images.resize(static_cast<size_t>(total));
   out.steps_done.assign(static_cast<size_t>(total), 0);
 
   const int steps = opts.ddim_steps > 0 ? opts.ddim_steps : cfg_.ddim_steps;
+  // Posterior-mean estimate: average the z0 samples of a small ensemble of
+  // independent noise seeds (deterministic: seeds derive from the config).
   const int ensemble =
       opts.ensemble > 0 ? opts.ensemble : std::max(1, cfg_.sample_ensemble);
-  const uint64_t noise_seed = (opts.seed ? opts.seed : cfg_.seed) ^ 0x5A3D1Eull;
+  const uint64_t noise_seed =
+      (opts.seed ? opts.seed : cfg_.seed) ^ 0x5A3D1Eull;
+  const int zc = cfg_.unet.z_channels;
 
-  // Same size-grouping as reconstruct_batch: uniform padded shape per group.
+  // Per-image tilde fields, padded so convs see dims divisible by 8 (latent
+  // /4, one UNet downsample), grouped by padded size: every op downstream
+  // needs one spatial shape per batch, and each image keeps exactly its own
+  // padded size, so its pixels never depend on its batch-mates.
   std::vector<Image> tildes(static_cast<size_t>(total));
-  std::vector<std::pair<int, int>> sizes(static_cast<size_t>(total));
-  for (int i = 0; i < total; ++i) {
-    tildes[static_cast<size_t>(i)] = pad_to_multiple(
-        jpeg::tilde_image(*items[static_cast<size_t>(i)].coeffs), 8);
-    sizes[static_cast<size_t>(i)] = {tildes[static_cast<size_t>(i)].height(),
-                                     tildes[static_cast<size_t>(i)].width()};
-  }
   std::vector<std::pair<std::pair<int, int>, std::vector<int>>> groups;
   for (int i = 0; i < total; ++i) {
-    auto it = std::find_if(groups.begin(), groups.end(), [&](const auto& g) {
-      return g.first == sizes[static_cast<size_t>(i)];
-    });
+    Image& tilde = tildes[static_cast<size_t>(i)];
+    tilde = pad_to_multiple(
+        jpeg::tilde_image(*items[static_cast<size_t>(i)].coeffs), 8);
+    const std::pair<int, int> size{tilde.height(), tilde.width()};
+    auto it = std::find_if(groups.begin(), groups.end(),
+                           [&](const auto& g) { return g.first == size; });
     if (it == groups.end()) {
-      groups.push_back({sizes[static_cast<size_t>(i)], {i}});
+      groups.push_back({size, {i}});
     } else {
       it->second.push_back(i);
     }
   }
 
-  for (const auto& group : groups) {
-    const std::vector<int>& idx = group.second;
+  for (const auto& [size, idx] : groups) {
     const int n = static_cast<int>(idx.size());
-    const int ph = group.first.first, pw = group.first.second;
-
+    const int ph = size.first, pw = size.second;
     std::vector<Tensor> tilde_ts;
     tilde_ts.reserve(idx.size());
     for (int i : idx) {
@@ -776,66 +507,34 @@ AnytimeResult DCDiffModel::reconstruct_batch_anytime(
     }
     const Tensor tilde_b = n == 1 ? tilde_ts[0] : stack_batch(tilde_ts);
 
-    // Conditioning identical to the eager reconstruct_batch path.
-    ControlModule::Features cond;
-    ACFeatures acfeat;
-    Tensor s, b;
-    {
-      DCDIFF_TRACE_SPAN("conditioner");
-      cond = control_->forward(tilde_b);
-      acfeat = ae_->encode_ac(tilde_b);
-      if (opts.use_fmpp) {
-        const FMPP::Factors f = fmpp_->forward(tilde_b);
-        s = repeat_batch(f.s, ensemble);
-        b = repeat_batch(f.b, ensemble);
-      }
-      if (ensemble > 1) {
-        cond.c1 = repeat_batch(cond.c1, ensemble);
-        cond.c2 = repeat_batch(cond.c2, ensemble);
-      }
-    }
-
-    const std::vector<int> noise_shape = {1, cfg_.unet.z_channels, ph / 4,
-                                          pw / 4};
-    std::vector<Tensor> noise_rows;
-    noise_rows.reserve(static_cast<size_t>(n) * ensemble);
+    // Noise rows (n * ensemble, zc, ph/4, pw/4), each image's members
+    // adjacent: per image a fresh Rng(noise_seed) drawn back to back, or the
+    // coordinate-seeded field at the item's origin. An image's rows are the
+    // same whichever batch it is in.
+    const size_t per = static_cast<size_t>(zc) * static_cast<size_t>(ph / 4) *
+                       static_cast<size_t>(pw / 4);
+    std::vector<float> noise(static_cast<size_t>(n) * ensemble * per);
     for (int j = 0; j < n; ++j) {
-      const AnytimeItem& item = items[static_cast<size_t>(idx[static_cast<size_t>(j)])];
+      const AnytimeItem& item =
+          items[static_cast<size_t>(idx[static_cast<size_t>(j)])];
+      float* row = noise.data() + static_cast<size_t>(j) * ensemble * per;
       Rng rng(noise_seed);
-      for (int e = 0; e < ensemble; ++e) {
-        noise_rows.push_back(
-            opts.coord_noise
-                ? coord_noise_field(noise_seed, e, cfg_.unet.z_channels,
-                                    ph / 4, pw / 4, item.noise_y0,
-                                    item.noise_x0)
-                : randn_like_shape(noise_shape, rng));
+      for (int e = 0; e < ensemble; ++e, row += per) {
+        if (opts.coord_noise) {
+          coord_noise_field(noise_seed, e, zc, ph / 4, pw / 4, item.noise_y0,
+                            item.noise_x0, row);
+        } else {
+          for (size_t v = 0; v < per; ++v) row[v] = rng.normal();
+        }
       }
     }
-    const Tensor noise =
-        noise_rows.size() == 1 ? noise_rows[0] : stack_batch(noise_rows);
 
-    // Folds the (n * ensemble)-row latent back to one row per item, in the
-    // same accumulation order as the terminal fold (bit-compat).
-    auto fold_rows = [&](const Tensor& rows) {
-      if (ensemble == 1) return rows;
-      std::vector<Tensor> means;
-      means.reserve(static_cast<size_t>(n));
-      for (int j = 0; j < n; ++j) {
-        Tensor acc = take_sample(rows, j * ensemble);
-        for (int e = 1; e < ensemble; ++e) {
-          acc = add(acc, take_sample(rows, j * ensemble + e));
-        }
-        means.push_back(scale(acc, 1.0f / static_cast<float>(ensemble)));
-      }
-      return n == 1 ? means[0] : stack_batch(means);
-    };
-
-    // Decodes a folded z0 batch and hands each item's image to `sink`.
-    auto decode_to = [&](const Tensor& z0_b, int done,
-                         const std::function<void(int j, Image img)>& sink) {
-      DCDIFF_TRACE_SPAN("decode");
-      (void)done;
-      const Tensor xhat_b = ae_->decode(z0_b, acfeat);
+    // Turns a decoded (n,3,ph,pw) batch into per-item images for `sink`:
+    // corner anchoring, crop to the coded size, known-AC projection
+    // (anchoring and projection only with opts.postprocess). Partials and
+    // finals both go through here.
+    const auto finish = [&](const Tensor& xhat_b,
+                            const std::function<void(int j, Image)>& sink) {
       for (int j = 0; j < n; ++j) {
         const int i = idx[static_cast<size_t>(j)];
         const jpeg::CoeffImage& ci = *items[static_cast<size_t>(i)].coeffs;
@@ -850,73 +549,157 @@ AnytimeResult DCDiffModel::reconstruct_batch_anytime(
       }
     };
 
-    std::vector<Tensor> prev_fold(static_cast<size_t>(n));
+    Tensor xhat_b;
     int group_steps = steps;
-    DdimCheckpointFn hook;
-    if (ctrl.on_step) {
-      hook = [&](const Tensor& z0_rows, int done) -> bool {
-        checkpoints_c.inc();
-        // Fault site: a checkpoint callback that throws. The exception must
-        // surface as a typed internal error at the caller's API boundary,
-        // never corrupt sampler state or strand the batch.
-        if (DCDIFF_FAULT_POINT("core.anytime.checkpoint_throw")) {
-          throw std::runtime_error(
-              "injected fault: core.anytime.checkpoint_throw");
-        }
-        const AnytimeControl::Action action = ctrl.on_step(done, steps);
-        if (action == AnytimeControl::Action::kStop) {
-          group_steps = done;
-          // Stopping on the terminal checkpoint is just completion.
-          if (done < steps) out.early_exit = true;
-          return false;
-        }
-        if (action == AnytimeControl::Action::kEmitPartial &&
-            ctrl.on_partial && done < steps) {
-          DCDIFF_TRACE_SPAN("anytime_partial");
-          const Tensor z0_b = fold_rows(z0_rows);
-          // Convergence proxy: PSNR-style distance to the item's previously
-          // emitted checkpoint over the clamp range [-1.2, 1.2].
-          std::vector<double> proxy(static_cast<size_t>(n), 0.0);
-          for (int j = 0; j < n; ++j) {
-            const Tensor cur = n == 1 ? z0_b : take_sample(z0_b, j);
-            if (prev_fold[static_cast<size_t>(j)].defined()) {
-              const auto& a = cur.value();
-              const auto& p = prev_fold[static_cast<size_t>(j)].value();
-              double mse = 0;
-              for (size_t v = 0; v < a.size(); ++v) {
-                const double d = a[v] - p[v];
-                mse += d * d;
-              }
-              mse /= static_cast<double>(a.size());
-              proxy[static_cast<size_t>(j)] =
-                  mse <= 0 ? 99.0
-                           : std::min(99.0, 10.0 * std::log10(5.76 / mse));
-            }
-            prev_fold[static_cast<size_t>(j)] = cur;
-          }
-          decode_to(z0_b, done, [&](int j, Image img) {
-            partials_c.inc();
-            ctrl.on_partial(idx[static_cast<size_t>(j)], std::move(img), done,
-                            proxy[static_cast<size_t>(j)]);
-          });
-        }
-        return true;
-      };
+    // A compiled plan runs the whole chain at once; a caller that watches
+    // (or stops) individual steps gets the eager tape.
+    bool planned = false;
+    if (plan_enabled() && !ctrl.on_step) {
+      const Status st = planned_group(tilde_b, noise.data(), n, ph, pw, steps,
+                                      ensemble, opts.use_fmpp, &xhat_b);
+      planned = st.is_ok();
+      if (!planned) {
+        fallbacks_c.inc();
+        DCDIFF_LOG_WARN("core.plan", "eager_fallback",
+                        {{"error", st.to_string()}});
+      }
     }
+    if (!planned) {
+      // Conditioning runs once per image (batch n); sampling runs on the
+      // n * ensemble noise rows.
+      ControlModule::Features cond;
+      ACFeatures acfeat;
+      Tensor s, b;
+      {
+        DCDIFF_TRACE_SPAN("conditioner");
+        cond = control_->forward(tilde_b);
+        acfeat = ae_->encode_ac(tilde_b);
+        if (opts.use_fmpp) {
+          const FMPP::Factors f = fmpp_->forward(tilde_b);
+          s = repeat_batch(f.s, ensemble);
+          b = repeat_batch(f.b, ensemble);
+        }
+        if (ensemble > 1) {
+          cond.c1 = repeat_batch(cond.c1, ensemble);
+          cond.c2 = repeat_batch(cond.c2, ensemble);
+        }
+      }
 
-    const Tensor z_final = ddim_sample_checkpointed(
-        *unet_, sched_, cond, noise, steps, s, b, cfg_.prediction, hook);
-    decode_to(fold_rows(z_final), group_steps, [&](int j, Image img) {
+      const auto decode = [&](const Tensor& z0_b) {
+        DCDIFF_TRACE_SPAN("decode");
+        return ae_->decode(z0_b, acfeat);
+      };
+      // Folds the (n * ensemble)-row latent back to one row per image:
+      // members added left to right, then scaled (the plan's ensemble_mean
+      // order).
+      const auto fold_rows = [&](const Tensor& rows) {
+        if (ensemble == 1) return rows;
+        std::vector<Tensor> means;
+        means.reserve(static_cast<size_t>(n));
+        for (int j = 0; j < n; ++j) {
+          Tensor acc = take_sample(rows, j * ensemble);
+          for (int e = 1; e < ensemble; ++e) {
+            acc = add(acc, take_sample(rows, j * ensemble + e));
+          }
+          means.push_back(scale(acc, 1.0f / static_cast<float>(ensemble)));
+        }
+        return n == 1 ? means[0] : stack_batch(means);
+      };
+
+      std::vector<Tensor> prev_fold(static_cast<size_t>(n));
+      DdimCheckpointFn hook;
+      if (ctrl.on_step) {
+        hook = [&](const Tensor& z0_rows, int done) -> bool {
+          checkpoints_c.inc();
+          // Fault site: a checkpoint callback that throws. The exception
+          // must surface as a typed internal error at the caller's API
+          // boundary, never corrupt sampler state or strand the batch.
+          if (DCDIFF_FAULT_POINT("core.anytime.checkpoint_throw")) {
+            throw std::runtime_error(
+                "injected fault: core.anytime.checkpoint_throw");
+          }
+          const AnytimeControl::Action action = ctrl.on_step(done, steps);
+          if (action == AnytimeControl::Action::kStop) {
+            group_steps = done;
+            // Stopping on the terminal checkpoint is just completion.
+            if (done < steps) out.early_exit = true;
+            return false;
+          }
+          if (action == AnytimeControl::Action::kEmitPartial &&
+              ctrl.on_partial && done < steps) {
+            DCDIFF_TRACE_SPAN("anytime_partial");
+            const Tensor z0_b = fold_rows(z0_rows);
+            // Convergence proxy: PSNR-style distance to the item's
+            // previously emitted checkpoint over the clamp range
+            // [-1.2, 1.2].
+            std::vector<double> proxy(static_cast<size_t>(n), 0.0);
+            for (int j = 0; j < n; ++j) {
+              const Tensor cur = n == 1 ? z0_b : take_sample(z0_b, j);
+              if (prev_fold[static_cast<size_t>(j)].defined()) {
+                const auto& a = cur.value();
+                const auto& p = prev_fold[static_cast<size_t>(j)].value();
+                double mse = 0;
+                for (size_t v = 0; v < a.size(); ++v) {
+                  const double d = a[v] - p[v];
+                  mse += d * d;
+                }
+                mse /= static_cast<double>(a.size());
+                proxy[static_cast<size_t>(j)] =
+                    mse <= 0 ? 99.0
+                             : std::min(99.0, 10.0 * std::log10(5.76 / mse));
+              }
+              prev_fold[static_cast<size_t>(j)] = cur;
+            }
+            finish(decode(z0_b), [&](int j, Image img) {
+              partials_c.inc();
+              ctrl.on_partial(idx[static_cast<size_t>(j)], std::move(img),
+                              done, proxy[static_cast<size_t>(j)]);
+            });
+          }
+          return true;
+        };
+      }
+
+      const Tensor z_final = ddim_sample_checkpointed(
+          *unet_, sched_, cond,
+          Tensor::from_data({n * ensemble, zc, ph / 4, pw / 4},
+                            std::move(noise)),
+          steps, s, b, cfg_.prediction, hook);
+      xhat_b = decode(fold_rows(z_final));
+    }
+    finish(xhat_b, [&](int j, Image img) {
       out.images[static_cast<size_t>(idx[static_cast<size_t>(j)])] =
           std::move(img);
     });
-    for (int j = 0; j < n; ++j) {
-      out.steps_done[static_cast<size_t>(idx[static_cast<size_t>(j)])] =
-          group_steps;
-    }
+    for (int i : idx) out.steps_done[static_cast<size_t>(i)] = group_steps;
     if (group_steps < steps) early_exits_c.inc(static_cast<uint64_t>(n));
   }
   return out;
+}
+
+Image DCDiffModel::reconstruct(const jpeg::CoeffImage& dropped,
+                               const ReconstructOptions& opts) const {
+  return reconstruct_batch_anytime({AnytimeItem{&dropped}}, opts,
+                                   AnytimeControl{})
+      .images[0];
+}
+
+std::vector<Image> DCDiffModel::reconstruct_batch(
+    const std::vector<const jpeg::CoeffImage*>& dropped,
+    const ReconstructOptions& opts) const {
+  std::vector<AnytimeItem> items;
+  items.reserve(dropped.size());
+  for (const jpeg::CoeffImage* d : dropped) items.push_back(AnytimeItem{d});
+  return reconstruct_batch_anytime(items, opts, AnytimeControl{}).images;
+}
+
+std::vector<Image> DCDiffModel::reconstruct_batch(
+    const std::vector<jpeg::CoeffImage>& dropped,
+    const ReconstructOptions& opts) const {
+  std::vector<const jpeg::CoeffImage*> ptrs;
+  ptrs.reserve(dropped.size());
+  for (const auto& d : dropped) ptrs.push_back(&d);
+  return reconstruct_batch(ptrs, opts);
 }
 
 Image DCDiffModel::autoencode(const Image& original,

@@ -33,13 +33,12 @@ namespace dcdiff::core {
 
 class ReconPlanner;  // recon_plan.h; held by pointer only
 
-// Planned-execution switch. The compiled-graph inference path (see
-// core/recon_plan.h and nn/plan/) is on by default; DCDIFF_PLAN=0 disables
-// it process-wide, leaving the eager tape path (the training-capable escape
-// hatch). set_plan_enabled overrides the env: 1 force-on, 0 force-off, -1
-// return to the env default. Thread-safe.
+// Executor switch. Hook-free reconstruction runs on compiled plans (see
+// core/recon_plan.h and nn/plan/) unless set_plan_enabled(false) asks for
+// the eager tape, the reference that tests and benchmarks compare the plan
+// against. Process-wide, thread-safe.
 bool plan_enabled();
-void set_plan_enabled(int v);
+void set_plan_enabled(bool enabled);
 
 struct DCDiffConfig {
   // Data / JPEG settings.
@@ -90,8 +89,7 @@ struct ReconstructOptions {
   // sequential Rng stream, so a crop's noise field equals the same crop of
   // the full field. This is what makes tiled reconstruction comparable to
   // an untiled run (see serve/tiler.h); it changes sampling output, so it is
-  // off by default (the sequential stream stays the bit-compat path) and
-  // forces the eager path (plans bake sequential noise).
+  // off by default (the sequential stream stays the bit-compat path).
   bool coord_noise = false;
   // When false, skip corner anchoring and the known-AC projection and
   // return the raw decoded estimate. Tiling uses this: anchoring and
@@ -114,8 +112,8 @@ struct AnytimeItem {
 // through `on_partial`, then sampling continues), or stops sampling early —
 // the final decode then happens on the best checkpoint so the caller still
 // receives valid (coarser) images. An absent on_step means run to
-// completion; the full run is bit-identical to the eager
-// reconstruct_batch path.
+// completion on the compiled plan, exactly reconstruct_batch; a hooked run
+// that never stops gives the same pixels on the eager tape.
 struct AnytimeControl {
   enum class Action { kContinue, kEmitPartial, kStop };
   std::function<Action(int steps_done, int total_steps)> on_step;
@@ -177,8 +175,10 @@ class DCDiffModel {
   // fold into the same batch axis; per-image FMPP (s,b) applied per batch
   // row). Images whose padded sizes differ are grouped internally, so inputs
   // of mixed dimensions are fine — same-size requests get the batching win.
-  // Per-image outputs are numerically equivalent to the single-image path
-  // (same seed derivation; verified to 1e-4 by tests/test_serve.cpp).
+  // Each image's output is bit-identical to reconstruct() of that image
+  // alone, whatever its batch-mates: the same noise rows, and kernels whose
+  // per-row arithmetic does not depend on the row count (tests/test_plan.cpp,
+  // tests/test_serve.cpp).
   // Pointer overload: the serving queue batches requests without copying
   // coefficient images. Pointers must stay valid for the duration.
   std::vector<Image> reconstruct_batch(
@@ -188,12 +188,16 @@ class DCDiffModel {
       const std::vector<jpeg::CoeffImage>& dropped,
       const ReconstructOptions& opts = ReconstructOptions{}) const;
 
-  // Anytime reconstruction: the eager DDIM chain with a per-step checkpoint
-  // hook (see AnytimeControl). Runs eagerly regardless of the plan switch —
-  // checkpoints need the live per-step z0, which compiled plans do not
-  // expose — and supports per-item noise origins for tiled sampling. With
-  // no hook installed the output is bit-identical to the eager
-  // reconstruct_batch path for the same options.
+  // Anytime reconstruction: per-item noise origins for tiled sampling and a
+  // per-step checkpoint hook (see AnytimeControl). This is the one
+  // reconstruction path; reconstruct and reconstruct_batch forward to it.
+  // It resolves steps, ensemble and seed, groups the items by padded size,
+  // derives each group's noise rows, runs the group on its compiled plan —
+  // or on the eager tape when ctrl.on_step is set (checkpoints need the
+  // live per-step z0, which a plan does not expose), the plan cannot be
+  // built, or set_plan_enabled(false) — and crops and postprocesses the
+  // decoded rows. Without a hook it equals reconstruct_batch for the same
+  // options.
   AnytimeResult reconstruct_batch_anytime(const std::vector<AnytimeItem>& items,
                                           const ReconstructOptions& opts,
                                           const AnytimeControl& ctrl) const;
@@ -214,14 +218,15 @@ class DCDiffModel {
   DCDiffModel(const DCDiffModel& src, ReplicaTag);
   Sample make_sample(int index) const;
   void check_trainable(const char* what) const;
-  // Planned-execution path for one uniform-size group (`n` images at padded
-  // size ph x pw; `tilde_b` is the stacked (n,3,ph,pw) tilde batch). On
-  // success *xhat holds the decoded (n,3,ph,pw) batch. Any failure — plan
-  // build error, unsupported config — comes back as a typed Status and the
-  // caller falls back to the eager path.
-  Status planned_group(const nn::Tensor& tilde_b, int n, int ph, int pw,
-                       int steps, int ensemble, bool use_fmpp,
-                       uint64_t noise_seed, nn::Tensor* xhat) const;
+  // The planned executor for one uniform-size group: `n` images at padded
+  // size ph x pw, `tilde_b` the stacked (n,3,ph,pw) tilde batch and `noise`
+  // the (n*ensemble, z_channels, ph/4, pw/4) noise rows. On success *xhat
+  // holds the decoded (n,3,ph,pw) batch; a plan build or run failure comes
+  // back as a typed Status and reconstruct_batch_anytime falls back to the
+  // eager tape.
+  Status planned_group(const nn::Tensor& tilde_b, const float* noise, int n,
+                       int ph, int pw, int steps, int ensemble, bool use_fmpp,
+                       nn::Tensor* xhat) const;
 
   DCDiffConfig cfg_;
   DiffusionSchedule sched_;

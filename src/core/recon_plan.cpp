@@ -17,9 +17,9 @@ std::string ReconPlanKey::str() const {
 
 namespace {
 
-// Mirrors the group body of DCDiffModel::reconstruct_batch op for op (which
-// the single-image path is a n=1 instance of): conditioning at batch n,
-// sampling on the folded n*ensemble row axis, ensemble mean, decode.
+// Mirrors the eager executor of DCDiffModel::reconstruct_batch_anytime op
+// for op: conditioning at batch n, sampling on the folded n*ensemble row
+// axis, ensemble mean, decode.
 void build_recon_graph(plan::GraphBuilder& g, const ReconPlanKey& key,
                        const ControlModule& control, const Autoencoder& ae,
                        const FMPP& fmpp, const UNet& unet,

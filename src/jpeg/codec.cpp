@@ -716,6 +716,9 @@ CoeffImage decode_jfif(const std::vector<uint8_t>& bytes) {
         fr.qtab_seen[id] = true;
       }
     } else if (code == 0xC0) {  // SOF0
+      // One frame per stream: a second header would redefine the component
+      // layout the tables and scans were checked against.
+      if (fr.sof_seen) throw std::runtime_error("decode_jfif: second SOF0");
       next_byte("SOF0");  // precision
       if (p + 4 > seg_end) throw std::runtime_error("decode_jfif: SOF0");
       fr.height = read_u16(bytes, p);

@@ -370,6 +370,11 @@ CoeffImage parse_progressive(const std::vector<uint8_t>& bytes,
       }
       p = seg_end;
     } else if (code == 0xC2) {
+      // One frame per stream: a second SOF2 would append its components to
+      // the first frame's.
+      if (have_frame) {
+        throw std::runtime_error("decode_progressive: second SOF2");
+      }
       if (q + 6 > seg_end) {
         throw std::runtime_error("decode_progressive: truncated SOF2");
       }

@@ -24,7 +24,8 @@ constexpr int64_t NR = 16;
 constexpr int64_t KC = 256;
 // N-block: bounds the packed-B panel at KC * NC floats (= 480 KiB).
 constexpr int64_t NC = 480;  // multiple of NR
-// Below this many MACs a single call isn't worth packing + dispatch.
+// Below this many MACs a product isn't worth packing + dispatch: the whole
+// call's m * n * k for gemm(), one output row's n * k for gemm_rows().
 constexpr int64_t kSmallProblem = 1 << 12;
 // Target MACs per dispatched range when spreading micro-tiles over workers.
 constexpr int64_t kGrainMacs = 1 << 17;
@@ -239,21 +240,12 @@ void micro_kernel(int64_t kc, const float* __restrict ap,
   }
 }
 
-}  // namespace
-
-bool gemm_naive_enabled() {
-  const int o = g_naive_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  return naive_from_env();
-}
-
-void set_gemm_naive(bool naive) {
-  g_naive_override.store(naive ? 1 : 0, std::memory_order_relaxed);
-}
-
-void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-          const float* a, int64_t lda, const float* b, int64_t ldb, float beta,
-          float* c, int64_t ldc) {
+// gemm() and gemm_rows(): `work` is the MAC count their routing rule
+// compares with kSmallProblem.
+void gemm_routed(int64_t work, bool trans_a, bool trans_b, int64_t m,
+                 int64_t n, int64_t k, const float* a, int64_t lda,
+                 const float* b, int64_t ldb, float beta, float* c,
+                 int64_t ldc) {
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
     // Degenerate: C = beta * C.
@@ -267,7 +259,7 @@ void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
     }
     return;
   }
-  if (gemm_naive_enabled() || m * n * k <= kSmallProblem) {
+  if (gemm_naive_enabled() || work <= kSmallProblem) {
     gemm_naive(trans_a, trans_b, m, n, k, a, lda, b, ldb, beta, c, ldc);
     return;
   }
@@ -308,6 +300,31 @@ void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
       });
     }
   }
+}
+
+}  // namespace
+
+bool gemm_naive_enabled() {
+  const int o = g_naive_override.load(std::memory_order_relaxed);
+  if (o >= 0) return o != 0;
+  return naive_from_env();
+}
+
+void set_gemm_naive(bool naive) {
+  g_naive_override.store(naive ? 1 : 0, std::memory_order_relaxed);
+}
+
+void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
+          const float* a, int64_t lda, const float* b, int64_t ldb, float beta,
+          float* c, int64_t ldc) {
+  gemm_routed(m * n * k, trans_a, trans_b, m, n, k, a, lda, b, ldb, beta, c,
+              ldc);
+}
+
+void gemm_rows(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
+               const float* a, int64_t lda, const float* b, int64_t ldb,
+               float beta, float* c, int64_t ldc) {
+  gemm_routed(n * k, trans_a, trans_b, m, n, k, a, lda, b, ldb, beta, c, ldc);
 }
 
 PackedA::PackedA(bool trans_a, int64_t m, int64_t k, const float* a,

@@ -36,6 +36,16 @@ void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           const float* a, int64_t lda, const float* b, int64_t ldb, float beta,
           float* c, int64_t ldc);
 
+// gemm() for products whose rows are independent items (the batch rows of
+// a linear layer's forward). gemm() picks the naive loop or the blocked
+// kernel on the whole call's m * n * k, so a row's FMA order, and with it
+// its bits, would depend on how many rows share the call; gemm_rows()
+// picks on one row's n * k, so an image's outputs never depend on its
+// batch-mates.
+void gemm_rows(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
+               const float* a, int64_t lda, const float* b, int64_t ldb,
+               float beta, float* c, int64_t ldc);
+
 // True when the naive reference path is active (DCDIFF_GEMM_NAIVE=1 in the
 // environment at first use, or a set_gemm_naive(true) override).
 bool gemm_naive_enabled();

@@ -546,9 +546,10 @@ Tensor linear(const Tensor& x, const Tensor& w, const Tensor& b) {
   const float* xv = x.value().data();
   const float* wv = w.value().data();
   const float* bv = b.defined() ? b.value().data() : nullptr;
-  // out = x (n x k) * w^T (k x m); bias added row-wise afterwards.
-  gemm(/*trans_a=*/false, /*trans_b=*/true, n, m, kk, xv, kk, wv, kk, 0.0f,
-       out.data(), m);
+  // out = x (n x k) * w^T (k x m); bias added row-wise afterwards. Rows are
+  // batch items, so they route per row.
+  gemm_rows(/*trans_a=*/false, /*trans_b=*/true, n, m, kk, xv, kk, wv, kk,
+            0.0f, out.data(), m);
   if (bv) {
     parallel_for_ranges(
         n, std::max<int64_t>(1, kEwGrain / std::max(1, m)),
@@ -955,6 +956,37 @@ Tensor spatial_attention(const Tensor& q, const Tensor& k, const Tensor& v) {
       });
 }
 
+double lat_hiding_sum(const float* p, size_t n) {
+  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    a0 += p[i];
+    a1 += p[i + 1];
+    a2 += p[i + 2];
+    a3 += p[i + 3];
+  }
+  for (; i < n; ++i) a0 += p[i];
+  return (a0 + a1) + (a2 + a3);
+}
+
+double lat_hiding_sumsq(const float* p, size_t n, double mu) {
+  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const double d0 = p[i] - mu, d1 = p[i + 1] - mu;
+    const double d2 = p[i + 2] - mu, d3 = p[i + 3] - mu;
+    a0 += d0 * d0;
+    a1 += d1 * d1;
+    a2 += d2 * d2;
+    a3 += d3 * d3;
+  }
+  for (; i < n; ++i) {
+    const double d = p[i] - mu;
+    a0 += d * d;
+  }
+  return (a0 + a1) + (a2 + a3);
+}
+
 Tensor group_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                   int groups, float eps) {
   if (x.ndim() < 2) throw std::invalid_argument("group_norm: rank");
@@ -980,15 +1012,10 @@ Tensor group_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
       const size_t base =
           (static_cast<size_t>(ni) * c + static_cast<size_t>(gi) * cpg) *
           inner;
-      double mu = 0.0;
-      for (size_t i = 0; i < gsize; ++i) mu += xv[base + i];
-      mu /= static_cast<double>(gsize);
-      double var = 0.0;
-      for (size_t i = 0; i < gsize; ++i) {
-        const double d = xv[base + i] - mu;
-        var += d * d;
-      }
-      var /= static_cast<double>(gsize);
+      const double mu =
+          lat_hiding_sum(xv + base, gsize) / static_cast<double>(gsize);
+      const double var = lat_hiding_sumsq(xv + base, gsize, mu) /
+                         static_cast<double>(gsize);
       const float is = static_cast<float>(1.0 / std::sqrt(var + eps));
       (*istd)[static_cast<size_t>(ni) * groups + gi] = is;
       for (size_t i = 0; i < gsize; ++i) {

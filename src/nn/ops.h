@@ -9,6 +9,7 @@
 // NCHW; weights are (Cout, Cin, kH, kW).
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "nn/tensor.h"
@@ -53,6 +54,7 @@ Tensor slice_channels(const Tensor& a, int c0, int c1);
 
 // ----- Linear algebra -----
 // x: (N,K), w: (M,K), b: (M) or undefined. Returns (N,M) = x w^T + b.
+// Each output row's bits are independent of N (nn::gemm_rows).
 Tensor linear(const Tensor& x, const Tensor& w, const Tensor& b);
 
 // ----- Convolutional -----
@@ -73,6 +75,13 @@ Tensor spatial_attention(const Tensor& q, const Tensor& k, const Tensor& v);
 // x: (N,C,H,W) or (N,C); gamma, beta: (C). C must be divisible by groups.
 Tensor group_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                   int groups, float eps = 1e-5f);
+// The group statistics behind group_norm and the plan's k_group_norm: the
+// sum of p[0, n) and the sum of squared deviations from `mu`, each in
+// double precision over four interleaved accumulator chains (a single
+// serial chain is FP-add-latency bound, ~3x slower). One reduction order
+// for both executors keeps planned and eager group norm bit-identical.
+double lat_hiding_sum(const float* p, size_t n);
+double lat_hiding_sumsq(const float* p, size_t n, double mu);
 
 // ----- Utilities -----
 // Sinusoidal timestep embedding (constant, no grad): (N, dim).

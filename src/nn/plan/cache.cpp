@@ -20,6 +20,7 @@ Status PlanCache::get_or_build(const std::string& key,
   static obs::Counter& evictions = obs::counter("plan.evictions");
   static obs::Gauge& arena_bytes = obs::gauge("plan.arena_bytes");
   static obs::Gauge& fused = obs::gauge("plan.fused_ops");
+  static obs::Histogram& build_seconds = obs::histogram("plan.build_seconds");
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = plans_.find(key);
@@ -32,6 +33,7 @@ Status PlanCache::get_or_build(const std::string& key,
   // Build outside the lock: capture replays the full forward (DDIM steps x
   // ensemble unrolled) and packs weights, which can take a moment.
   std::shared_ptr<const Plan> plan;
+  obs::ScopedLatency build_timer(build_seconds);
   try {
     Graph g;
     GraphBuilder builder(&g);

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "nn/gemm.h"
+#include "nn/ops.h"
 #include "nn/threadpool.h"
 
 namespace dcdiff::nn::plan {
@@ -108,8 +109,8 @@ void k_conv2d(const float* x, int n, int c, int h, int w, const PackedA& pw,
 
 void k_linear(const float* x, int n, int k, int m, const float* w,
               const float* bias, float* out) {
-  gemm(/*trans_a=*/false, /*trans_b=*/true, n, m, k, x, k, w, k, 0.0f, out,
-       m);
+  gemm_rows(/*trans_a=*/false, /*trans_b=*/true, n, m, k, x, k, w, k, 0.0f,
+            out, m);
   if (bias) {
     parallel_for_ranges(
         n, std::max<int64_t>(1, kEwGrain / std::max(1, m)),
@@ -120,43 +121,6 @@ void k_linear(const float* x, int n, int k, int m, const float* w,
           }
         });
   }
-}
-
-// Interleaved double-precision reduction: four independent accumulator
-// chains hide the FP-add latency a single serial chain pays (the eager
-// group_norm is chain-bound and ~3x slower on the same data). The sum order
-// therefore differs from eager by a reassociation of double-precision
-// partials — a ~1e-16 relative perturbation; planned-vs-eager stays far
-// inside the 1e-5 test tolerance, but is no longer bit-identical.
-double lat_hiding_sum(const float* p, size_t n) {
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a0 += p[i];
-    a1 += p[i + 1];
-    a2 += p[i + 2];
-    a3 += p[i + 3];
-  }
-  for (; i < n; ++i) a0 += p[i];
-  return (a0 + a1) + (a2 + a3);
-}
-
-double lat_hiding_sumsq(const float* p, size_t n, double mu) {
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const double d0 = p[i] - mu, d1 = p[i + 1] - mu;
-    const double d2 = p[i + 2] - mu, d3 = p[i + 3] - mu;
-    a0 += d0 * d0;
-    a1 += d1 * d1;
-    a2 += d2 * d2;
-    a3 += d3 * d3;
-  }
-  for (; i < n; ++i) {
-    const double d = p[i] - mu;
-    a0 += d * d;
-  }
-  return (a0 + a1) + (a2 + a3);
 }
 
 void k_group_norm(const float* x, const float* gamma, const float* beta,
@@ -189,8 +153,8 @@ void k_group_norm(const float* x, const float* gamma, const float* beta,
             const float* xp = x + base + static_cast<size_t>(cc) * inner;
             float* op = out + base + static_cast<size_t>(cc) * inner;
             for (size_t i = 0; i < inner; ++i) {
-              // Element arithmetic unchanged from eager: (x - mu) * is, then
-              // gamma * xh + beta — only the mu/var reductions reassociate.
+              // The eager forward's arithmetic: (x - mu) * is, then
+              // gamma * xh + beta, over the same mu/var reductions.
               op[i] = ga * ((xp[i] - muf) * is) + b;
             }
           }

@@ -50,7 +50,8 @@ void k_conv2d(const float* x, int n, int c, int h, int w, const PackedA& pw,
               int kh, int kw, int stride, int pad, int ho, int wo,
               const float* bias, float* out);
 
-// out (n,m) = x (n,k) * w^T + bias (same gemm call as the eager linear).
+// out (n,m) = x (n,k) * w^T + bias (same gemm_rows call as the eager
+// linear, so each row's bits are independent of n).
 void k_linear(const float* x, int n, int k, int m, const float* w,
               const float* bias, float* out);
 

@@ -100,7 +100,7 @@ ReceiverServer::ReceiverServer(const ServerConfig& cfg,
   cfg_.workers = std::max(1, cfg_.workers);
   cfg_.batch_timeout_ms = std::max(0, cfg_.batch_timeout_ms);
   cfg_.pool_threads = std::max(0, cfg_.pool_threads);
-  cfg_.min_steps = std::max(0, cfg_.min_steps);
+  cfg_.min_steps = std::max(1, cfg_.min_steps);
   cfg_.governor_depth_per_step = std::max(0, cfg_.governor_depth_per_step);
   cfg_.partial_interval = std::max(0, cfg_.partial_interval);
   cfg_.stats_interval_ms = std::max(0, cfg_.stats_interval_ms);
@@ -111,7 +111,7 @@ ReceiverServer::ReceiverServer(const ServerConfig& cfg,
   full_steps_ = std::max(1, full_steps_);
   cfg_.min_steps = std::min(cfg_.min_steps, full_steps_);
   governor_ = StepGovernor(StepGovernor::Config{
-      full_steps_, std::max(1, cfg_.min_steps), cfg_.governor_depth_per_step});
+      full_steps_, cfg_.min_steps, cfg_.governor_depth_per_step});
   DCDIFF_LOG_INFO("serve", "server_start",
                   {{"max_batch", cfg_.max_batch},
                    {"batch_timeout_ms", cfg_.batch_timeout_ms},
@@ -425,7 +425,6 @@ void ReceiverServer::run_batch(Worker& self, std::vector<Request>& batch,
   static obs::Histogram& queue_wait = obs::histogram(
       "serve.queue_wait_seconds", obs::Histogram::slo_latency_bounds());
   static obs::Counter& completed = obs::counter("serve.completed");
-  static obs::Counter& expired = obs::counter("serve.deadline_expired");
   static obs::Counter& internal = obs::counter("serve.internal_errors");
   static obs::Counter& stolen = obs::counter("serve.steals");
   static obs::Counter& degraded_ctr = obs::counter("serve.degraded");
@@ -439,9 +438,7 @@ void ReceiverServer::run_batch(Worker& self, std::vector<Request>& batch,
   // every span that closes on it — serve.batch below, and the model's own
   // conditioner / ddim_step / decode spans — is stamped with the batch's
   // request ids and this worker's index, whether the requests were routed
-  // here or stolen. Expired requests are included: being declared dead in
-  // this batch is the last step of their path, and the trace should show
-  // where they died. Queue-wait spans are emitted retroactively per request
+  // here or stolen. Queue-wait spans are emitted retroactively per request
   // (the wait happened in the queue, not on any thread) under a context of
   // that one id plus the executing worker.
   obs::TraceContext batch_ctx;
@@ -478,92 +475,17 @@ void ReceiverServer::run_batch(Worker& self, std::vector<Request>& batch,
   }
 
   const auto start = Clock::now() + skew;
-  std::vector<Request*> live;
-  std::vector<Request*> dead;  // min_steps == 0 fail-fast path only
-  live.reserve(batch.size());
-  for (Request& r : batch) {
-    if (r.deadline < start && cfg_.min_steps <= 0) {
-      dead.push_back(&r);
-    } else {
-      // With min_steps > 0 an already-expired request still joins the model
-      // call: the anytime hook stops it at the quality floor and it degrades
-      // instead of erroring.
-      live.push_back(&r);
-      queue_wait.observe(elapsed_seconds(r.enqueued, start));
-    }
+  for (const Request& r : batch) {
+    queue_wait.observe(elapsed_seconds(r.enqueued, start));
   }
-
-  const auto make_record = [&](const Request& r, int live_count) {
-    obs::RequestRecord rec;
-    rec.request_id = r.request_id;
-    rec.session_id = r.session_id;
-    rec.worker = self.index;
-    rec.routed_worker = r.routed_worker;
-    rec.stolen = r.stolen;
-    rec.submit_us = r.submit_us;
-    rec.route_us = r.route_us;
-    rec.batch_us = r.batch_us;
-    rec.batch_size = live_count;
-    rec.ddim_steps = full_steps_;
-    rec.ensemble = cfg_.recon.ensemble > 0
-                       ? cfg_.recon.ensemble
-                       : self.model->config().sample_ensemble;
-    rec.deadline_ms = r.deadline_ms;
-    rec.tiled = r.tile != nullptr;
-    rec.queue_wait_seconds = elapsed_seconds(r.enqueued, start);
-    return rec;
-  };
-  std::vector<obs::RequestRecord> records;
-  records.reserve(batch.size());
-
-  const uint64_t n_expired = dead.size();
-  expired.inc(n_expired);
   stolen.inc(steals);
   self.steal_counter->inc(steals);
-  // Account first, fulfil second (here and below): a client that sees its
-  // stream ready must also see itself counted in stats().
-  if (live.empty()) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stats_.deadline_expired += n_expired;
-      stats_.steals += steals;
-      self.stats.steals += steals;
-    }
-    for (Request* r : dead) {
-      obs::RequestRecord rec = make_record(*r, 0);
-      rec.deadline_missed = true;
-      rec.status = "deadline_exceeded";
-      rec.done_us = obs::trace_now_us();
-      rec.e2e_seconds = elapsed_seconds(r->enqueued, start);
-      const Status st = Status::deadline_exceeded(
-          "deadline expired after " +
-          std::to_string(elapsed_seconds(r->enqueued, start)) + "s in queue");
-      if (r->tile) {
-        finish_tile(self, *r, Image{}, 0, full_steps_, st);
-      } else {
-        detail::push_result(r->stream, rejected(st));
-      }
-      records.push_back(std::move(rec));
-    }
-    for (obs::RequestRecord& rec : records) {
-      const bool slo = !rec.tiled;
-      finish_request(std::move(rec), slo);
-    }
-    return;
-  }
-
-  batch_size.observe(static_cast<double>(live.size()));
+  batch_size.observe(static_cast<double>(batch.size()));
   self.batch_counter->inc();
 
-  // Two model calls at most: plain requests (shared noise stream, plan
-  // path when possible) and tile sub-requests (coordinate-seeded noise at
-  // each tile's origin, postprocess deferred to the stitch).
-  std::vector<Request*> plain, tiled;
-  for (Request* r : live) (r->tile ? tiled : plain).push_back(r);
-
   bool all_latency = true;
-  for (const Request* r : live) {
-    all_latency = all_latency && r->tier == QosTier::kLatency;
+  for (const Request& r : batch) {
+    all_latency = all_latency && r.tier == QosTier::kLatency;
   }
   // Load shedding: only batches made entirely of latency-tier requests are
   // governed; a single kQuality request pins the batch at full steps.
@@ -575,8 +497,6 @@ void ReceiverServer::run_batch(Worker& self, std::vector<Request>& batch,
   const bool shed = planned_steps < full_steps_;
   if (shed) governor_sheds.inc();
 
-  const bool degrade_enabled = cfg_.min_steps > 0;
-  const int floor_steps = std::max(1, cfg_.min_steps);
   const auto all_expired = [skew](const std::vector<Request*>& g) {
     const auto now = Clock::now() + skew;
     for (const Request* r : g) {
@@ -584,177 +504,150 @@ void ReceiverServer::run_batch(Worker& self, std::vector<Request>& batch,
     }
     return true;
   };
+  // A progressive request whose consumer already destroyed its
+  // ResultStream has nobody left to deliver partials to: the Request here
+  // holds the channel's only reference. Such requests neither justify
+  // checkpoint decodes for the group nor receive pushes — the terminal
+  // Result still goes through push_result (it fulfils the submit_future
+  // promise and the accounting contract). use_count is advisory under
+  // concurrency, but the only other owner is the consumer handle, and a
+  // stale read costs one harmless partial.
+  const auto abandoned = [](const std::shared_ptr<detail::StreamState>& s) {
+    return s.use_count() <= 1;
+  };
+  const int interval = cfg_.partial_interval > 0
+                           ? cfg_.partial_interval
+                           : std::max(1, planned_steps / 3);
+
+  // Three model calls at most. Plain requests split on whether they need
+  // the per-step hook: a progressive request streams partials, and a
+  // deadline may stop sampling at the min_steps floor. Hooked groups run on
+  // the eager tape, the rest on the compiled plan; and since each hooked
+  // group stops only once all of *its* members have expired, quality
+  // requests never pin a doomed sibling to the full step count. Tiles
+  // sample coordinate-seeded noise at their crop origins, and get the hook
+  // only when one of them carries a deadline. Per-item noise seeding makes
+  // group membership numerically irrelevant.
+  std::vector<Request*> groups[3];  // plain, plain needing the hook, tiles
+  for (Request& r : batch) {
+    const bool hooked = r.delivery == DeliveryMode::kProgressive ||
+                        r.deadline != Clock::time_point::max();
+    groups[r.tile ? 2 : hooked ? 1 : 0].push_back(&r);
+  }
 
   const double model_us = obs::trace_now_us();
-  // Per-live-request outputs, filled by the two group runs below.
-  std::vector<Image> out_images(live.size());
-  std::vector<int> out_steps(live.size(), 0);
-  Status batch_status;  // first internal error (shared within a model call)
-  uint64_t n_partials = 0;
-
-  const auto index_of = [&](const Request* r) {
-    for (size_t i = 0; i < live.size(); ++i) {
-      if (live[i] == r) return i;
-    }
-    return live.size();
+  // Per-request outputs, indexed like `batch`. Each request takes the status
+  // of its own group's model call.
+  std::vector<Image> out_images(batch.size());
+  std::vector<int> out_steps(batch.size(), 0);
+  std::vector<Status> out_status(batch.size());
+  uint64_t n_partials = 0, n_suppressed = 0;
+  const auto pos = [&](const Request* r) {
+    return static_cast<size_t>(r - batch.data());
   };
-
-  // Split the plain requests by execution needs. A request is "anytime"
-  // when it can diverge from the straight-line compiled run: it streams
-  // partials, or it carries a deadline that (with degraded service on) may
-  // cut sampling short. Keeping the two populations in separate model
-  // calls means quality requests stay on the planned bit-compatible path
-  // AND never pin a doomed sibling to the full step count — each anytime
-  // group stops as soon as all of *its* members have expired. Per-item
-  // noise seeding makes group membership numerically irrelevant.
-  std::vector<Request*> plain_plan, plain_any;
-  for (Request* r : plain) {
-    const bool anytime =
-        shed || r->delivery == DeliveryMode::kProgressive ||
-        (degrade_enabled && r->deadline != Clock::time_point::max());
-    (anytime ? plain_any : plain_plan).push_back(r);
-  }
-  if (!plain_plan.empty()) {
-    try {
-      // Nothing anytime about this group: take the planned (compiled)
-      // path, bit-identical to the pre-anytime server.
-      std::vector<const jpeg::CoeffImage*> coeffs;
-      coeffs.reserve(plain_plan.size());
-      for (Request* r : plain_plan) coeffs.push_back(&r->coeffs);
-      std::vector<Image> images =
-          self.model->reconstruct_batch(coeffs, cfg_.recon);
-      for (size_t i = 0; i < plain_plan.size(); ++i) {
-        out_images[index_of(plain_plan[i])] = std::move(images[i]);
-        out_steps[index_of(plain_plan[i])] = full_steps_;
+  for (const std::vector<Request*>& group : groups) {
+    if (group.empty()) continue;
+    bool progressive = false, deadline = false;
+    for (const Request* r : group) {
+      deadline = deadline || r->deadline != Clock::time_point::max();
+      if (r->delivery != DeliveryMode::kProgressive) continue;
+      if (abandoned(r->stream)) {
+        ++n_suppressed;
+        continue;
       }
-    } catch (const std::exception& e) {
-      batch_status = Status::internal(e.what());
+      progressive = true;
     }
-  }
-
-  uint64_t n_suppressed = 0;
-  if (!plain_any.empty()) {
-    try {
-      // A progressive request whose consumer already destroyed its
-      // ResultStream has nobody left to deliver partials to: the Request
-      // here holds the channel's only reference. Such requests neither
-      // justify checkpoint decodes for the group nor receive pushes — the
-      // terminal Result still goes through push_result (it fulfils the
-      // submit_future promise and the accounting contract). use_count is
-      // advisory under concurrency, but the only other owner is the
-      // consumer handle, and a stale read costs one harmless partial.
-      const auto abandoned =
-          [](const std::shared_ptr<detail::StreamState>& s) {
-            return s.use_count() <= 1;
-          };
-      bool group_progressive = false;
-      for (const Request* r : plain_any) {
-        if (r->delivery != DeliveryMode::kProgressive) continue;
-        if (abandoned(r->stream)) {
-          ++n_suppressed;
-          continue;
-        }
-        group_progressive = true;
-      }
-      std::vector<core::AnytimeItem> items;
-      items.reserve(plain_any.size());
-      for (Request* r : plain_any) items.push_back({&r->coeffs, 0, 0});
-      core::ReconstructOptions opts = cfg_.recon;
-      opts.ddim_steps = planned_steps;
-      const int interval = cfg_.partial_interval > 0
-                               ? cfg_.partial_interval
-                               : std::max(1, planned_steps / 3);
-      core::AnytimeControl ctrl;
-      ctrl.on_step = [&](int done, int total) {
-        if (degrade_enabled && done >= floor_steps &&
-            all_expired(plain_any)) {
-          return core::AnytimeControl::Action::kStop;
-        }
-        if (group_progressive && done < total && done % interval == 0) {
-          return core::AnytimeControl::Action::kEmitPartial;
-        }
-        return core::AnytimeControl::Action::kContinue;
-      };
-      ctrl.on_partial = [&](int item, Image image, int done,
-                            double psnr_proxy) {
-        Request* r = plain_any[static_cast<size_t>(item)];
-        if (r->delivery != DeliveryMode::kProgressive) return;
-        if (abandoned(r->stream)) return;  // consumer vanished mid-batch
-        obs::TraceContext one;
-        one.worker = self.index;
-        one.request_ids.push_back(r->request_id);
-        obs::trace_emit("serve.partial", obs::trace_now_us(), 0,
-                        obs::intern_trace_context(std::move(one)));
-        ++n_partials;
-        detail::push_partial(r->stream,
-                             Partial{std::move(image), done, psnr_proxy});
-      };
-      core::AnytimeResult res =
-          self.model->reconstruct_batch_anytime(items, opts, ctrl);
-      for (size_t i = 0; i < plain_any.size(); ++i) {
-        out_images[index_of(plain_any[i])] = std::move(res.images[i]);
-        out_steps[index_of(plain_any[i])] = res.steps_done[i];
-      }
-    } catch (const std::exception& e) {
-      if (batch_status.is_ok()) batch_status = Status::internal(e.what());
-    }
-  }
-
-  if (!tiled.empty()) {
-    Status tiled_status;
+    Status status;
     try {
       std::vector<core::AnytimeItem> items;
-      items.reserve(tiled.size());
-      for (Request* r : tiled)
+      items.reserve(group.size());
+      for (Request* r : group) {
         items.push_back({&r->coeffs, r->noise_x0, r->noise_y0});
+      }
       core::ReconstructOptions opts = cfg_.recon;
       opts.ddim_steps = planned_steps;
-      // Crop-consistent noise so tiles match the untiled field; global
-      // postprocess (corner anchoring, AC projection) runs at the stitch.
-      // FMPP's per-sample scalars are ill-defined on crops — off for tiles.
-      opts.coord_noise = true;
-      opts.postprocess = false;
-      opts.use_fmpp = false;
+      if (group.front()->tile) {
+        // Crop-consistent noise so tiles match the untiled field; global
+        // postprocess (corner anchoring, AC projection) runs at the stitch.
+        // FMPP's per-sample scalars are ill-defined on crops — off for
+        // tiles.
+        opts.coord_noise = true;
+        opts.postprocess = false;
+        opts.use_fmpp = false;
+      }
       core::AnytimeControl ctrl;
-      ctrl.on_step = [&](int done, int) {
-        return degrade_enabled && done >= floor_steps && all_expired(tiled)
-                   ? core::AnytimeControl::Action::kStop
-                   : core::AnytimeControl::Action::kContinue;
-      };
+      if (progressive || deadline) {
+        ctrl.on_step = [&](int done, int total) {
+          if (deadline && done >= cfg_.min_steps && all_expired(group)) {
+            return core::AnytimeControl::Action::kStop;
+          }
+          if (progressive && done < total && done % interval == 0) {
+            return core::AnytimeControl::Action::kEmitPartial;
+          }
+          return core::AnytimeControl::Action::kContinue;
+        };
+      }
+      if (progressive) {
+        ctrl.on_partial = [&](int item, Image image, int done,
+                              double psnr_proxy) {
+          Request* r = group[static_cast<size_t>(item)];
+          if (r->delivery != DeliveryMode::kProgressive) return;
+          if (abandoned(r->stream)) return;  // consumer vanished mid-batch
+          obs::TraceContext one;
+          one.worker = self.index;
+          one.request_ids.push_back(r->request_id);
+          obs::trace_emit("serve.partial", obs::trace_now_us(), 0,
+                          obs::intern_trace_context(std::move(one)));
+          ++n_partials;
+          detail::push_partial(r->stream,
+                               Partial{std::move(image), done, psnr_proxy});
+        };
+      }
       core::AnytimeResult res =
           self.model->reconstruct_batch_anytime(items, opts, ctrl);
-      for (size_t i = 0; i < tiled.size(); ++i) {
-        out_images[index_of(tiled[i])] = std::move(res.images[i]);
-        out_steps[index_of(tiled[i])] = res.steps_done[i];
+      for (size_t k = 0; k < group.size(); ++k) {
+        out_images[pos(group[k])] = std::move(res.images[k]);
+        out_steps[pos(group[k])] = res.steps_done[k];
       }
     } catch (const std::exception& e) {
-      tiled_status = Status::internal(e.what());
+      status = Status::internal(e.what());
     }
-    if (!tiled_status.is_ok() && batch_status.is_ok())
-      batch_status = tiled_status;
-    if (!tiled_status.is_ok()) {
-      for (Request* r : tiled) out_steps[index_of(r)] = 0;
-    }
+    for (const Request* r : group) out_status[pos(r)] = status;
   }
 
   const auto end = Clock::now();
   const double done_us = obs::trace_now_us();
-  std::vector<Result> results(live.size());
+  const int ensemble = cfg_.recon.ensemble > 0
+                           ? cfg_.recon.ensemble
+                           : self.model->config().sample_ensemble;
+  std::vector<Result> results(batch.size());
+  std::vector<obs::RequestRecord> records(batch.size());
   uint64_t n_completed = 0, n_internal = 0, n_degraded = 0, n_tile_done = 0;
-  for (size_t i = 0; i < live.size(); ++i) {
-    Request* r = live[i];
-    const bool group_failed = !batch_status.is_ok() && out_images[i].empty();
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const Request& r = batch[i];
     Result& res = results[i];
-    res.e2e_seconds = elapsed_seconds(r->enqueued, end);
-    obs::RequestRecord rec = make_record(*r, static_cast<int>(live.size()));
+    obs::RequestRecord& rec = records[i];
+    rec.request_id = r.request_id;
+    rec.session_id = r.session_id;
+    rec.worker = self.index;
+    rec.routed_worker = r.routed_worker;
+    rec.stolen = r.stolen;
+    rec.submit_us = r.submit_us;
+    rec.route_us = r.route_us;
+    rec.batch_us = r.batch_us;
     rec.model_us = model_us;
     rec.done_us = done_us;
-    rec.e2e_seconds = res.e2e_seconds;
-    // A live request can still be answered past its deadline (it expired
-    // mid-batch): the client gets an image — degraded if the anytime hook
-    // cut sampling short — and the SLO books a miss.
-    rec.deadline_missed = r->deadline < end;
-    if (!group_failed) {
+    rec.batch_size = static_cast<int>(batch.size());
+    rec.ddim_steps = full_steps_;
+    rec.ensemble = ensemble;
+    rec.deadline_ms = r.deadline_ms;
+    rec.tiled = r.tile != nullptr;
+    rec.queue_wait_seconds = elapsed_seconds(r.enqueued, start);
+    // A request can be answered past its deadline (it expired in the queue
+    // or mid-batch): the client gets an image — degraded if the hook cut
+    // sampling short — and the SLO books a miss.
+    rec.deadline_missed = r.deadline < end;
+    if (out_status[i].is_ok()) {
       res.status = Status::ok();
       res.outcome = out_steps[i] < full_steps_ ? Outcome::kDegraded
                                                : Outcome::kComplete;
@@ -765,7 +658,7 @@ void ReceiverServer::run_batch(Worker& self, std::vector<Request>& batch,
       rec.degraded = res.outcome == Outcome::kDegraded;
       // Tile sub-requests roll up into their stitched parent's outcome
       // (finish_tile); only logical requests count here.
-      if (r->tile) {
+      if (r.tile) {
         ++n_tile_done;
       } else if (rec.degraded) {
         ++n_degraded;
@@ -773,12 +666,12 @@ void ReceiverServer::run_batch(Worker& self, std::vector<Request>& batch,
         ++n_completed;
       }
     } else {
-      res = rejected(batch_status);
-      res.e2e_seconds = elapsed_seconds(r->enqueued, end);
+      res = rejected(out_status[i]);
       rec.status = "internal";
-      if (!r->tile) ++n_internal;
+      if (!r.tile) ++n_internal;
     }
-    records.push_back(std::move(rec));
+    res.e2e_seconds = elapsed_seconds(r.enqueued, end);
+    rec.e2e_seconds = res.e2e_seconds;
   }
   completed.inc(n_completed);
   internal.inc(n_internal);
@@ -786,15 +679,15 @@ void ReceiverServer::run_batch(Worker& self, std::vector<Request>& batch,
   partials_ctr.inc(n_partials);
   suppressed_ctr.inc(n_suppressed);
   DCDIFF_LOG_DEBUG("serve", "batch_done",
-                   {{"batch", static_cast<int64_t>(live.size())},
-                    {"expired", static_cast<int64_t>(n_expired)},
+                   {{"batch", static_cast<int64_t>(batch.size())},
                     {"degraded", static_cast<int64_t>(n_degraded)},
                     {"stolen", static_cast<int64_t>(steals)},
                     {"seconds", elapsed_seconds(start, end)}});
 
+  // Account first, fulfil second: a client that sees its stream ready must
+  // also see itself counted in stats().
   {
     std::lock_guard<std::mutex> lk(mu_);
-    stats_.deadline_expired += n_expired;
     stats_.completed += n_completed;
     stats_.degraded += n_degraded;
     stats_.partials += n_partials;
@@ -807,32 +700,16 @@ void ReceiverServer::run_batch(Worker& self, std::vector<Request>& batch,
     self.stats.completed += n_completed + n_tile_done;
     self.stats.steals += steals;
   }
-  for (Request* r : dead) {
-    obs::RequestRecord rec = make_record(*r, 0);  // never joined the model call
-    rec.deadline_missed = true;
-    rec.status = "deadline_exceeded";
-    rec.done_us = done_us;
-    rec.e2e_seconds = elapsed_seconds(r->enqueued, start);
-    const Status st = Status::deadline_exceeded(
-        "deadline expired after " +
-        std::to_string(elapsed_seconds(r->enqueued, start)) + "s in queue");
-    if (r->tile) {
-      finish_tile(self, *r, Image{}, 0, full_steps_, st);
-    } else {
-      detail::push_result(r->stream, rejected(st));
-    }
-    records.push_back(std::move(rec));
-  }
   // e2e is a per-logical-request latency family; tile sub-requests report
   // through their stitched parent instead (finish_tile observes it there).
-  for (size_t i = 0; i < live.size(); ++i) {
-    Request* r = live[i];
-    if (r->tile) {
-      finish_tile(self, *r, std::move(results[i].image), out_steps[i],
+  for (size_t i = 0; i < batch.size(); ++i) {
+    Request& r = batch[i];
+    if (r.tile) {
+      finish_tile(self, r, std::move(results[i].image), out_steps[i],
                   full_steps_, results[i].status);
     } else {
       e2e.observe(results[i].e2e_seconds);
-      detail::push_result(r->stream, std::move(results[i]));
+      detail::push_result(r.stream, std::move(results[i]));
     }
   }
   for (obs::RequestRecord& rec : records) {
@@ -1067,7 +944,6 @@ std::string ReceiverServer::server_state_json() const {
            std::to_string(stats_.partials_suppressed);
     out += ",\"tiles\":" + std::to_string(stats_.tiles);
     out += ",\"governor_sheds\":" + std::to_string(stats_.governor_sheds);
-    out += ",\"deadline_expired\":" + std::to_string(stats_.deadline_expired);
     out += ",\"internal_errors\":" + std::to_string(stats_.internal_errors);
     out += ",\"rejected_queue_full\":" +
            std::to_string(stats_.rejected_queue_full);

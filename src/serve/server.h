@@ -35,12 +35,16 @@
 //   max_batch requests; partial batches run when the window closes.
 // * Backpressure: submits beyond queue_capacity (total across workers) are
 //   rejected immediately with Status{kResourceExhausted}.
-// * Anytime sampling: every DDIM step yields a decodable checkpoint
-//   (core::DCDiffModel::reconstruct_batch_anytime). With min_steps > 0 a
+// * One model-call loop: each batch splits into at most three groups —
+//   plain requests, plain requests that need the per-step hook (progressive
+//   or deadline-bearing), and tiles — and each group is one
+//   core::DCDiffModel::reconstruct_batch_anytime call whose status its
+//   requests take. Hook-free groups run on the compiled plan, hooked ones
+//   on the eager tape.
+// * Anytime sampling: every DDIM step yields a decodable checkpoint. A
 //   request whose deadline fires — queued or mid-batch — is answered with
-//   its best checkpoint and Outcome::kDegraded instead of
-//   kDeadlineExceeded, as long as the quality floor of min_steps has run.
-//   min_steps == 0 restores the legacy fail-fast behaviour.
+//   its best checkpoint and Outcome::kDegraded once the quality floor of
+//   min_steps has run; a deadline never fails a request.
 // * Load shedding: the StepGovernor shaves DDIM steps off batches whose
 //   requests are all QosTier::kLatency as the queue deepens
 //   (governor_depth_per_step), never below min_steps; shed batches complete
@@ -110,10 +114,9 @@ struct ServerConfig {
   core::ReconstructOptions recon;  // inference options applied to every batch
 
   // --- anytime serving ---
-  // Quality floor in DDIM steps for degraded service. > 0: a request whose
+  // Quality floor in DDIM steps for degraded service: a request whose
   // deadline fires (queued or mid-batch) gets its best checkpoint with
-  // Outcome::kDegraded once this many steps have run — never
-  // kDeadlineExceeded. 0: legacy behaviour, expired requests fail.
+  // Outcome::kDegraded once this many steps have run. Values < 1 clamp to 1.
   int min_steps = 1;
   // > 0 enables the StepGovernor: batches whose requests are all
   // QosTier::kLatency drop one DDIM step per this many queued requests
@@ -234,7 +237,6 @@ class ReceiverServer {
     uint64_t rejected_queue_full = 0;
     uint64_t rejected_decode = 0;
     uint64_t rejected_shutdown = 0;
-    uint64_t deadline_expired = 0;  // min_steps == 0 (fail-fast) only
     uint64_t internal_errors = 0;
     uint64_t batches = 0;
     uint64_t steals = 0;

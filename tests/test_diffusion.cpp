@@ -162,8 +162,12 @@ TEST_F(UNetFixture, DdimSampleShapeAndDeterminism) {
   Rng rng(7);
   const Tensor noise = randn({1, 4, 8, 8}, rng);
   const auto ctrl = control_.forward(randn({1, 3, 32, 32}, rng));
-  const Tensor a = ddim_sample(unet_, sched_, ctrl, noise, 5);
-  const Tensor b = ddim_sample(unet_, sched_, ctrl, noise, 5);
+  const Tensor a = ddim_sample_checkpointed(unet_, sched_, ctrl, noise, 5,
+                                            Tensor(), Tensor(),
+                                            Prediction::kEps, {});
+  const Tensor b = ddim_sample_checkpointed(unet_, sched_, ctrl, noise, 5,
+                                            Tensor(), Tensor(),
+                                            Prediction::kEps, {});
   ASSERT_EQ(a.shape(), noise.shape());
   for (size_t i = 0; i < a.numel(); ++i) {
     ASSERT_FLOAT_EQ(a.value()[i], b.value()[i]);
@@ -179,15 +183,17 @@ TEST_F(UNetFixture, DdimX0ModeShapeAndBounds) {
   Rng rng(17);
   const Tensor noise = randn({1, 4, 8, 8}, rng);
   const auto ctrl = control_.forward(randn({1, 3, 32, 32}, rng));
-  const Tensor z = ddim_sample(unet_, sched_, ctrl, noise, 6, Tensor(),
-                               Tensor(), Prediction::kX0);
+  const Tensor z = ddim_sample_checkpointed(unet_, sched_, ctrl, noise, 6,
+                                            Tensor(), Tensor(),
+                                            Prediction::kX0, {});
   ASSERT_EQ(z.shape(), noise.shape());
   for (float v : z.value()) {
     EXPECT_GE(v, -1.2f);
     EXPECT_LE(v, 1.2f);
   }
   // x0 and eps parameterizations of the same (untrained) net differ.
-  const Tensor z_eps = ddim_sample(unet_, sched_, ctrl, noise, 6);
+  const Tensor z_eps = ddim_sample_checkpointed(
+      unet_, sched_, ctrl, noise, 6, Tensor(), Tensor(), Prediction::kEps, {});
   double diff = 0.0;
   for (size_t i = 0; i < z.numel(); ++i) {
     diff += std::abs(z.value()[i] - z_eps.value()[i]);
@@ -199,9 +205,13 @@ TEST_F(UNetFixture, DdimRejectsBadStepCount) {
   Rng rng(8);
   const Tensor noise = randn({1, 4, 8, 8}, rng);
   const auto ctrl = control_.forward(randn({1, 3, 32, 32}, rng));
-  EXPECT_THROW(ddim_sample(unet_, sched_, ctrl, noise, 0),
+  EXPECT_THROW(ddim_sample_checkpointed(unet_, sched_, ctrl, noise, 0,
+                                        Tensor(), Tensor(), Prediction::kEps,
+                                        {}),
                std::invalid_argument);
-  EXPECT_THROW(ddim_sample(unet_, sched_, ctrl, noise, sched_.T + 1),
+  EXPECT_THROW(ddim_sample_checkpointed(unet_, sched_, ctrl, noise,
+                                        sched_.T + 1, Tensor(), Tensor(),
+                                        Prediction::kEps, {}),
                std::invalid_argument);
 }
 

@@ -559,6 +559,55 @@ INSTANTIATE_TEST_SUITE_P(EntropyKinds, FuzzProgressive,
                                                                  : "Huffman";
                          });
 
+// ---- repeated frame headers ----
+
+// `bytes` with its first segment of marker 0xFF `code` repeated right after
+// itself; empty when no such segment precedes the first scan.
+std::vector<uint8_t> duplicate_segment(const std::vector<uint8_t>& bytes,
+                                       uint8_t code) {
+  size_t p = 2;  // past SOI
+  while (p + 4 <= bytes.size() && bytes[p] == 0xFF) {
+    const size_t end = p + 2 + ((static_cast<size_t>(bytes[p + 2]) << 8) |
+                                bytes[p + 3]);
+    if (end > bytes.size()) break;
+    if (bytes[p + 1] == code) {
+      std::vector<uint8_t> out(bytes.begin(),
+                               bytes.begin() + static_cast<long>(end));
+      out.insert(out.end(), bytes.begin() + static_cast<long>(p), bytes.end());
+      return out;
+    }
+    p = end;
+  }
+  return {};
+}
+
+// A stream carries one frame, so a repeated frame header is a typed error
+// in both parsers. Accepting it would let the second header append to or
+// overwrite the component layout the tables and scans were checked
+// against: a grayscale stream would decode with two components, which
+// later stages index as three.
+TEST(FuzzFrameHeader, RepeatedFrameHeaderIsTypedError) {
+  const Image img = data::dataset_image(data::DatasetId::kKodak, 0, 32);
+  for (const Image& src : {to_gray(img), img}) {
+    const CoeffImage ci = forward_transform(src, 50);
+    for (const EntropyKind kind : {EntropyKind::kHuffman, EntropyKind::kCm}) {
+      const auto prog = duplicate_segment(
+          encode_progressive(ci, ProgressiveConfig(), kind), 0xC2);
+      ASSERT_FALSE(prog.empty());
+      CoeffImage out;
+      Status st = try_decode_progressive(prog, &out);
+      EXPECT_EQ(st.code(), StatusCode::kDataLoss)
+          << src.channels() << " channels: " << st.to_string();
+
+      const auto base = duplicate_segment(encode_jfif(ci, kind), 0xC0);
+      ASSERT_FALSE(base.empty());
+      st = try_decode_jfif(base, &out);
+      EXPECT_EQ(st.code(), StatusCode::kDataLoss)
+          << src.channels() << " channels: " << st.to_string();
+    }
+  }
+}
+
 // ---- range coder and cm streams under corruption ----
 
 TEST(FuzzRangeCoder, RandomByteStringsDecodeInBoundedTime) {

@@ -1,8 +1,9 @@
 // The blocked GEMM compute path: kernel vs reference over a shape sweep,
 // im2col/col2im adjointness, the batched conv forward bit for bit against
 // the per-image im2col route, conv2d/linear equivalence between the blocked
-// and naive routes, gradient checks through the GEMM path, and workspace
-// reuse from concurrent pool workers.
+// and naive routes, per-row routing of the batch-row product, gradient
+// checks through the GEMM path, and workspace reuse from concurrent pool
+// workers.
 #include "nn/gemm.h"
 
 #include <gtest/gtest.h>
@@ -107,6 +108,8 @@ TEST(Gemm, ShapeSweepAgainstReference) {
   }
 }
 
+// 37 x 29 x 111 = 119k multiply-adds: every layout takes the blocked route,
+// including pack_a's transposed-A path (the conv input gradient's).
 TEST(Gemm, TransposedOperandsAndAccumulate) {
   uint64_t seed = 100;
   for (bool ta : {false, true}) {
@@ -143,6 +146,37 @@ TEST(Gemm, NaiveEscapeHatchMatchesBlocked) {
          n);
   }
   expect_close(blocked, naive);
+}
+
+// gemm_rows(): a row's bits never depend on how many rows share the call,
+// so batch-mates cannot change an image's pixels. The (n, k) pairs straddle
+// the small-problem threshold (4096 multiply-adds per row), so gemm()'s
+// whole-call m * n * k route would send the same row naive at m = 1 and
+// blocked at m = 32. Linear layout (x rows times w^T) and plain layout.
+TEST(Gemm, RowBitsDoNotDependOnRowCount) {
+  const std::pair<int64_t, int64_t> nks[] = {
+      {32, 64}, {64, 64}, {16, 255}, {33, 124}, {65, 64}, {32, 200}};
+  for (const auto& [n, k] : nks) {
+    for (const bool trans_b : {true, false}) {
+      Rng rng(static_cast<uint64_t>(n * 1000 + k));
+      const std::vector<float> a = random_vec(static_cast<size_t>(32 * k), rng);
+      const std::vector<float> b = random_vec(static_cast<size_t>(n * k), rng);
+      const int64_t ldb = trans_b ? k : n;
+      std::vector<float> one(static_cast<size_t>(n));
+      gemm_rows(false, trans_b, 1, n, k, a.data(), k, b.data(), ldb, 0.0f,
+                one.data(), n);
+      for (const int64_t m : {2, 8, 32}) {
+        std::vector<float> many(static_cast<size_t>(m * n));
+        gemm_rows(false, trans_b, m, n, k, a.data(), k, b.data(), ldb, 0.0f,
+                  many.data(), n);
+        EXPECT_EQ(std::memcmp(one.data(), many.data(),
+                              one.size() * sizeof(float)),
+                  0)
+            << "row 0 differs at m=" << m << " n=" << n << " k=" << k
+            << " trans_b=" << trans_b;
+      }
+    }
+  }
 }
 
 // ---------- im2col / col2im ----------
@@ -351,12 +385,15 @@ struct ConvCase {
   int n, c, h, w, f, k, stride, pad;
 };
 
+// Every GEMM of every case (forward, input and weight gradient: f * pixels
+// * c*k*k multiply-adds per image) is above the 4096 small-problem bound,
+// so the first run takes the blocked route throughout.
 TEST(ConvGemmPath, ForwardAndGradMatchNaiveRoute) {
   const ConvCase cases[] = {
-      {2, 3, 8, 8, 5, 3, 1, 1},   // padded same-size conv
-      {1, 4, 9, 7, 6, 3, 2, 1},   // strided, non-square
-      {2, 4, 6, 6, 8, 1, 1, 0},   // 1x1 zero-copy fast path
-      {1, 2, 5, 5, 3, 5, 1, 2},   // kernel as large as the input
+      {2, 3, 8, 8, 5, 3, 1, 1},    // padded same-size conv
+      {1, 4, 9, 7, 6, 3, 2, 1},    // strided, non-square
+      {2, 16, 8, 8, 24, 1, 1, 0},  // 1x1 zero-copy fast path
+      {1, 4, 5, 5, 8, 5, 1, 2},    // kernel as large as the input
   };
   for (const ConvCase& cc : cases) {
     Rng rng(17);
@@ -385,11 +422,14 @@ TEST(ConvGemmPath, ForwardAndGradMatchNaiveRoute) {
   }
 }
 
+// The forward's 32 x 150 multiply-adds per row and both gradient products
+// (30 * 32 * 150) are above the 4096 small-problem bound, so the first run
+// takes the blocked route in all three GEMMs.
 TEST(LinearGemmPath, ForwardAndGradMatchNaiveRoute) {
   Rng rng(19);
-  Tensor x = random_tensor({9, 37}, rng);
-  Tensor w = random_tensor({23, 37}, rng);
-  Tensor b = random_tensor({23}, rng);
+  Tensor x = random_tensor({30, 150}, rng);
+  Tensor w = random_tensor({32, 150}, rng);
+  Tensor b = random_tensor({32}, rng);
   x.set_requires_grad(true);
   w.set_requires_grad(true);
   b.set_requires_grad(true);
@@ -410,22 +450,49 @@ TEST(LinearGemmPath, ForwardAndGradMatchNaiveRoute) {
   expect_close(bg_b, bg_n);
 }
 
+// The linear forward's rows are batch items: a row's output is the same
+// bits whether it is computed alone or among 1, 7 or 31 other rows, on
+// both sides of the 4096 multiply-adds-per-row bound.
+TEST(LinearGemmPath, RowBitsDoNotDependOnBatchSize) {
+  const std::pair<int, int> shapes[] = {{64, 32}, {64, 64}, {65, 64}, {200, 32}};
+  for (const auto& [in, out] : shapes) {
+    Rng rng(static_cast<uint64_t>(in * 100 + out));
+    const Tensor w = random_tensor({out, in}, rng);
+    const Tensor b = random_tensor({out}, rng);
+    const std::vector<float> xs = random_vec(static_cast<size_t>(32 * in), rng);
+    auto first_row = [&](int rows) {
+      const std::vector<float> x(xs.begin(), xs.begin() + rows * in);
+      const Tensor y = linear(Tensor::from_data({rows, in}, x), w, b);
+      return std::vector<float>(y.value().begin(), y.value().begin() + out);
+    };
+    const std::vector<float> one = first_row(1);
+    for (const int rows : {2, 8, 32}) {
+      EXPECT_EQ(first_row(rows), one) << "in=" << in << " out=" << out
+                                      << " rows=" << rows;
+    }
+  }
+}
+
+// Both convs issue 6 * 36 * (25 or 100) multiply-adds per GEMM, above the
+// 4096 small-problem bound, so the gradients run the blocked kernel.
 TEST(ConvGemmPath, GradCheckThroughBlockedKernel) {
   NaiveGuard guard(false);
   Rng rng(23);
-  Tensor x = random_tensor({1, 2, 5, 5}, rng);
-  Tensor w = random_tensor({3, 2, 3, 3}, rng);
-  Tensor b = random_tensor({3}, rng);
+  Tensor x = random_tensor({1, 4, 10, 10}, rng);
+  Tensor w = random_tensor({6, 4, 3, 3}, rng);
+  Tensor b = random_tensor({6}, rng);
   check_gradient(x, [&] { return mean(conv2d(x, w, b, 2, 1)); });
   check_gradient(w, [&] { return mean(conv2d(x, w, b, 1, 1)); });
 }
 
+// 40 x 110 multiply-adds per forward row and 3 * 40 * 110 per gradient
+// product, above the 4096 small-problem bound: all three GEMMs are blocked.
 TEST(LinearGemmPath, GradCheckThroughBlockedKernel) {
   NaiveGuard guard(false);
   Rng rng(29);
-  Tensor x = random_tensor({3, 7}, rng);
-  Tensor w = random_tensor({4, 7}, rng);
-  Tensor b = random_tensor({4}, rng);
+  Tensor x = random_tensor({3, 110}, rng);
+  Tensor w = random_tensor({40, 110}, rng);
+  Tensor b = random_tensor({40}, rng);
   check_gradient(x, [&] { return mean(linear(x, w, b)); });
   check_gradient(w, [&] { return mean(linear(x, w, b)); });
 }

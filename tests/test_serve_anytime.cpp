@@ -2,15 +2,14 @@
 // and the progressive ResultStream channel (PR 9).
 //
 // The load-bearing contracts:
-//   * Determinism: reconstruct_batch_anytime run to its full step count is
-//     bit-identical to the eager reconstruct_batch path — the checkpoint
-//     hook observes z0 between the existing update statements and perturbs
-//     no arithmetic.
+//   * Determinism: reconstruct_batch_anytime run to its full step count on
+//     the eager tape is bit-identical to reconstruct_batch on the compiled
+//     plan — the checkpoint hook observes z0 between the existing update
+//     statements and perturbs no arithmetic.
 //   * Early exit: stopping after k < N steps still yields valid (coarser)
 //     images, and reports k honestly.
 //   * Degraded service: a request whose deadline fires is answered with its
-//     best checkpoint (Outcome::kDegraded), never kDeadlineExceeded, as
-//     long as min_steps > 0.
+//     best checkpoint (Outcome::kDegraded), never kDeadlineExceeded.
 //   * ResultStream: partial steps strictly increasing, terminal Result
 //     always last and exactly once, bounded buffer drops oldest partials
 //     without ever blocking the producer.
@@ -102,13 +101,12 @@ std::shared_ptr<const core::DCDiffModel> ServeAnytimeTest::model_;
 // ---- model layer: checkpointed sampling ----
 
 // The asserted acceptance gate: running the anytime path to its full step
-// count — hook installed, never stopping — is bit-identical to today's
-// reconstruct_batch on the eager path.
+// count — hook installed (eager tape), never stopping — is bit-identical to
+// reconstruct_batch (compiled plan).
 TEST_F(ServeAnytimeTest, FullStepAnytimeRunIsBitIdenticalToBatch) {
   const jpeg::CoeffImage c0 = jpeg::decode_jfif(bitstream(0));
   const jpeg::CoeffImage c1 = jpeg::decode_jfif(bitstream(1));
 
-  core::set_plan_enabled(0);  // eager both sides; plans have no checkpoints
   const std::vector<const jpeg::CoeffImage*> batch = {&c0, &c1};
   const std::vector<Image> reference = model_->reconstruct_batch(batch);
 
@@ -125,7 +123,6 @@ TEST_F(ServeAnytimeTest, FullStepAnytimeRunIsBitIdenticalToBatch) {
   };
   const core::AnytimeResult res = model_->reconstruct_batch_anytime(
       items, core::ReconstructOptions{}, ctrl);
-  core::set_plan_enabled(-1);
 
   ASSERT_EQ(res.images.size(), 2u);
   EXPECT_FALSE(res.early_exit);

@@ -184,7 +184,7 @@ TEST_F(ServeParallelTest, ThreeWorkerResultsMatchSingleWorker) {
     Result r = futs[static_cast<size_t>(i)].get();
     ASSERT_TRUE(r.status.is_ok()) << r.status.to_string();
     EXPECT_EQ(r.outcome, Outcome::kComplete);
-    EXPECT_LE(max_abs_diff(reference[static_cast<size_t>(i)], r.image), 1e-4)
+    EXPECT_EQ(max_abs_diff(reference[static_cast<size_t>(i)], r.image), 0.0)
         << "image " << i;
   }
   const auto stats = server.stats();
@@ -221,7 +221,7 @@ TEST_F(ServeParallelTest, ConcurrentSessionsAcrossWorkersAllMatch) {
       for (size_t i = 0; i < futs.size(); ++i) {
         Result r = futs[i].get();
         if (r.outcome != Outcome::kComplete ||
-            max_abs_diff(reference[i], r.image) > 1e-4) {
+            max_abs_diff(reference[i], r.image) != 0.0) {
           ++failures[static_cast<size_t>(c)];
         }
       }
@@ -272,7 +272,7 @@ TEST_F(ServeParallelTest, DryWorkersStealFromHintedQueue) {
   for (auto& f : futs) {
     Result r = f.get();
     ASSERT_TRUE(r.status.is_ok()) << r.status.to_string();
-    EXPECT_LE(max_abs_diff(reference, r.image), 1e-4);
+    EXPECT_EQ(max_abs_diff(reference, r.image), 0.0);
   }
   const auto stats = server.stats();
   EXPECT_EQ(stats.completed, static_cast<uint64_t>(kImages));
