@@ -4,10 +4,15 @@
 # This is the commit-gate for the threaded serving engine — the labelled
 # suites cover the thread pool (partitioned and global), the sharded
 # ReceiverServer (routing, stealing, shutdown drain), and the serve_tool
-# end-to-end smoke — and for the context-mixing entropy coder, whose fuzz
-# suites (truncated / bit-flipped cm streams, random range-coder input) are
-# exactly the kind of parsing code sanitizers are for. A codec_tool transcode
-# round trip runs as an end-to-end smoke under each preset too.
+# end-to-end smoke — and for the JPEG container and both entropy coders:
+# the `codec` label covers every parser suite (test_codec,
+# test_codec_robustness, test_restart, test_progressive, test_bitio,
+# test_huffman, test_cm_codec, test_fuzz_jpeg), so the one segment reader,
+# its hand-built hostile streams and header-field mutations, and the cm fuzz
+# sweeps (truncated / bit-flipped cm streams, random range-coder input) run
+# under both sanitizers — exactly the kind of parsing code they are for. A
+# codec_tool transcode round trip runs as an end-to-end smoke under each
+# preset too.
 #
 # test_plan rides the `concurrency` label: it exercises the compiled
 # inference plan (arena offsets, fused kernels, per-replica plan caches)

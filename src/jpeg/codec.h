@@ -26,6 +26,20 @@
 // kinds. Restart intervals are supported, including decoder-side error
 // containment (Huffman scans only; cm streams are integrity-checked whole
 // via their CRC instead).
+//
+// One container reader (jfif.h) walks the markers for decode_jfif, the
+// progressive decoder, detect_entropy_kind and is_progressive, under one
+// rule set: every segment length >= 2 and inside the buffer; DQT 8-bit,
+// table id <= 3, 64 entries inside the segment; DHT class <= 1, id <= 3, at
+// most 256 codes inside the segment, DC categories <= 11 and AC sizes <= 10;
+// one SOF, precision 8, nonzero size, 1 or 3 components, sampling 1x1 or
+// luma 2x2; SOS after SOF, its selectors naming frame components in frame
+// order, with defined quant and Huffman tables and a band the frame kind
+// supports (baseline 0..63, no successive approximation); DRI of length 4;
+// APP9 cm tags framed and versioned. A violation throws std::runtime_error
+// (kDataLoss through try_decode_*) naming the segment that broke, e.g.
+// "decode_jfif: DQT: 16-bit table"; errors inside the entropy-coded data,
+// such as a DC that leaves int16_t, name "scan".
 #pragma once
 
 #include <array>
@@ -105,11 +119,14 @@ std::vector<uint8_t> encode_jfif(const CoeffImage& ci,
                                  EntropyKind kind = EntropyKind::kHuffman);
 
 // The entropy coder a file was written with, detected from the APP9 "DCMC"
-// marker. Files without the marker (any interoperable JPEG) are kHuffman.
+// or "DCMP" tag ahead of the first SOS. Files without the tag (any
+// interoperable JPEG) and files whose header the reader rejects are
+// kHuffman; decoding the latter yields the descriptive error.
 EntropyKind detect_entropy_kind(const std::vector<uint8_t>& bytes);
 
 // Parses a JFIF file produced by encode_jfif (baseline sequential, either
-// entropy kind — auto-detected). Malformed input throws std::runtime_error.
+// entropy kind — auto-detected). Malformed input, a progressive (SOF2)
+// frame included, throws std::runtime_error naming the segment.
 CoeffImage decode_jfif(const std::vector<uint8_t>& bytes);
 
 // Non-throwing variant for serving boundaries: a malformed bitstream yields

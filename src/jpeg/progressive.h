@@ -18,6 +18,12 @@
 // be delimited by marker scanning). The DC scan is one interleaved stream
 // over all components; each AC band scan is its own stream, so previews and
 // band-progressive delivery work identically to the Huffman form.
+//
+// The decoder reads the container with the same segment reader and rules as
+// decode_jfif (codec.h) and names the broken segment the same way
+// ("decode_progressive: SOS: ..."). Rules only a progressive frame has: SOF2
+// (SOF0 is rejected), no restart interval, a DC scan's band is 0..0 and an
+// AC scan's 1 <= Ss <= Se <= 63 with one component, Ah = Al = 0.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +58,8 @@ Status try_decode_progressive(const std::vector<uint8_t>& bytes,
 // receiver can show immediately. AC coefficients are zero.
 CoeffImage decode_progressive_preview(const std::vector<uint8_t>& bytes);
 
-// True if the bytes look like a progressive (SOF2) JPEG.
+// True if the frame header is SOF2. The segment reader finds it, so marker
+// bytes inside APPn/COM payloads do not count; a malformed header is false.
 bool is_progressive(const std::vector<uint8_t>& bytes);
 
 }  // namespace dcdiff::jpeg

@@ -1,7 +1,8 @@
 // Tests for the context-mixing entropy coder (src/codec) and its JFIF
 // integration: range coder symmetry, cm stream round trips across chroma
-// formats, auto-detection, corruption rejection, and the rate advantage
-// over the Annex-K Huffman baseline.
+// formats, auto-detection, corruption rejection, the rate advantage over
+// the Annex-K Huffman baseline, and the container oracle: one image in all
+// four containers decodes identically, with the encoders' bytes pinned.
 #include "codec/crc32.h"
 #include "codec/dctmodel.h"
 #include "codec/predictor.h"
@@ -17,6 +18,7 @@
 #include "jpeg/codec.h"
 #include "jpeg/dcdrop.h"
 #include "jpeg/progressive.h"
+#include "jpeg_oracle.h"
 #include "support/status.h"
 
 namespace dcdiff {
@@ -89,9 +91,18 @@ using jpeg::ChromaFormat;
 using jpeg::CoeffImage;
 using jpeg::EntropyKind;
 
+// Same image: dimensions, chroma format, the quant table of every component
+// and every coefficient. `quality` is not compared (no decoder can recover
+// it), nor is `restart_interval` (progressive files carry no DRI).
 void expect_identical(const CoeffImage& a, const CoeffImage& b) {
+  EXPECT_EQ(a.width, b.width);
+  EXPECT_EQ(a.height, b.height);
+  EXPECT_EQ(a.format, b.format);
   ASSERT_EQ(a.comps.size(), b.comps.size());
   for (size_t c = 0; c < a.comps.size(); ++c) {
+    EXPECT_EQ(a.table_for(static_cast<int>(c)).q,
+              b.table_for(static_cast<int>(c)).q)
+        << "comp " << c;
     ASSERT_EQ(a.comps[c].blocks_w, b.comps[c].blocks_w);
     ASSERT_EQ(a.comps[c].blocks_h, b.comps[c].blocks_h);
     ASSERT_EQ(a.comps[c].blocks.size(), b.comps[c].blocks.size());
@@ -217,6 +228,66 @@ TEST(CmProgressive, TruncatedScanIsRejectedAsStatus) {
   CoeffImage out;
   const Status st = jpeg::try_decode_progressive(bytes, &out);
   EXPECT_EQ(st.code(), StatusCode::kDataLoss);
+}
+
+// ----- One image, four containers -----
+
+// The differential oracle: the same coefficients written by encode_jfif and
+// encode_progressive, each with Huffman and cm, decode to the same image
+// whatever the container.
+TEST(Containers, FourEncodingsDecodeIdentically) {
+  for (const CoeffImage& ci : jpeg::oracle::images()) {
+    const auto files = jpeg::oracle::files(ci);
+    std::vector<CoeffImage> decoded;
+    for (size_t k = 0; k < files.size(); ++k) {
+      decoded.push_back(jpeg::oracle::progressive_file(k)
+                            ? jpeg::decode_progressive(files[k])
+                            : jpeg::decode_jfif(files[k]));
+    }
+    expect_identical(ci, decoded[0]);
+    for (size_t k = 1; k < decoded.size(); ++k) {
+      SCOPED_TRACE(k);
+      expect_identical(decoded[0], decoded[k]);
+      EXPECT_EQ(decoded[0].qchroma.q, decoded[k].qchroma.q);
+    }
+    EXPECT_EQ(decoded[0].restart_interval, 2);
+    EXPECT_EQ(decoded[1].restart_interval, 2);
+  }
+}
+
+// The encoders' bytes, pinned: {size, crc32} of the oracle's four files per
+// image and the three entropy bit counts of the same coefficients. A change
+// here is a format change, and perfbench's bpp_huffman / bpp_cm are file
+// sizes.
+TEST(Containers, EncoderOutputIsPinned) {
+  struct Pin {
+    size_t size;
+    uint32_t crc;
+  };
+  const Pin pins[3][4] = {
+      {{454, 0x96D65E3Eu}, {238, 0x5701CE80u}, {436, 0xA54FC9D9u},
+       {256, 0xE28FA511u}},
+      {{856, 0xF0ADB439u}, {424, 0xC3B35697u}, {884, 0xF5088549u},
+       {532, 0x24E2D7F9u}},
+      {{772, 0x42371429u}, {356, 0xF64282EAu}, {812, 0x7D464992u},
+       {459, 0x5F0A3634u}}};
+  // entropy_bit_count, entropy_bit_count_optimized, entropy_bit_count_cm.
+  const size_t bits[3][3] = {
+      {811, 751, 808}, {1677, 1559, 1664}, {1110, 1021, 1120}};
+  const auto images = jpeg::oracle::images();
+  ASSERT_EQ(images.size(), 3u);
+  for (size_t i = 0; i < images.size(); ++i) {
+    const auto files = jpeg::oracle::files(images[i]);
+    for (size_t k = 0; k < files.size(); ++k) {
+      SCOPED_TRACE(testing::Message() << "image " << i << " file " << k);
+      EXPECT_EQ(files[k].size(), pins[i][k].size);
+      EXPECT_EQ(codec::crc32(files[k].data(), files[k].size()), pins[i][k].crc);
+    }
+    SCOPED_TRACE(testing::Message() << "image " << i);
+    EXPECT_EQ(jpeg::entropy_bit_count(images[i]), bits[i][0]);
+    EXPECT_EQ(jpeg::entropy_bit_count_optimized(images[i]), bits[i][1]);
+    EXPECT_EQ(jpeg::entropy_bit_count_cm(images[i]), bits[i][2]);
+  }
 }
 
 TEST(CmCodec, BeatsHuffmanOnEntropyBits) {

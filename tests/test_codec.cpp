@@ -147,6 +147,19 @@ TEST(Codec, EntropyBitCountMatchesScanSize) {
   EXPECT_GT(encode_jfif(ci).size() * 8, bits);
 }
 
+TEST(Codec, EntropyBitCountRejectsSymbolsTheTablesCannotCode) {
+  // The Annex-K tables code DC categories up to 11 and AC sizes up to 10:
+  // counting a coefficient beyond them throws, exactly as encoding it does.
+  CoeffImage ci = forward_transform(to_gray(test_image(16)), 50);
+  ci.comps[0].blocks[1][0] = 4000;  // DC diff of category 12
+  EXPECT_THROW(encode_jfif(ci), std::runtime_error);
+  EXPECT_THROW(entropy_bit_count(ci), std::runtime_error);
+  ci.comps[0].blocks[1][0] = 0;
+  ci.comps[0].blocks[2][1] = 1500;  // AC size 11
+  EXPECT_THROW(encode_jfif(ci), std::runtime_error);
+  EXPECT_THROW(entropy_bit_count(ci), std::runtime_error);
+}
+
 TEST(Codec, LowerQualityMeansFewerBits) {
   const Image img = test_image(64);
   const size_t hi = entropy_bit_count(forward_transform(img, 85));

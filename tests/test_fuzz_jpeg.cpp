@@ -16,12 +16,17 @@
 //   * range coder / cm streams: the adaptive range decoder consumes any byte
 //     string in bounded time, and truncated or corrupted cm payloads are
 //     rejected as Status errors by the CRC framing, never a crash.
+//   * the segment reader both decoders share: hand-built hostile streams
+//     are rejected naming the segment that broke, and every header field of
+//     the container oracle's streams, set to boundary values one at a time,
+//     decodes or yields a Status that names a segment.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "codec/rangecoder.h"
@@ -31,6 +36,7 @@
 #include "jpeg/dcdrop.h"
 #include "jpeg/huffman.h"
 #include "jpeg/progressive.h"
+#include "jpeg_oracle.h"
 #include "support/status.h"
 
 namespace dcdiff::jpeg {
@@ -559,27 +565,80 @@ INSTANTIATE_TEST_SUITE_P(EntropyKinds, FuzzProgressive,
                                                                  : "Huffman";
                          });
 
-// ---- repeated frame headers ----
+// ---- marker segments of encoder-written streams ----
+
+// One length-carrying marker segment: the offset of its 0xFF, its code and
+// its length field (which counts itself, not the marker).
+struct Segment {
+  size_t pos;
+  uint8_t code;
+  size_t len;
+  size_t body() const { return pos + 4; }
+  size_t end() const { return pos + 2 + len; }
+};
+
+size_t get16(const std::vector<uint8_t>& b, size_t at) {
+  return (static_cast<size_t>(b[at]) << 8) | b[at + 1];
+}
+
+size_t get32(const std::vector<uint8_t>& b, size_t at) {
+  return (get16(b, at) << 16) | get16(b, at + 2);
+}
+
+// Every segment of a well-formed stream in order, stepping over scan data:
+// Huffman data ends at the next marker that is neither stuffing nor RSTn;
+// cm data is length-framed (by the DCMC tag, or a u32 per DCMP scan).
+std::vector<Segment> segments_of(const std::vector<uint8_t>& b) {
+  std::vector<Segment> out;
+  size_t cm_len = 0;
+  bool cm_framed_scans = false;
+  size_t p = 2;  // past SOI
+  while (p + 4 <= b.size() && b[p] == 0xFF && b[p + 1] != 0xD9) {
+    const Segment seg{p, b[p + 1], get16(b, p + 2)};
+    out.push_back(seg);
+    p = seg.end();
+    if (seg.code == 0xE9 && b[seg.body() + 3] == 'C') {
+      cm_len = get32(b, seg.body() + 5);
+    }
+    if (seg.code == 0xE9 && b[seg.body() + 3] == 'P') cm_framed_scans = true;
+    if (seg.code != 0xDA) continue;
+    if (cm_framed_scans) {
+      p += 8 + get32(b, p);
+    } else if (cm_len > 0) {
+      p += cm_len;
+    } else {
+      while (p + 1 < b.size() &&
+             (b[p] != 0xFF || b[p + 1] == 0x00 ||
+              (b[p + 1] >= 0xD0 && b[p + 1] <= 0xD7))) {
+        ++p;
+      }
+    }
+  }
+  return out;
+}
+
+// The first segment with marker `code`; the test fails without one.
+Segment first_segment(const std::vector<uint8_t>& bytes, uint8_t code) {
+  for (const Segment& seg : segments_of(bytes)) {
+    if (seg.code == code) return seg;
+  }
+  ADD_FAILURE() << "no segment 0xFF" << std::hex << int{code};
+  return {0, 0, 0};
+}
 
 // `bytes` with its first segment of marker 0xFF `code` repeated right after
-// itself; empty when no such segment precedes the first scan.
+// itself.
 std::vector<uint8_t> duplicate_segment(const std::vector<uint8_t>& bytes,
                                        uint8_t code) {
-  size_t p = 2;  // past SOI
-  while (p + 4 <= bytes.size() && bytes[p] == 0xFF) {
-    const size_t end = p + 2 + ((static_cast<size_t>(bytes[p + 2]) << 8) |
-                                bytes[p + 3]);
-    if (end > bytes.size()) break;
-    if (bytes[p + 1] == code) {
-      std::vector<uint8_t> out(bytes.begin(),
-                               bytes.begin() + static_cast<long>(end));
-      out.insert(out.end(), bytes.begin() + static_cast<long>(p), bytes.end());
-      return out;
-    }
-    p = end;
-  }
-  return {};
+  const Segment seg = first_segment(bytes, code);
+  std::vector<uint8_t> out(bytes.begin(),
+                           bytes.begin() + static_cast<long>(seg.end()));
+  out.insert(out.end(), bytes.begin() + static_cast<long>(seg.pos),
+             bytes.end());
+  return out;
 }
+
+// ---- repeated frame headers ----
 
 // A stream carries one frame, so a repeated frame header is a typed error
 // in both parsers. Accepting it would let the second header append to or
@@ -593,19 +652,323 @@ TEST(FuzzFrameHeader, RepeatedFrameHeaderIsTypedError) {
     for (const EntropyKind kind : {EntropyKind::kHuffman, EntropyKind::kCm}) {
       const auto prog = duplicate_segment(
           encode_progressive(ci, ProgressiveConfig(), kind), 0xC2);
-      ASSERT_FALSE(prog.empty());
       CoeffImage out;
       Status st = try_decode_progressive(prog, &out);
       EXPECT_EQ(st.code(), StatusCode::kDataLoss)
           << src.channels() << " channels: " << st.to_string();
 
       const auto base = duplicate_segment(encode_jfif(ci, kind), 0xC0);
-      ASSERT_FALSE(base.empty());
       st = try_decode_jfif(base, &out);
       EXPECT_EQ(st.code(), StatusCode::kDataLoss)
           << src.channels() << " channels: " << st.to_string();
     }
   }
+}
+
+// ---- container regressions ----
+//
+// Streams no encoder writes. Both decoders must reject each one with a
+// kDataLoss Status that names the segment that broke.
+
+Status decode_as(bool progressive, const std::vector<uint8_t>& bytes) {
+  CoeffImage out;
+  return progressive ? try_decode_progressive(bytes, &out)
+                     : try_decode_jfif(bytes, &out);
+}
+
+void expect_rejected(const Status& st, const std::string& segment) {
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.to_string();
+  EXPECT_NE(st.message().find(segment), std::string::npos) << st.message();
+}
+
+void put_segment(std::vector<uint8_t>& out, uint8_t code,
+                 const std::vector<uint8_t>& body) {
+  const size_t len = body.size() + 2;
+  out.insert(out.end(), {0xFF, code, static_cast<uint8_t>(len >> 8),
+                         static_cast<uint8_t>(len)});
+  out.insert(out.end(), body.begin(), body.end());
+}
+
+std::vector<uint8_t> dht_body(int cls, const HuffSpec& spec) {
+  std::vector<uint8_t> body = {static_cast<uint8_t>(cls << 4)};
+  body.insert(body.end(), spec.bits.begin(), spec.bits.end());
+  body.insert(body.end(), spec.vals.begin(), spec.vals.end());
+  return body;
+}
+
+// A gray 128x128 frame (SOF0 or SOF2) with one scan in which every one of
+// its 256 blocks codes DC category `cat` with magnitude bits `bits` under
+// the DC table `dc`, and no AC. The progressive form is its DC scan alone.
+std::vector<uint8_t> gray_dc_stream(bool progressive, const HuffSpec& dc,
+                                    int cat, uint32_t bits) {
+  std::vector<uint8_t> out = {0xFF, 0xD8};
+  std::vector<uint8_t> dqt(1 + kBlockSamples, 1);
+  dqt[0] = 0;  // 8-bit table 0
+  put_segment(out, 0xDB, dqt);
+  put_segment(out, progressive ? 0xC2 : 0xC0,
+              {8, 0, 128, 0, 128, 1, 1, 0x11, 0});
+  put_segment(out, 0xC4, dht_body(0, dc));
+  put_segment(out, 0xC4, dht_body(1, std_ac_luma()));
+  put_segment(out, 0xDA,
+              {1, 1, 0x00, 0, static_cast<uint8_t>(progressive ? 0 : 63), 0});
+  const HuffEncoder dc_enc(dc), ac_enc(std_ac_luma());
+  BitWriter bw;
+  for (int b = 0; b < 256; ++b) {
+    dc_enc.encode(bw, static_cast<uint8_t>(cat));
+    bw.put_bits(bits, cat);
+    if (!progressive) ac_enc.encode(bw, 0x00);  // EOB
+  }
+  const std::vector<uint8_t> scan = bw.finish();
+  out.insert(out.end(), scan.begin(), scan.end());
+  out.insert(out.end(), {0xFF, 0xD9});
+  return out;
+}
+
+TEST(FuzzContainer, ZeroLengthApp9IsTypedError) {
+  const std::vector<uint8_t> bytes = {0xFF, 0xD8, 0xFF, 0xE9, 0x00, 0x00};
+  for (const bool progressive : {false, true}) {
+    expect_rejected(decode_as(progressive, bytes), "APP9");
+  }
+}
+
+TEST(FuzzContainer, DcCategoryAbove11IsRejectedAtDht) {
+  // A 1-bit code for category 24 and +2^24-1 per block walked the int DC
+  // predictor past INT_MAX.
+  HuffSpec cat24;
+  cat24.bits[0] = 1;
+  cat24.vals = {24};
+  for (const bool progressive : {false, true}) {
+    expect_rejected(
+        decode_as(progressive, gray_dc_stream(progressive, cat24, 24,
+                                              (1u << 24) - 1)),
+        "DHT");
+  }
+}
+
+TEST(FuzzContainer, DcOutsideInt16IsTypedScanError) {
+  for (const bool progressive : {false, true}) {
+    // The builder's streams are legal: +1 per block sums to 256.
+    CoeffImage out;
+    const auto ok = gray_dc_stream(progressive, std_dc_luma(), 1, 1);
+    const Status built = progressive ? try_decode_progressive(ok, &out)
+                                     : try_decode_jfif(ok, &out);
+    ASSERT_TRUE(built.is_ok()) << built.to_string();
+    EXPECT_EQ(out.comps[0].blocks.back()[0], 256);
+    // Legal category-11 differences of +2047 leave int16_t after 17 blocks.
+    const Status st = decode_as(
+        progressive, gray_dc_stream(progressive, std_dc_luma(), 11, 2047));
+    expect_rejected(st, "scan");
+    EXPECT_NE(st.message().find("DC"), std::string::npos) << st.message();
+  }
+}
+
+// The oracle's files of the 4:4:4 image with every segment of marker `code`
+// removed.
+std::vector<std::vector<uint8_t>> without_segments(uint8_t code) {
+  auto files = oracle::files(oracle::images()[1]);
+  for (auto& bytes : files) {
+    const auto segs = segments_of(bytes);
+    for (auto it = segs.rbegin(); it != segs.rend(); ++it) {
+      if (it->code != code) continue;
+      bytes.erase(bytes.begin() + static_cast<long>(it->pos),
+                  bytes.begin() + static_cast<long>(it->end()));
+    }
+  }
+  return files;
+}
+
+TEST(FuzzContainer, StreamsWithoutDqtAreRejected) {
+  const auto files = without_segments(0xDB);
+  for (size_t k = 0; k < files.size(); ++k) {
+    SCOPED_TRACE(k);
+    expect_rejected(decode_as(oracle::progressive_file(k), files[k]), "DQT");
+  }
+}
+
+TEST(FuzzContainer, SixteenBitDqtIsRejected) {
+  auto files = oracle::files(oracle::images()[1]);
+  for (size_t k = 0; k < files.size(); ++k) {
+    SCOPED_TRACE(k);
+    files[k][first_segment(files[k], 0xDB).body()] |= 0x10;  // Pq = 1
+    expect_rejected(decode_as(oracle::progressive_file(k), files[k]), "DQT");
+  }
+}
+
+TEST(FuzzContainer, EachDecoderRejectsTheOtherFrameKind) {
+  const auto files = oracle::files(oracle::images()[1]);
+  for (size_t k = 0; k < files.size(); ++k) {
+    SCOPED_TRACE(k);
+    expect_rejected(decode_as(!oracle::progressive_file(k), files[k]), "SOF");
+  }
+}
+
+TEST(FuzzContainer, SniffersReadSegmentsNotCommentBytes) {
+  // A COM segment right after SOI whose payload looks like the other frame
+  // kind's marker.
+  const auto files = oracle::files(oracle::images()[1]);
+  for (size_t k = 0; k < files.size(); ++k) {
+    SCOPED_TRACE(k);
+    const bool progressive = oracle::progressive_file(k);
+    std::vector<uint8_t> bytes = {0xFF, 0xD8};
+    put_segment(bytes, 0xFE,
+                {0xFF, static_cast<uint8_t>(progressive ? 0xDA : 0xC2)});
+    bytes.insert(bytes.end(), files[k].begin() + 2, files[k].end());
+    EXPECT_EQ(is_progressive(bytes), progressive);
+    EXPECT_EQ(detect_entropy_kind(bytes), detect_entropy_kind(files[k]));
+    const Status st = decode_as(progressive, bytes);
+    EXPECT_TRUE(st.is_ok()) << st.to_string();
+  }
+}
+
+TEST(FuzzContainer, UnsupportedScanHeadersAreRejectedAtSos) {
+  const auto files = oracle::files(oracle::images()[1]);
+  // Offset of the first SOS's Ss byte.
+  auto band = [](const std::vector<uint8_t>& bytes) {
+    const Segment sos = first_segment(bytes, 0xDA);
+    return sos.body() + 1 + 2 * size_t{bytes[sos.body()]};
+  };
+  for (size_t k = 0; k < files.size(); ++k) {
+    SCOPED_TRACE(k);
+    const bool progressive = oracle::progressive_file(k);
+    std::vector<uint8_t> bytes = files[k];
+    if (!progressive) {
+      bytes[band(bytes) + 1] = 0;  // baseline Se = 0
+      expect_rejected(decode_as(false, bytes), "SOS");
+      continue;
+    }
+    bytes[band(bytes) + 2] = 0x10;  // Ah = 1
+    expect_rejected(decode_as(true, bytes), "SOS");
+    bytes = files[k];
+    bytes[band(bytes) + 2] = 0x01;  // Al = 1
+    expect_rejected(decode_as(true, bytes), "SOS");
+    bytes = files[k];
+    bytes[band(bytes) + 1] = 5;  // DC scan with Se = 5
+    expect_rejected(decode_as(true, bytes), "SOS");
+  }
+}
+
+// ---- structure-aware mutation of the oracle's streams ----
+
+// One header field set to one value: `mask` selects the bits of byte `at`
+// (or of the 16-bit field at `at` when `wide`).
+struct FieldEdit {
+  size_t at;
+  uint32_t value;
+  uint8_t mask = 0xFF;
+  bool wide = false;
+};
+
+std::vector<FieldEdit> field_edits(const std::vector<uint8_t>& b,
+                                   const Segment& seg) {
+  std::vector<FieldEdit> edits;
+  for (const size_t len : {size_t{0}, size_t{1}, seg.len - 1, seg.len + 1,
+                           size_t{0xFFFF}}) {
+    edits.push_back({seg.pos + 2, static_cast<uint32_t>(len), 0xFF, true});
+  }
+  const size_t body = seg.body();
+  auto low = [&](size_t at, uint32_t v) { edits.push_back({at, v, 0x0F}); };
+  auto high = [&](size_t at, uint32_t v) {
+    edits.push_back({at, v << 4, 0xF0});
+  };
+  switch (seg.code) {
+    case 0xDB:  // DQT: Pq, Tq
+      high(body, 1);
+      low(body, 4);
+      low(body, 15);
+      break;
+    case 0xC4:  // DHT: Tc, Th
+      high(body, 2);
+      low(body, 4);
+      low(body, 15);
+      break;
+    case 0xC0:
+    case 0xC2:  // SOF: ncomp; per component sampling and Tq
+      for (const uint32_t n : {0u, 2u, 4u}) edits.push_back({body + 5, n});
+      for (size_t c = 0; c < b[body + 5]; ++c) {
+        const size_t comp = body + 6 + 3 * c;
+        for (const uint32_t hv : {0x21u, 0x12u}) {
+          edits.push_back({comp + 1, hv});
+        }
+        for (const uint32_t tq : {4u, 15u}) edits.push_back({comp + 2, tq});
+      }
+      break;
+    case 0xDA: {  // SOS: selectors, Td/Ta, Ss, Se, Ah/Al
+      const size_t ns = b[body];
+      for (size_t i = 0; i < ns; ++i) {
+        const size_t comp = body + 1 + 2 * i;
+        for (const uint32_t id : {0u, 4u}) edits.push_back({comp, id});
+        for (const uint32_t t : {4u, 15u}) {
+          high(comp + 1, t);
+          low(comp + 1, t);
+        }
+      }
+      const size_t band = body + 1 + 2 * ns;
+      for (const uint32_t v : {0u, 1u, 63u, 64u}) {
+        edits.push_back({band, v});
+        edits.push_back({band + 1, v});
+      }
+      for (const uint32_t v : {1u, 15u}) {
+        high(band + 2, v);
+        low(band + 2, v);
+      }
+      break;
+    }
+    case 0xDD:  // DRI
+      for (const uint32_t ri : {0u, 0xFFFFu}) {
+        edits.push_back({body, ri, 0xFF, true});
+      }
+      break;
+    default:
+      break;
+  }
+  return edits;
+}
+
+std::vector<uint8_t> apply(std::vector<uint8_t> b, const FieldEdit& e) {
+  if (e.wide) {
+    b[e.at] = static_cast<uint8_t>(e.value >> 8);
+    b[e.at + 1] = static_cast<uint8_t>(e.value);
+  } else {
+    b[e.at] = static_cast<uint8_t>((b[e.at] & ~e.mask) | (e.value & e.mask));
+  }
+  return b;
+}
+
+TEST(FuzzContainer, HeaderFieldMutationsAreOkOrNameTheSegment) {
+  const char* const kSegments[] = {"SOI", "APP", "DQT", "DHT", "SOF", "DRI",
+                                   "SOS", "COM", "EOI", "scan"};
+  int rejected = 0;
+  int total = 0;
+  for (const CoeffImage& ci : oracle::images()) {
+    const auto files = oracle::files(ci);
+    for (size_t k = 0; k < files.size(); ++k) {
+      const bool progressive = oracle::progressive_file(k);
+      for (const Segment& seg : segments_of(files[k])) {
+        for (const FieldEdit& edit : field_edits(files[k], seg)) {
+          const std::vector<uint8_t> bytes = apply(files[k], edit);
+          if (bytes == files[k]) continue;
+          ++total;
+          // The sniffers answer from the same reader and must not throw.
+          (void)is_progressive(bytes);
+          (void)detect_entropy_kind(bytes);
+          const Status st = decode_as(progressive, bytes);
+          if (st.is_ok()) continue;
+          ++rejected;
+          ASSERT_TRUE(st.code() == StatusCode::kDataLoss ||
+                      st.code() == StatusCode::kInvalidArgument)
+              << st.to_string();
+          bool named = false;
+          for (const char* name : kSegments) {
+            named = named || st.message().find(name) != std::string::npos;
+          }
+          EXPECT_TRUE(named) << "file " << k << " segment 0x" << std::hex
+                             << int{seg.code} << ": " << st.message();
+        }
+      }
+    }
+  }
+  EXPECT_GT(total, 1000);
+  EXPECT_GT(rejected, total * 3 / 4);
 }
 
 // ---- range coder and cm streams under corruption ----
