@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Sanitizer smoke: configure + build the `sanitize` (ASan+UBSan) and `tsan`
-# presets and run the `concurrency`- and `codec`-labelled tests under each.
+# presets and run the `concurrency`-, `nn`- and `codec`-labelled tests under
+# each.
 # This is the commit-gate for the threaded serving engine — the labelled
 # suites cover the thread pool (partitioned and global), the sharded
 # ReceiverServer (routing, stealing, shutdown drain), and the serve_tool
@@ -29,6 +30,12 @@
 # TSan exists for — and the second fans MCU-aligned tile sub-requests out
 # across a 3-worker server and stitches them back under load.
 #
+# The `nn` label covers the tensor, op, module, loss, GEMM and plan suites:
+# every eager forward and the plan executor run the raw-pointer kernels of
+# src/nn/kernels.h, including the in-place activation epilogues and the
+# fused conv+group-norm that normalizes its own output (out == x), so both
+# sanitizers check those buffers alone.
+#
 # Both presets compile the fault-injection sites in (DCDIFF_FAULT_INJECTION),
 # so the `fault`-labelled stage runs the full scenario suites (injected
 # stalls, throws, corruption, clock skew — see DESIGN.md §15) plus the
@@ -50,6 +57,9 @@ for preset in "${presets[@]}"; do
   cmake --build --preset "${preset}" -j "${jobs}"
   echo "=== ${preset}: ctest -L concurrency ==="
   ctest --test-dir "build-${preset}" -L concurrency \
+        --output-on-failure -j 1
+  echo "=== ${preset}: ctest -L nn ==="
+  ctest --test-dir "build-${preset}" -L nn \
         --output-on-failure -j 1
   echo "=== ${preset}: ctest -L codec ==="
   ctest --test-dir "build-${preset}" -L codec \

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "nn/kernels.h"
 #include "nn/plan/builder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -294,15 +295,15 @@ Tensor ddim_sample_checkpointed(const UNet& unet,
       z0 = pred;
     }
     // Latents are tanh-bounded by the DC encoder; clamp the estimate.
-    for (float& v : z0.value()) v = std::clamp(v, -1.2f, 1.2f);
+    k_clamp(z0.value().data(), z0.value().data(), z0.numel(), -1.2f, 1.2f);
     // The clamped z0 is a valid decodable checkpoint; let the caller look at
     // it (and possibly stop) before the state update touches anything.
     if (on_checkpoint && !on_checkpoint(z0, steps - k)) return z0;
-    if (prediction == Prediction::kX0) eps = eps_from_z0(z, z0, sched, tvec);
     if (k == 0) {
       z = z0;
       break;
     }
+    if (prediction == Prediction::kX0) eps = eps_from_z0(z, z0, sched, tvec);
     const int t_prev = ts[static_cast<size_t>(k - 1)];
     const float sab = sched.sqrt_ab[static_cast<size_t>(t_prev)];
     const float s1m = sched.sqrt_one_m_ab[static_cast<size_t>(t_prev)];
@@ -349,17 +350,17 @@ plan::TensorId capture_ddim(plan::GraphBuilder& g, const UNet& unet,
       z0 = pred;
     }
     z0 = g.clamp(z0, -1.2f, 1.2f);
+    if (k == 0) {
+      z = z0;
+      g.end_span();  // ddim_step
+      break;
+    }
     if (prediction == Prediction::kX0) {
       // eps_from_z0's uniform-timestep path.
       const float s1m =
           std::max(1e-4f, sched.sqrt_one_m_ab[static_cast<size_t>(t)]);
       eps = g.sub(g.scale(z, 1.0f / s1m),
                   g.scale(z0, sched.sqrt_ab[static_cast<size_t>(t)] / s1m));
-    }
-    if (k == 0) {
-      z = z0;
-      g.end_span();  // ddim_step
-      break;
     }
     const int t_prev = ts[static_cast<size_t>(k - 1)];
     z = g.add(g.scale(z0, sched.sqrt_ab[static_cast<size_t>(t_prev)]),

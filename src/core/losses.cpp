@@ -137,7 +137,7 @@ nn::Tensor mld_loss(const nn::Tensor& xhat, const nn::Tensor& mask) {
 
 nn::Tensor masked_mse(const nn::Tensor& a, const nn::Tensor& b,
                       const nn::Tensor& mask) {
-  nn::check_same_shape(a, b, "masked_mse");
+  nn::check_same_shape(a.shape(), b.shape(), "masked_mse");
   check_mask(a, mask);
   const int n = a.dim(0), c = a.dim(1);
   const size_t hw = static_cast<size_t>(a.dim(2)) * a.dim(3);
@@ -185,7 +185,7 @@ nn::Tensor masked_mse(const nn::Tensor& a, const nn::Tensor& b,
 }
 
 nn::Tensor gradient_l1_loss(const nn::Tensor& a, const nn::Tensor& b) {
-  nn::check_same_shape(a, b, "gradient_l1_loss");
+  nn::check_same_shape(a.shape(), b.shape(), "gradient_l1_loss");
   if (a.ndim() != 4) throw std::invalid_argument("gradient_l1_loss: rank");
   const int n = a.dim(0), c = a.dim(1), h = a.dim(2), w = a.dim(3);
   const size_t hw = static_cast<size_t>(h) * w;

@@ -17,6 +17,7 @@
 #include "data/datasets.h"
 #include "jpeg/dcdrop.h"
 #include "nn/cache.h"
+#include "nn/kernels.h"
 #include "nn/optim.h"
 #include "nn/packcache.h"
 #include "nn/serialize.h"
@@ -30,7 +31,25 @@ namespace dcdiff::core {
 using namespace dcdiff::nn;
 
 namespace {
+
 std::atomic<bool> g_plan_enabled{true};
+
+void set_requires_grad(const std::vector<Tensor>& params, bool value) {
+  for (Tensor p : params) p.set_requires_grad(value);
+}
+
+// The parameters one train_* call steps: unfrozen for the duration of the
+// call, frozen again when it returns or throws.
+struct Unfrozen {
+  explicit Unfrozen(std::vector<Tensor> p) : params(std::move(p)) {
+    set_requires_grad(params, true);
+  }
+  ~Unfrozen() { set_requires_grad(params, false); }
+  Unfrozen(const Unfrozen&) = delete;
+  Unfrozen& operator=(const Unfrozen&) = delete;
+  std::vector<Tensor> params;
+};
+
 }  // namespace
 
 bool plan_enabled() { return g_plan_enabled.load(std::memory_order_relaxed); }
@@ -59,6 +78,7 @@ DCDiffModel::DCDiffModel(const DCDiffConfig& cfg)
   fmpp_ = std::make_shared<FMPP>(cfg.seed);
   packs_ = std::make_shared<nn::PackCache>();
   plans_ = std::make_shared<ReconPlanner>();
+  set_requires_grad(params(), false);
 }
 
 DCDiffModel::~DCDiffModel() = default;
@@ -88,11 +108,25 @@ std::shared_ptr<const DCDiffModel> DCDiffModel::replicate(
       new DCDiffModel(*src, ReplicaTag{}));
 }
 
-void DCDiffModel::check_trainable(const char* what) const {
+std::vector<Tensor> DCDiffModel::params() const {
+  std::vector<Tensor> p;
+  for (const std::vector<Tensor>& part :
+       {ae_->params(), disc_->params(), control_->params(), unet_->params(),
+        fmpp_->params()}) {
+    p.insert(p.end(), part.begin(), part.end());
+  }
+  return p;
+}
+
+void DCDiffModel::begin_training(const char* what) {
   if (replica_) {
     throw std::logic_error(std::string(what) +
                            ": replicas share frozen weights and cannot train");
   }
+  // The weights are about to change: panels packed from them and plans
+  // compiled over them would be stale.
+  packs_ = std::make_shared<nn::PackCache>();
+  plans_ = std::make_shared<ReconPlanner>();
 }
 
 DCDiffModel::Sample DCDiffModel::make_sample(int index) const {
@@ -138,21 +172,18 @@ void coord_noise_field(uint64_t seed, int e, int ch, int h, int w, int y0,
   }
 }
 
-void set_requires_grad(const std::vector<Tensor>& params, bool value) {
-  for (Tensor p : params) p.set_requires_grad(value);
-}
-
 }  // namespace
 
 void DCDiffModel::train_stage1() {
-  check_trainable("train_stage1");
+  begin_training("train_stage1");
   DCDIFF_TRACE_SPAN("train_stage1");
   DCDIFF_LOG_INFO("core.train", "stage1_begin",
                   {{"steps", cfg_.stage1_steps}, {"batch", cfg_.batch}});
   static obs::Counter& steps_done = obs::counter("core.train.stage1_steps");
-  set_requires_grad(ae_->params(), true);
-  Adam opt(ae_->params(), 1e-3f);
-  Adam dopt(disc_->params(), 1e-3f);
+  const Unfrozen ae(ae_->params());
+  const Unfrozen disc(disc_->params());
+  Adam opt(ae.params, 1e-3f);
+  Adam dopt(disc.params, 1e-3f);
   Rng rng(cfg_.seed ^ 0x57A6E1ull);
   const int gan_start = cfg_.stage1_steps / 3;
   for (int step = 0; step < cfg_.stage1_steps; ++step) {
@@ -206,23 +237,22 @@ void DCDiffModel::train_stage1() {
 }
 
 void DCDiffModel::train_stage2() {
-  check_trainable("train_stage2");
+  begin_training("train_stage2");
   DCDIFF_TRACE_SPAN("train_stage2");
   DCDIFF_LOG_INFO("core.train", "stage2_begin",
                   {{"steps", cfg_.stage2_steps},
                    {"batch", cfg_.batch},
                    {"use_mld", cfg_.use_mld ? 1 : 0}});
   static obs::Counter& steps_done = obs::counter("core.train.stage2_steps");
-  // Stage 2 freezes E^DC, E^AC and D (paper Section III-E) and trains the
-  // noise prediction network + control module.
-  set_requires_grad(ae_->params(), false);
+  // Stage 2 keeps E^DC, E^AC and D frozen (paper Section III-E) and trains
+  // the noise prediction network + control module.
   std::vector<Tensor> params = unet_->params();
   {
     auto cp = control_->params();
     params.insert(params.end(), cp.begin(), cp.end());
   }
-  set_requires_grad(params, true);
-  Adam opt(params, 1e-3f);
+  const Unfrozen trained(std::move(params));
+  Adam opt(trained.params, 1e-3f);
   Rng rng(cfg_.seed ^ 0xD1FFu);
   // Paper: finetune with L_ldm first, then add the pixel-space terms.
   // The decode branch (DC fidelity + corner anchor) always runs in the
@@ -302,15 +332,12 @@ void DCDiffModel::train_stage2() {
 }
 
 void DCDiffModel::train_fmpp() {
-  check_trainable("train_fmpp");
+  begin_training("train_fmpp");
   DCDIFF_TRACE_SPAN("train_fmpp");
   DCDIFF_LOG_INFO("core.train", "fmpp_begin", {{"steps", cfg_.fmpp_steps}});
   static obs::Counter& steps_done = obs::counter("core.train.fmpp_steps");
-  set_requires_grad(ae_->params(), false);
-  set_requires_grad(unet_->params(), false);
-  set_requires_grad(control_->params(), false);
-  set_requires_grad(fmpp_->params(), true);
-  Adam opt(fmpp_->params(), 1e-3f);
+  const Unfrozen fmpp(fmpp_->params());
+  Adam opt(fmpp.params, 1e-3f);
   Rng rng(cfg_.seed ^ 0xF4997ull);
   const int steps = std::max(2, cfg_.ddim_steps / 2);  // cheaper inner loop
   for (int step = 0; step < cfg_.fmpp_steps; ++step) {
@@ -342,7 +369,7 @@ void DCDiffModel::train_fmpp() {
         const std::vector<int> tvec(1, ts[static_cast<size_t>(k)]);
         const Tensor pred = unet_->forward(z, tvec, ctrl, f.s, f.b);
         Tensor z0 = x0_mode ? pred : predict_z0(z, pred, sched_, tvec);
-        for (float& v : z0.value()) v = std::clamp(v, -1.2f, 1.2f);
+        k_clamp(z0.value().data(), z0.value().data(), z0.numel(), -1.2f, 1.2f);
         const Tensor eps =
             x0_mode ? eps_from_z0(z, z0, sched_, tvec) : pred;
         const int t_prev = ts[static_cast<size_t>(k - 1)];
@@ -371,7 +398,7 @@ void DCDiffModel::train_fmpp() {
 }
 
 void DCDiffModel::train_or_load() {
-  check_trainable("train_or_load");
+  begin_training("train_or_load");
   DCDIFF_TRACE_SPAN("train_or_load");
   const std::string ae_path = cache_path("dcdiff_" + cfg_.ae_tag + ".bin");
   {
@@ -402,12 +429,6 @@ void DCDiffModel::train_or_load() {
       save_params(fmpp_->params(), fmpp_path);
     }
   }
-  // Inference-ready: no parameter needs a tape.
-  set_requires_grad(ae_->params(), false);
-  set_requires_grad(unet_->params(), false);
-  set_requires_grad(control_->params(), false);
-  set_requires_grad(fmpp_->params(), false);
-  set_requires_grad(disc_->params(), false);
 }
 
 Status DCDiffModel::planned_group(const Tensor& tilde_b, const float* noise,
@@ -425,7 +446,7 @@ Status DCDiffModel::planned_group(const Tensor& tilde_b, const float* noise,
   key.prediction = cfg_.prediction;
   std::shared_ptr<const plan::Plan> p;
   const Status st = plans_->get(key, *control_, *ae_, *fmpp_, *unet_, sched_,
-                                packs_.get(), &p);
+                                *packs_, &p);
   if (!st.is_ok()) return st;
   try {
     auto lease = plans_->arena_for(*p);
@@ -589,23 +610,6 @@ AnytimeResult DCDiffModel::reconstruct_batch_anytime(
         DCDIFF_TRACE_SPAN("decode");
         return ae_->decode(z0_b, acfeat);
       };
-      // Folds the (n * ensemble)-row latent back to one row per image:
-      // members added left to right, then scaled (the plan's ensemble_mean
-      // order).
-      const auto fold_rows = [&](const Tensor& rows) {
-        if (ensemble == 1) return rows;
-        std::vector<Tensor> means;
-        means.reserve(static_cast<size_t>(n));
-        for (int j = 0; j < n; ++j) {
-          Tensor acc = take_sample(rows, j * ensemble);
-          for (int e = 1; e < ensemble; ++e) {
-            acc = add(acc, take_sample(rows, j * ensemble + e));
-          }
-          means.push_back(scale(acc, 1.0f / static_cast<float>(ensemble)));
-        }
-        return n == 1 ? means[0] : stack_batch(means);
-      };
-
       std::vector<Tensor> prev_fold(static_cast<size_t>(n));
       DdimCheckpointFn hook;
       if (ctrl.on_step) {
@@ -628,7 +632,7 @@ AnytimeResult DCDiffModel::reconstruct_batch_anytime(
           if (action == AnytimeControl::Action::kEmitPartial &&
               ctrl.on_partial && done < steps) {
             DCDIFF_TRACE_SPAN("anytime_partial");
-            const Tensor z0_b = fold_rows(z0_rows);
+            const Tensor z0_b = ensemble_mean(z0_rows, n, ensemble);
             // Convergence proxy: PSNR-style distance to the item's
             // previously emitted checkpoint over the clamp range
             // [-1.2, 1.2].
@@ -665,7 +669,7 @@ AnytimeResult DCDiffModel::reconstruct_batch_anytime(
           Tensor::from_data({n * ensemble, zc, ph / 4, pw / 4},
                             std::move(noise)),
           steps, s, b, cfg_.prediction, hook);
-      xhat_b = decode(fold_rows(z_final));
+      xhat_b = decode(ensemble_mean(z_final, n, ensemble));
     }
     finish(xhat_b, [&](int j, Image img) {
       out.images[static_cast<size_t>(idx[static_cast<size_t>(j)])] =

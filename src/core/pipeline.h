@@ -157,11 +157,19 @@ class DCDiffModel {
   bool is_replica() const { return replica_; }
 
   // --- training ---
+  // A model is frozen from construction on: no parameter requires grad, so
+  // conv weights resolve to the shared PackCache panels, eager and planned
+  // alike. Each train_* call unfreezes only the parameters it steps, drops
+  // the panels and plans built from the old weights, and freezes again on
+  // return. Replicas share the source's panels, so train before
+  // replicating.
   void train_stage1();           // E^DC, E^AC, D (+ discriminator)
   void train_stage2();           // UNet + control module (L_ldm [+ MLD])
   void train_fmpp();             // FMPP (truncated backprop through DDIM)
   // Loads each component from cache or trains and caches it.
   void train_or_load();
+  // Every parameter of every component (frozen outside train_* calls).
+  std::vector<nn::Tensor> params() const;
 
   // --- inference (receiver side) ---
   // Reconstructs from a DC-dropped coefficient image. Fields of
@@ -217,7 +225,8 @@ class DCDiffModel {
   struct ReplicaTag {};
   DCDiffModel(const DCDiffModel& src, ReplicaTag);
   Sample make_sample(int index) const;
-  void check_trainable(const char* what) const;
+  // Throws for replicas; drops the panels and plans of the old weights.
+  void begin_training(const char* what);
   // The planned executor for one uniform-size group: `n` images at padded
   // size ph x pw, `tilde_b` the stacked (n,3,ph,pw) tilde batch and `noise`
   // the (n*ensemble, z_channels, ph/4, pw/4) noise rows. On success *xhat
@@ -239,8 +248,9 @@ class DCDiffModel {
   std::shared_ptr<ControlModule> control_;
   std::shared_ptr<UNet> unet_;
   std::shared_ptr<FMPP> fmpp_;
-  // PackedA weight panels, shared by replicas; bound thread-locally for the
-  // duration of each inference call (see nn/packcache.h).
+  // PackedA weight panels, shared by replicas and borrowed by every plan;
+  // bound thread-locally for the duration of each inference call (see
+  // nn/packcache.h). Replaced when training starts.
   std::shared_ptr<nn::PackCache> packs_;
   // Compiled reconstruction plans. Fresh per replica (each serving worker
   // compiles and owns its plans; the weights and PackedA panels they

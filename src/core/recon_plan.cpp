@@ -58,7 +58,7 @@ void build_recon_graph(plan::GraphBuilder& g, const ReconPlanKey& key,
 Status ReconPlanner::get(const ReconPlanKey& key, const ControlModule& control,
                          const Autoencoder& ae, const FMPP& fmpp,
                          const UNet& unet, const DiffusionSchedule& sched,
-                         nn::PackCache* packs,
+                         nn::PackCache& packs,
                          std::shared_ptr<const nn::plan::Plan>* out) {
   return cache_.get_or_build(
       key.str(),

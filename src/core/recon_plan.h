@@ -43,7 +43,7 @@ class ReconPlanner {
   // adjacent. Output 0: xhat (n,3,ph,pw).
   Status get(const ReconPlanKey& key, const ControlModule& control,
              const Autoencoder& ae, const FMPP& fmpp, const UNet& unet,
-             const DiffusionSchedule& sched, nn::PackCache* packs,
+             const DiffusionSchedule& sched, nn::PackCache& packs,
              std::shared_ptr<const nn::plan::Plan>* out);
 
   nn::plan::PlanCache::ArenaLease arena_for(const nn::plan::Plan& p) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "nn/kernels.h"
+
 namespace dcdiff::core {
 
 nn::Tensor rgb_to_tensor(const Image& rgb) {
@@ -69,23 +71,21 @@ nn::Tensor stack_batch(const std::vector<nn::Tensor>& samples) {
 }
 
 nn::Tensor repeat_batch(const nn::Tensor& batch, int k) {
-  if (k < 1) throw std::invalid_argument("repeat_batch: k < 1");
-  if (batch.ndim() < 1) throw std::invalid_argument("repeat_batch: scalar");
+  std::vector<int> shape = nn::repeat_batch_shape(batch.shape(), k);
   if (k == 1) return batch;
   const int n = batch.dim(0);
-  std::vector<int> shape = batch.shape();
-  shape[0] = n * k;
-  const size_t per = batch.numel() / static_cast<size_t>(n);
   std::vector<float> data(batch.numel() * static_cast<size_t>(k));
-  const float* src = batch.value().data();
-  float* dst = data.data();
-  for (int i = 0; i < n; ++i) {
-    for (int r = 0; r < k; ++r) {
-      std::copy(src + static_cast<size_t>(i) * per,
-                src + static_cast<size_t>(i + 1) * per, dst);
-      dst += per;
-    }
-  }
+  nn::k_repeat_batch(batch.value().data(), data.data(), n, k,
+                     batch.numel() / static_cast<size_t>(n));
+  return nn::Tensor::from_data(std::move(shape), std::move(data));
+}
+
+nn::Tensor ensemble_mean(const nn::Tensor& rows, int n, int k) {
+  std::vector<int> shape = nn::ensemble_mean_shape(rows.shape(), n, k);
+  if (k == 1) return rows;
+  std::vector<float> data(nn::shape_numel(shape));
+  nn::k_ensemble_mean(rows.value().data(), data.data(), n, k,
+                      data.size() / static_cast<size_t>(n));
   return nn::Tensor::from_data(std::move(shape), std::move(data));
 }
 

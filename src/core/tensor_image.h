@@ -30,5 +30,9 @@ nn::Tensor take_sample(const nn::Tensor& batch, int n);
 // features and FMPP factors are shared across a sample's members).
 // Non-differentiable (inference only).
 nn::Tensor repeat_batch(const nn::Tensor& batch, int k);
+// The inverse fold: the (N,...) mean of each run of k consecutive samples of
+// an (N*k,...) batch, members added left to right (nn::k_ensemble_mean, the
+// plan's order). Non-differentiable (inference only).
+nn::Tensor ensemble_mean(const nn::Tensor& rows, int n, int k);
 
 }  // namespace dcdiff::core

@@ -1,0 +1,113 @@
+// The forward of every op that both executors run: its shape rule and its
+// raw-pointer kernel, each written once.
+//
+// The eager ops (nn/ops.cpp) and the plan builder (nn/plan/builder.cpp) call
+// the same shape rule, so a graph captures exactly the shapes the tape
+// accepts. The eager ops and the plan executor (nn/plan/plan.cpp) call the
+// same kernel, so a planned forward is bit-identical to the eager one by
+// construction: there is no second loop to drift. Kernels take `out` as a
+// separate buffer; the elementwise ones and k_group_norm also accept
+// `out == input` (each element is read before its slot is written), which
+// is how the plan's fused epilogues and the DDIM clamp run in place.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "nn/tensor.h"
+
+namespace dcdiff::nn {
+
+// Minimum elements per dispatched range for memory-bound elementwise loops:
+// below this the pool's wakeup cost exceeds the loop itself.
+inline constexpr int64_t kEwGrain = 1 << 13;
+
+// ----- Shape rules -----
+// Each validates its op's operands (std::invalid_argument naming the op) and
+// returns the output shape. Optional biases are undefined Tensors.
+using Shape = std::vector<int>;
+// x (N,C,H,W), w (F,C,kH,kW), b (F) -> (N,F,Ho,Wo).
+Shape conv2d_shape(const Shape& x, const Tensor& w, const Tensor& b,
+                   int stride, int pad);
+// x (N,K), w (M,K), b (M) -> (N,M).
+Shape linear_shape(const Shape& x, const Tensor& w, const Tensor& b);
+// x (N,C,...), gamma/beta (C), C divisible by groups -> x.
+Shape group_norm_shape(const Shape& x, const Tensor& gamma,
+                       const Tensor& beta, int groups);
+// x (N,...), s (N) -> x.
+Shape mul_per_sample_shape(const Shape& x, const Shape& s);
+// x (N,C,H,W), b (N,C) -> x.
+Shape sample_channel_bias_shape(const Shape& x, const Shape& b);
+// Equal ranks >= 2, equal dims except dim 1 -> channels summed.
+Shape concat_channels_shape(const Shape& a, const Shape& b);
+// 0 <= c0 < c1 <= C -> channels [c0, c1).
+Shape slice_channels_shape(const Shape& a, int c0, int c1);
+// Same element count -> `to`.
+Shape reshape_shape(const Shape& a, const Shape& to);
+// (N,C,H,W), H and W divisible by k -> (N,C,H/k,W/k).
+Shape avg_pool2d_shape(const Shape& x, int k);
+// (N,C,H,W) -> (N,C).
+Shape global_avg_pool_shape(const Shape& x);
+// (N,C,H,W) -> (N,C,2H,2W).
+Shape upsample2x_shape(const Shape& x);
+// (N,...), k >= 1 -> (N*k,...).
+Shape repeat_batch_shape(const Shape& x, int k);
+// (N*e,...), N >= 1, e >= 1 -> (N,...).
+Shape ensemble_mean_shape(const Shape& x, int n, int e);
+
+// ----- Kernels -----
+void k_silu(const float* a, float* out, size_t n);
+void k_relu(const float* a, float* out, size_t n);
+void k_tanh(const float* a, float* out, size_t n);
+void k_sigmoid(const float* a, float* out, size_t n);
+void k_clamp(const float* a, float* out, size_t n, float lo, float hi);
+void k_add(const float* a, const float* b, float* out, size_t n);
+void k_sub(const float* a, const float* b, float* out, size_t n);
+void k_scale(const float* a, float* out, size_t n, float s);
+
+// x (N,...) * s (N) broadcast over each sample of `per` elements.
+void k_mul_per_sample(const float* x, const float* s, float* out, size_t n,
+                      size_t per);
+// x (N,C,H,W) + b (N,C) broadcast over each (sample, channel) plane.
+void k_add_sample_channel_bias(const float* x, const float* b, float* out,
+                               size_t n, size_t inner);
+
+void k_concat_channels(const float* a, const float* b, float* out, int n,
+                       size_t sa, size_t sb);
+void k_slice_channels(const float* a, float* out, int n, size_t stride_in,
+                      size_t stride_out, size_t skip);
+
+// out (n,m) = x (n,k) * w^T + bias, through nn::gemm_rows, so each row's
+// bits are independent of n.
+void k_linear(const float* x, int n, int k, int m, const float* w,
+              const float* bias, float* out);
+
+// Normalization statistics of one (sample, group) slice of `n` elements,
+// xhat = (x - mu) * istd: the mean and the squared deviations are summed in
+// double precision over four interleaved accumulator chains (a single
+// serial chain is FP-add-latency bound, ~3x slower). The group-norm forward
+// and backward both take their statistics from here.
+struct GroupStats {
+  float mu;
+  float istd;
+};
+GroupStats group_stats(const float* p, size_t n, float eps);
+
+// Group norm of x (n,c,inner...), parallel over (sample, group) pairs.
+void k_group_norm(const float* x, const float* gamma, const float* beta,
+                  float* out, int n, int c, int groups, size_t inner,
+                  float eps);
+
+void k_avg_pool2d(const float* x, float* out, int n, int c, int h, int w,
+                  int k);
+void k_global_avg_pool(const float* x, float* out, int n, int c, int h,
+                       int w);
+void k_upsample2x(const float* x, float* out, int n, int c, int h, int w);
+// [s0 x k, s1 x k, ...] for n samples of `per` elements.
+void k_repeat_batch(const float* x, float* out, int n, int k, size_t per);
+// Row i of out = mean over rows [i*e, (i+1)*e) of x: members added left to
+// right, then scaled by 1/e.
+void k_ensemble_mean(const float* x, float* out, int n, int e, size_t per);
+
+}  // namespace dcdiff::nn

@@ -5,16 +5,13 @@
 #include <optional>
 
 #include "nn/gemm.h"
+#include "nn/kernels.h"
 #include "nn/packcache.h"
 #include "nn/threadpool.h"
 #include "nn/workspace.h"
 
 namespace dcdiff::nn {
 namespace {
-
-// Minimum elements per dispatched range for memory-bound elementwise loops:
-// below this the pool's wakeup cost exceeds the loop itself.
-constexpr int64_t kEwGrain = 1 << 13;
 
 void accumulate(TensorNode& parent, const std::vector<float>& delta) {
   parent.ensure_grad();
@@ -28,20 +25,14 @@ void accumulate(TensorNode& parent, const std::vector<float>& delta) {
 
 bool wants_grad(const Tensor& t) { return t.requires_grad(); }
 
-int conv_out_dim(int in, int k, int stride, int pad) {
-  return (in + 2 * pad - k) / stride + 1;
-}
-
 }  // namespace
 
 // ---------- Elementwise ----------
 
 Tensor add(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "add");
+  check_same_shape(a.shape(), b.shape(), "add");
   std::vector<float> out(a.numel());
-  const auto& av = a.value();
-  const auto& bv = b.value();
-  for (size_t i = 0; i < out.size(); ++i) out[i] = av[i] + bv[i];
+  k_add(a.value().data(), b.value().data(), out.data(), out.size());
   return make_result(a.shape(), std::move(out), {a, b},
                      [a, b](TensorNode& self) {
                        if (wants_grad(a)) accumulate(*a.node(), self.grad);
@@ -50,11 +41,9 @@ Tensor add(const Tensor& a, const Tensor& b) {
 }
 
 Tensor sub(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "sub");
+  check_same_shape(a.shape(), b.shape(), "sub");
   std::vector<float> out(a.numel());
-  const auto& av = a.value();
-  const auto& bv = b.value();
-  for (size_t i = 0; i < out.size(); ++i) out[i] = av[i] - bv[i];
+  k_sub(a.value().data(), b.value().data(), out.data(), out.size());
   return make_result(a.shape(), std::move(out), {a, b},
                      [a, b](TensorNode& self) {
                        if (wants_grad(a)) accumulate(*a.node(), self.grad);
@@ -73,7 +62,7 @@ Tensor sub(const Tensor& a, const Tensor& b) {
 }
 
 Tensor mul(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "mul");
+  check_same_shape(a.shape(), b.shape(), "mul");
   std::vector<float> out(a.numel());
   const auto& av = a.value();
   const auto& bv = b.value();
@@ -113,8 +102,7 @@ Tensor mul(const Tensor& a, const Tensor& b) {
 
 Tensor scale(const Tensor& a, float s) {
   std::vector<float> out(a.numel());
-  const auto& av = a.value();
-  for (size_t i = 0; i < out.size(); ++i) out[i] = av[i] * s;
+  k_scale(a.value().data(), out.data(), out.size(), s);
   return make_result(a.shape(), std::move(out), {a},
                      [a, s](TensorNode& self) {
                        if (!wants_grad(a)) return;
@@ -140,8 +128,7 @@ Tensor neg(const Tensor& a) { return scale(a, -1.0f); }
 
 Tensor relu(const Tensor& a) {
   std::vector<float> out(a.numel());
-  const auto& av = a.value();
-  for (size_t i = 0; i < out.size(); ++i) out[i] = av[i] > 0 ? av[i] : 0.0f;
+  k_relu(a.value().data(), out.data(), out.size());
   return make_result(a.shape(), std::move(out), {a},
                      [a](TensorNode& self) {
                        if (!wants_grad(a)) return;
@@ -162,10 +149,7 @@ Tensor relu(const Tensor& a) {
 
 Tensor sigmoid(const Tensor& a) {
   std::vector<float> out(a.numel());
-  const auto& av = a.value();
-  for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = 1.0f / (1.0f + std::exp(-av[i]));
-  }
+  k_sigmoid(a.value().data(), out.data(), out.size());
   return make_result(a.shape(), std::move(out), {a},
                      [a](TensorNode& self) {
                        if (!wants_grad(a)) return;
@@ -180,10 +164,7 @@ Tensor sigmoid(const Tensor& a) {
 
 Tensor silu(const Tensor& a) {
   std::vector<float> out(a.numel());
-  const auto& av = a.value();
-  for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = av[i] / (1.0f + std::exp(-av[i]));
-  }
+  k_silu(a.value().data(), out.data(), out.size());
   return make_result(a.shape(), std::move(out), {a},
                      [a](TensorNode& self) {
                        if (!wants_grad(a)) return;
@@ -200,8 +181,7 @@ Tensor silu(const Tensor& a) {
 
 Tensor tanh_op(const Tensor& a) {
   std::vector<float> out(a.numel());
-  const auto& av = a.value();
-  for (size_t i = 0; i < out.size(); ++i) out[i] = std::tanh(av[i]);
+  k_tanh(a.value().data(), out.data(), out.size());
   return make_result(a.shape(), std::move(out), {a},
                      [a](TensorNode& self) {
                        if (!wants_grad(a)) return;
@@ -263,14 +243,11 @@ Tensor add_bias(const Tensor& x, const Tensor& bias) {
 }
 
 Tensor mul_per_sample(const Tensor& x, const Tensor& s) {
-  if (s.ndim() != 1 || s.dim(0) != x.dim(0)) {
-    throw std::invalid_argument("mul_per_sample: s must be (N)");
-  }
+  mul_per_sample_shape(x.shape(), s.shape());
   const size_t per = x.numel() / static_cast<size_t>(x.dim(0));
   std::vector<float> out(x.numel());
-  const auto& xv = x.value();
-  const auto& sv = s.value();
-  for (size_t i = 0; i < out.size(); ++i) out[i] = xv[i] * sv[i / per];
+  k_mul_per_sample(x.value().data(), s.value().data(), out.data(), out.size(),
+                   per);
   return make_result(
       x.shape(), std::move(out), {x, s}, [x, s, per](TensorNode& self) {
         if (wants_grad(x)) {
@@ -293,15 +270,11 @@ Tensor mul_per_sample(const Tensor& x, const Tensor& s) {
 }
 
 Tensor add_sample_channel_bias(const Tensor& x, const Tensor& b) {
-  if (x.ndim() != 4 || b.ndim() != 2 || b.dim(0) != x.dim(0) ||
-      b.dim(1) != x.dim(1)) {
-    throw std::invalid_argument("add_sample_channel_bias: shape");
-  }
+  sample_channel_bias_shape(x.shape(), b.shape());
   const size_t inner = static_cast<size_t>(x.dim(2)) * x.dim(3);
   std::vector<float> out(x.numel());
-  const auto& xv = x.value();
-  const auto& bv = b.value();
-  for (size_t i = 0; i < out.size(); ++i) out[i] = xv[i] + bv[i / inner];
+  k_add_sample_channel_bias(x.value().data(), b.value().data(), out.data(),
+                            out.size(), inner);
   return make_result(x.shape(), std::move(out), {x, b},
                      [x, b, inner](TensorNode& self) {
                        if (wants_grad(x)) accumulate(*x.node(), self.grad);
@@ -335,7 +308,7 @@ Tensor mean(const Tensor& a) {
 }
 
 Tensor mse_loss(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "mse_loss");
+  check_same_shape(a.shape(), b.shape(), "mse_loss");
   double acc = 0.0;
   const auto& av = a.value();
   const auto& bv = b.value();
@@ -368,7 +341,7 @@ Tensor mse_loss(const Tensor& a, const Tensor& b) {
 }
 
 Tensor l1_loss(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "l1_loss");
+  check_same_shape(a.shape(), b.shape(), "l1_loss");
   double acc = 0.0;
   const auto& av = a.value();
   const auto& bv = b.value();
@@ -446,38 +419,20 @@ Tensor cross_entropy(const Tensor& x, const std::vector<int>& targets) {
 // ---------- Shape ----------
 
 Tensor reshape(const Tensor& a, std::vector<int> new_shape) {
-  if (shape_numel(new_shape) != a.numel()) {
-    throw std::invalid_argument("reshape: numel mismatch");
-  }
   std::vector<float> out = a.value();
-  return make_result(std::move(new_shape), std::move(out), {a},
+  return make_result(reshape_shape(a.shape(), new_shape), std::move(out), {a},
                      [a](TensorNode& self) {
                        if (wants_grad(a)) accumulate(*a.node(), self.grad);
                      });
 }
 
 Tensor concat_channels(const Tensor& a, const Tensor& b) {
-  if (a.ndim() != b.ndim() || a.ndim() < 2) {
-    throw std::invalid_argument("concat_channels: rank mismatch");
-  }
-  for (int d = 0; d < a.ndim(); ++d) {
-    if (d != 1 && a.dim(d) != b.dim(d)) {
-      throw std::invalid_argument("concat_channels: dim mismatch");
-    }
-  }
+  std::vector<int> out_shape = concat_channels_shape(a.shape(), b.shape());
   const int n = a.dim(0);
-  const int ca = a.dim(1), cb = b.dim(1);
-  const size_t inner_a = a.numel() / (static_cast<size_t>(n) * ca);
-  std::vector<int> out_shape = a.shape();
-  out_shape[1] = ca + cb;
+  const size_t sa = a.numel() / static_cast<size_t>(n);
+  const size_t sb = b.numel() / static_cast<size_t>(n);
   std::vector<float> out(shape_numel(out_shape));
-  const size_t sa = static_cast<size_t>(ca) * inner_a;
-  const size_t sb = static_cast<size_t>(cb) * inner_a;
-  for (int i = 0; i < n; ++i) {
-    std::copy_n(a.value().data() + i * sa, sa, out.data() + i * (sa + sb));
-    std::copy_n(b.value().data() + i * sb, sb,
-                out.data() + i * (sa + sb) + sa);
-  }
+  k_concat_channels(a.value().data(), b.value().data(), out.data(), n, sa, sb);
   return make_result(
       std::move(out_shape), std::move(out), {a, b},
       [a, b, n, sa, sb](TensorNode& self) {
@@ -503,21 +458,14 @@ Tensor concat_channels(const Tensor& a, const Tensor& b) {
 }
 
 Tensor slice_channels(const Tensor& a, int c0, int c1) {
-  if (a.ndim() < 2 || c0 < 0 || c1 > a.dim(1) || c0 >= c1) {
-    throw std::invalid_argument("slice_channels: bad range");
-  }
+  std::vector<int> out_shape = slice_channels_shape(a.shape(), c0, c1);
   const int n = a.dim(0);
-  const int c = a.dim(1);
-  const size_t inner = a.numel() / (static_cast<size_t>(n) * c);
-  std::vector<int> out_shape = a.shape();
-  out_shape[1] = c1 - c0;
+  const size_t inner = a.numel() / (static_cast<size_t>(n) * a.dim(1));
   std::vector<float> out(shape_numel(out_shape));
-  const size_t stride_in = static_cast<size_t>(c) * inner;
+  const size_t stride_in = static_cast<size_t>(a.dim(1)) * inner;
   const size_t stride_out = static_cast<size_t>(c1 - c0) * inner;
-  for (int i = 0; i < n; ++i) {
-    std::copy_n(a.value().data() + i * stride_in + c0 * inner, stride_out,
-                out.data() + i * stride_out);
-  }
+  k_slice_channels(a.value().data(), out.data(), n, stride_in, stride_out,
+                   c0 * inner);
   return make_result(
       std::move(out_shape), std::move(out), {a},
       [a, n, c0, inner, stride_in, stride_out](TensorNode& self) {
@@ -535,31 +483,11 @@ Tensor slice_channels(const Tensor& a, int c0, int c1) {
 // ---------- Linear ----------
 
 Tensor linear(const Tensor& x, const Tensor& w, const Tensor& b) {
-  if (x.ndim() != 2 || w.ndim() != 2 || x.dim(1) != w.dim(1)) {
-    throw std::invalid_argument("linear: shape mismatch");
-  }
+  linear_shape(x.shape(), w, b);
   const int n = x.dim(0), kk = x.dim(1), m = w.dim(0);
-  if (b.defined() && (b.ndim() != 1 || b.dim(0) != m)) {
-    throw std::invalid_argument("linear: bias mismatch");
-  }
   std::vector<float> out(static_cast<size_t>(n) * m);
-  const float* xv = x.value().data();
-  const float* wv = w.value().data();
-  const float* bv = b.defined() ? b.value().data() : nullptr;
-  // out = x (n x k) * w^T (k x m); bias added row-wise afterwards. Rows are
-  // batch items, so they route per row.
-  gemm_rows(/*trans_a=*/false, /*trans_b=*/true, n, m, kk, xv, kk, wv, kk,
-            0.0f, out.data(), m);
-  if (bv) {
-    parallel_for_ranges(
-        n, std::max<int64_t>(1, kEwGrain / std::max(1, m)),
-        [&](int64_t i0, int64_t i1) {
-          for (int64_t i = i0; i < i1; ++i) {
-            float* orow = out.data() + i * m;
-            for (int j = 0; j < m; ++j) orow[j] += bv[j];
-          }
-        });
-  }
+  k_linear(x.value().data(), n, kk, m, w.value().data(),
+           b.defined() ? b.value().data() : nullptr, out.data());
   std::vector<Tensor> parents = b.defined()
                                     ? std::vector<Tensor>{x, w, b}
                                     : std::vector<Tensor>{x, w};
@@ -604,17 +532,10 @@ Tensor linear(const Tensor& x, const Tensor& w, const Tensor& b) {
 
 Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b, int stride,
               int pad) {
-  if (x.ndim() != 4 || w.ndim() != 4 || x.dim(1) != w.dim(1)) {
-    throw std::invalid_argument("conv2d: shape mismatch");
-  }
+  const std::vector<int> out_shape = conv2d_shape(x.shape(), w, b, stride, pad);
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), ww = x.dim(3);
   const int f = w.dim(0), kh = w.dim(2), kw = w.dim(3);
-  const int ho = conv_out_dim(h, kh, stride, pad);
-  const int wo = conv_out_dim(ww, kw, stride, pad);
-  if (ho <= 0 || wo <= 0) throw std::invalid_argument("conv2d: empty output");
-  if (b.defined() && (b.ndim() != 1 || b.dim(0) != f)) {
-    throw std::invalid_argument("conv2d: bias mismatch");
-  }
+  const int ho = out_shape[2], wo = out_shape[3];
   const int kdim = c * kh * kw;           // GEMM reduction depth
   const int64_t npix = static_cast<int64_t>(ho) * wo;  // output pixels
   // 1x1 stride-1 unpadded convs (attention q/k/v/proj, ResBlock shortcuts)
@@ -627,10 +548,10 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b, int stride,
   // The weight matrix is identical for every sample, so it is packed into
   // micro-kernel panels once (PackedA) and the whole batch, bias included,
   // runs as one conv2d_forward dispatch. Frozen weights under a bound
-  // PackCache (inference through a trained model) reuse process-lifetime
-  // panels: packed once per weight node per process instead of once per
-  // call, and shared across model replicas. Anything that might still train
-  // re-packs locally.
+  // PackCache (inference through a model) reuse process-lifetime panels:
+  // packed once per weight node per process instead of once per call, and
+  // shared with model replicas and compiled plans. Anything that might
+  // still train re-packs locally.
   PackCache* pack_cache = PackCache::current();
   std::optional<PackedA> local_pack;
   const PackedA* pw = nullptr;
@@ -647,7 +568,7 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b, int stride,
                                     ? std::vector<Tensor>{x, w, b}
                                     : std::vector<Tensor>{x, w};
   return make_result(
-      {n, f, ho, wo}, std::move(out), std::move(parents),
+      out_shape, std::move(out), std::move(parents),
       [x, w, b, n, c, h, ww, f, kh, kw, ho, wo, stride, pad, kdim, npix,
        fast_1x1](TensorNode& self) {
         const float* go = self.grad.data();
@@ -719,30 +640,14 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b, int stride,
 }
 
 Tensor avg_pool2d(const Tensor& x, int k) {
-  if (x.ndim() != 4) throw std::invalid_argument("avg_pool2d: x not 4-D");
+  std::vector<int> out_shape = avg_pool2d_shape(x.shape(), k);
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  if (h % k || w % k) throw std::invalid_argument("avg_pool2d: not divisible");
   const int ho = h / k, wo = w / k;
-  std::vector<float> out(static_cast<size_t>(n) * c * ho * wo);
-  const auto& xv = x.value();
+  std::vector<float> out(shape_numel(out_shape));
+  k_avg_pool2d(x.value().data(), out.data(), n, c, h, w, k);
   const float inv = 1.0f / static_cast<float>(k * k);
-  for (int t = 0; t < n * c; ++t) {
-    const float* xp = xv.data() + static_cast<size_t>(t) * h * w;
-    float* op = out.data() + static_cast<size_t>(t) * ho * wo;
-    for (int oy = 0; oy < ho; ++oy) {
-      for (int ox = 0; ox < wo; ++ox) {
-        float acc = 0.0f;
-        for (int dy = 0; dy < k; ++dy) {
-          for (int dx = 0; dx < k; ++dx) {
-            acc += xp[(oy * k + dy) * w + ox * k + dx];
-          }
-        }
-        op[oy * wo + ox] = acc * inv;
-      }
-    }
-  }
   return make_result(
-      {n, c, ho, wo}, std::move(out), {x},
+      std::move(out_shape), std::move(out), {x},
       [x, n, c, h, w, ho, wo, k, inv](TensorNode& self) {
         if (!wants_grad(x)) return;
         auto& g = *x.node();
@@ -765,17 +670,12 @@ Tensor avg_pool2d(const Tensor& x, int k) {
 }
 
 Tensor global_avg_pool(const Tensor& x) {
-  if (x.ndim() != 4) throw std::invalid_argument("global_avg_pool: not 4-D");
+  std::vector<int> out_shape = global_avg_pool_shape(x.shape());
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   std::vector<float> out(static_cast<size_t>(n) * c);
+  k_global_avg_pool(x.value().data(), out.data(), n, c, h, w);
   const float inv = 1.0f / static_cast<float>(h * w);
-  for (int t = 0; t < n * c; ++t) {
-    const float* xp = x.value().data() + static_cast<size_t>(t) * h * w;
-    float acc = 0.0f;
-    for (int i = 0; i < h * w; ++i) acc += xp[i];
-    out[static_cast<size_t>(t)] = acc * inv;
-  }
-  return make_result({n, c}, std::move(out), {x},
+  return make_result(std::move(out_shape), std::move(out), {x},
                      [x, n, c, h, w, inv](TensorNode& self) {
                        if (!wants_grad(x)) return;
                        auto& g = *x.node();
@@ -790,20 +690,12 @@ Tensor global_avg_pool(const Tensor& x) {
 }
 
 Tensor upsample_nearest2x(const Tensor& x) {
-  if (x.ndim() != 4) throw std::invalid_argument("upsample: x not 4-D");
+  std::vector<int> out_shape = upsample2x_shape(x.shape());
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const int ho = h * 2, wo = w * 2;
-  std::vector<float> out(static_cast<size_t>(n) * c * ho * wo);
-  for (int t = 0; t < n * c; ++t) {
-    const float* xp = x.value().data() + static_cast<size_t>(t) * h * w;
-    float* op = out.data() + static_cast<size_t>(t) * ho * wo;
-    for (int oy = 0; oy < ho; ++oy) {
-      for (int ox = 0; ox < wo; ++ox) {
-        op[oy * wo + ox] = xp[(oy / 2) * w + ox / 2];
-      }
-    }
-  }
-  return make_result({n, c, ho, wo}, std::move(out), {x},
+  std::vector<float> out(shape_numel(out_shape));
+  k_upsample2x(x.value().data(), out.data(), n, c, h, w);
+  return make_result(std::move(out_shape), std::move(out), {x},
                      [x, n, c, h, w, ho, wo](TensorNode& self) {
                        if (!wants_grad(x)) return;
                        auto& g = *x.node();
@@ -823,8 +715,8 @@ Tensor upsample_nearest2x(const Tensor& x) {
 }
 
 Tensor spatial_attention(const Tensor& q, const Tensor& k, const Tensor& v) {
-  check_same_shape(q, k, "spatial_attention");
-  check_same_shape(q, v, "spatial_attention");
+  check_same_shape(q.shape(), k.shape(), "spatial_attention");
+  check_same_shape(q.shape(), v.shape(), "spatial_attention");
   if (q.ndim() != 4) throw std::invalid_argument("spatial_attention: rank");
   const int n = q.dim(0), c = q.dim(1);
   const int l = q.dim(2) * q.dim(3);
@@ -956,82 +848,30 @@ Tensor spatial_attention(const Tensor& q, const Tensor& k, const Tensor& v) {
       });
 }
 
-double lat_hiding_sum(const float* p, size_t n) {
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a0 += p[i];
-    a1 += p[i + 1];
-    a2 += p[i + 2];
-    a3 += p[i + 3];
-  }
-  for (; i < n; ++i) a0 += p[i];
-  return (a0 + a1) + (a2 + a3);
-}
-
-double lat_hiding_sumsq(const float* p, size_t n, double mu) {
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const double d0 = p[i] - mu, d1 = p[i + 1] - mu;
-    const double d2 = p[i + 2] - mu, d3 = p[i + 3] - mu;
-    a0 += d0 * d0;
-    a1 += d1 * d1;
-    a2 += d2 * d2;
-    a3 += d3 * d3;
-  }
-  for (; i < n; ++i) {
-    const double d = p[i] - mu;
-    a0 += d * d;
-  }
-  return (a0 + a1) + (a2 + a3);
-}
-
 Tensor group_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                   int groups, float eps) {
-  if (x.ndim() < 2) throw std::invalid_argument("group_norm: rank");
+  group_norm_shape(x.shape(), gamma, beta, groups);
   const int n = x.dim(0), c = x.dim(1);
-  if (c % groups) throw std::invalid_argument("group_norm: C % groups != 0");
-  if (gamma.ndim() != 1 || gamma.dim(0) != c || beta.ndim() != 1 ||
-      beta.dim(0) != c) {
-    throw std::invalid_argument("group_norm: affine shape");
-  }
   const size_t inner = x.numel() / (static_cast<size_t>(n) * c);
   const int cpg = c / groups;
   const size_t gsize = static_cast<size_t>(cpg) * inner;
-
-  auto xhat = std::make_shared<std::vector<float>>(x.numel());
-  auto istd = std::make_shared<std::vector<float>>(
-      static_cast<size_t>(n) * groups);
   std::vector<float> out(x.numel());
-  const float* xv = x.value().data();
-  const float* gv = gamma.value().data();
-  const float* bv = beta.value().data();
-  for (int ni = 0; ni < n; ++ni) {
-    for (int gi = 0; gi < groups; ++gi) {
-      const size_t base =
-          (static_cast<size_t>(ni) * c + static_cast<size_t>(gi) * cpg) *
-          inner;
-      const double mu =
-          lat_hiding_sum(xv + base, gsize) / static_cast<double>(gsize);
-      const double var = lat_hiding_sumsq(xv + base, gsize, mu) /
-                         static_cast<double>(gsize);
-      const float is = static_cast<float>(1.0 / std::sqrt(var + eps));
-      (*istd)[static_cast<size_t>(ni) * groups + gi] = is;
-      for (size_t i = 0; i < gsize; ++i) {
-        const float xh = (xv[base + i] - static_cast<float>(mu)) * is;
-        (*xhat)[base + i] = xh;
-        const size_t ch = static_cast<size_t>(gi) * cpg + i / inner;
-        out[base + i] = gv[ch] * xh + bv[ch];
-      }
-    }
-  }
+  k_group_norm(x.value().data(), gamma.value().data(), beta.value().data(),
+               out.data(), n, c, groups, inner, eps);
   return make_result(
       x.shape(), std::move(out), {x, gamma, beta},
-      [x, gamma, beta, xhat, istd, n, c, groups, cpg, inner,
-       gsize](TensorNode& self) {
+      [x, gamma, beta, n, c, groups, cpg, inner, gsize,
+       eps](TensorNode& self) {
         const float* go = self.grad.data();
+        const float* xv = x.value().data();
         const float* gv2 = gamma.value().data();
+        // The forward keeps no xhat: each (sample, group)'s statistics are
+        // recomputed by the forward's own reduction, so every xhat below,
+        // (x - mu) * istd, has the forward's bits.
+        std::vector<GroupStats> stats(static_cast<size_t>(n) * groups);
+        for (size_t t = 0; t < stats.size(); ++t) {
+          stats[t] = group_stats(xv + t * gsize, gsize, eps);
+        }
         if (wants_grad(gamma)) {
           auto& g = *gamma.node();
           g.ensure_grad();
@@ -1039,9 +879,11 @@ Tensor group_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
             for (int ch = 0; ch < c; ++ch) {
               const size_t base =
                   (static_cast<size_t>(ni) * c + ch) * inner;
+              const GroupStats st =
+                  stats[static_cast<size_t>(ni) * groups + ch / cpg];
               float acc = 0.0f;
               for (size_t i = 0; i < inner; ++i) {
-                acc += go[base + i] * (*xhat)[base + i];
+                acc += go[base + i] * ((xv[base + i] - st.mu) * st.istd);
               }
               g.grad[static_cast<size_t>(ch)] += acc;
             }
@@ -1063,32 +905,28 @@ Tensor group_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
         if (wants_grad(x)) {
           auto& g = *x.node();
           g.ensure_grad();
-          for (int ni = 0; ni < n; ++ni) {
-            for (int gi = 0; gi < groups; ++gi) {
-              const size_t base =
-                  (static_cast<size_t>(ni) * c +
-                   static_cast<size_t>(gi) * cpg) *
-                  inner;
-              // dxhat = go * gamma (per channel)
-              double mean_dxhat = 0.0, mean_dxhat_xhat = 0.0;
-              for (size_t i = 0; i < gsize; ++i) {
-                const size_t ch = static_cast<size_t>(gi) * cpg + i / inner;
-                const double d = static_cast<double>(go[base + i]) * gv2[ch];
-                mean_dxhat += d;
-                mean_dxhat_xhat += d * (*xhat)[base + i];
-              }
-              mean_dxhat /= static_cast<double>(gsize);
-              mean_dxhat_xhat /= static_cast<double>(gsize);
-              const float is =
-                  (*istd)[static_cast<size_t>(ni) * groups + gi];
-              for (size_t i = 0; i < gsize; ++i) {
-                const size_t ch = static_cast<size_t>(gi) * cpg + i / inner;
-                const float dxhat = go[base + i] * gv2[ch];
-                g.grad[base + i] +=
-                    is * (dxhat - static_cast<float>(mean_dxhat) -
-                          (*xhat)[base + i] *
-                              static_cast<float>(mean_dxhat_xhat));
-              }
+          for (size_t t = 0; t < stats.size(); ++t) {
+            const int gi = static_cast<int>(t % groups);
+            const size_t base = t * gsize;
+            const GroupStats st = stats[t];
+            // dxhat = go * gamma (per channel)
+            double mean_dxhat = 0.0, mean_dxhat_xhat = 0.0;
+            for (size_t i = 0; i < gsize; ++i) {
+              const size_t ch = static_cast<size_t>(gi) * cpg + i / inner;
+              const double d = static_cast<double>(go[base + i]) * gv2[ch];
+              const float xh = (xv[base + i] - st.mu) * st.istd;
+              mean_dxhat += d;
+              mean_dxhat_xhat += d * xh;
+            }
+            mean_dxhat /= static_cast<double>(gsize);
+            mean_dxhat_xhat /= static_cast<double>(gsize);
+            for (size_t i = 0; i < gsize; ++i) {
+              const size_t ch = static_cast<size_t>(gi) * cpg + i / inner;
+              const float dxhat = go[base + i] * gv2[ch];
+              const float xh = (xv[base + i] - st.mu) * st.istd;
+              g.grad[base + i] +=
+                  st.istd * (dxhat - static_cast<float>(mean_dxhat) -
+                             xh * static_cast<float>(mean_dxhat_xhat));
             }
           }
         }

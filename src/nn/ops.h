@@ -3,13 +3,13 @@
 // All ops validate shapes eagerly, compute forward immediately, and register
 // reverse-mode closures (only when gradients are enabled and some input
 // requires them). Convolution and linear layers parallelize across the global
-// thread pool deterministically.
+// thread pool deterministically. Every op the compiled plan also runs takes
+// its shape rule and forward kernel from nn/kernels.h.
 //
 // Layout conventions: 2-D tensors are (N, K); convolutional tensors are
 // NCHW; weights are (Cout, Cin, kH, kW).
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "nn/tensor.h"
@@ -73,15 +73,9 @@ Tensor spatial_attention(const Tensor& q, const Tensor& k, const Tensor& v);
 
 // ----- Normalization -----
 // x: (N,C,H,W) or (N,C); gamma, beta: (C). C must be divisible by groups.
+// Keeps no normalized copy of x: the backward recomputes the statistics.
 Tensor group_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                   int groups, float eps = 1e-5f);
-// The group statistics behind group_norm and the plan's k_group_norm: the
-// sum of p[0, n) and the sum of squared deviations from `mu`, each in
-// double precision over four interleaved accumulator chains (a single
-// serial chain is FP-add-latency bound, ~3x slower). One reduction order
-// for both executors keeps planned and eager group norm bit-identical.
-double lat_hiding_sum(const float* p, size_t n);
-double lat_hiding_sumsq(const float* p, size_t n, double mu);
 
 // ----- Utilities -----
 // Sinusoidal timestep embedding (constant, no grad): (N, dim).

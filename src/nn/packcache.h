@@ -11,15 +11,19 @@
 //
 // Safety contract: entries are immutable after construction and keyed by
 // TensorNode identity, so a cache hit is only sound while the node's value
-// buffer never changes. Callers therefore consult the cache only for frozen
-// weights (`!w.requires_grad()`) outside autograd recording
-// (`!grad_enabled()`); training paths always re-pack. The cache holds a
-// shared_ptr to each cached node, so panels never dangle even if the owning
-// model is destroyed first.
+// buffer never changes. Only frozen weights (`!w.requires_grad()`) are
+// looked up: the eager conv2d consults the cache only for those and only
+// outside autograd recording (`!grad_enabled()`), and a plan refuses to
+// build over a conv weight that requires grad. core::DCDiffModel keeps that
+// sound for its own weights: it is frozen from construction on, and each
+// train_* call replaces the model's cache (and drops its plans) before any
+// weight changes. The cache holds a shared_ptr to each cached node, so
+// panels never dangle even if the owning model is destroyed first.
 //
 // Binding follows the same thread-local pattern as nn::PoolBinding: a model
 // binds its cache with PackCacheBinding for the duration of an inference
-// call, and conv2d consults PackCache::current().
+// call, and conv2d consults PackCache::current(); compiled plans take the
+// cache explicitly and resolve their conv panels through it at build time.
 #pragma once
 
 #include <cstdint>

@@ -2,9 +2,9 @@
 //
 // Capture methods (Conv2d::capture, UNet::capture, ...) call the op-emitting
 // methods below exactly where the eager forward would call the nn/ops.cpp
-// functions; the builder performs the same shape validation those functions
-// do (throwing std::invalid_argument on mismatch — PlanCache turns that into
-// a typed Status) and records ops with fully-resolved output shapes.
+// functions; each op runs the same shape rule (nn/kernels.h) its eager
+// function does (throwing std::invalid_argument on mismatch — PlanCache
+// turns that into a typed Status) and records the rule's output shape.
 #pragma once
 
 #include <unordered_map>
@@ -64,9 +64,6 @@ class GraphBuilder {
  private:
   TensorId add_tensor(std::vector<int> shape, Storage storage, int index);
   TensorId emit(Op op, std::vector<int> out_shape);
-  int dim(TensorId id, int d) const;
-  int ndim(TensorId id) const;
-  size_t numel(TensorId id) const;
 
   Graph* g_;
   std::unordered_map<const TensorNode*, TensorId> param_ids_;

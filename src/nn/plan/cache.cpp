@@ -12,7 +12,7 @@
 namespace dcdiff::nn::plan {
 
 Status PlanCache::get_or_build(const std::string& key,
-                               const CaptureFn& capture, PackCache* packs,
+                               const CaptureFn& capture, PackCache& packs,
                                std::shared_ptr<const Plan>* out) {
   static obs::Counter& hits = obs::counter("plan.cache_hits");
   static obs::Counter& builds = obs::counter("plan.builds");
@@ -64,6 +64,9 @@ Status PlanCache::get_or_build(const std::string& key,
         evictions.inc();
       }
     }
+    // Idle arenas of a size no cached plan uses any more are freed.
+    std::erase_if(arena_pool_,
+                  [&](const auto& kv) { return !size_in_use(kv.first); });
   }
   *out = std::move(plan);
   return Status::ok();
@@ -98,7 +101,17 @@ PlanCache::ArenaLease::~ArenaLease() {
 
 void PlanCache::release_arena(std::unique_ptr<ExecArena> arena) {
   std::lock_guard<std::mutex> lock(mu_);
-  arena_pool_[arena->floats()].push_back(std::move(arena));
+  // An arena whose size no cached plan uses is freed instead of pooled.
+  if (size_in_use(arena->floats())) {
+    arena_pool_[arena->floats()].push_back(std::move(arena));
+  }
+}
+
+bool PlanCache::size_in_use(size_t floats) const {
+  for (const auto& [key, plan] : plans_) {
+    if (plan->arena_floats() == floats) return true;
+  }
+  return false;
 }
 
 size_t PlanCache::size() const {

@@ -1,6 +1,7 @@
 // PlanCache: per-replica registry of compiled plans keyed by shape/config
 // string, plus a pooled-arena checkout so steady-state planned forwards
-// allocate nothing.
+// allocate nothing. The pool holds arenas only of sizes some cached plan
+// uses, so evicting a plan also frees its idle arenas.
 //
 // Build failures (unsupported op reached during capture, malformed graph)
 // surface as a typed Status — never an exception escaping into a serving
@@ -33,16 +34,18 @@ class PlanCache {
   PlanCache& operator=(const PlanCache&) = delete;
 
   // The cached plan for `key`, building on a miss by running `capture` into
-  // a fresh Graph and compiling it (weights resolved through `packs`, which
-  // may be null). Bounded FIFO: the oldest plan is evicted past kMaxPlans
-  // (in-flight shared_ptr holders keep evicted plans alive). Thread-safe;
-  // concurrent misses for one key may build twice, last build wins.
+  // a fresh Graph and compiling it (conv weights resolved through `packs`,
+  // which must outlive the plan). Bounded FIFO: the oldest plan is evicted
+  // past kMaxPlans (in-flight shared_ptr holders keep evicted plans alive).
+  // Thread-safe; concurrent misses for one key may build twice, last build
+  // wins.
   Status get_or_build(const std::string& key, const CaptureFn& capture,
-                      PackCache* packs, std::shared_ptr<const Plan>* out);
+                      PackCache& packs, std::shared_ptr<const Plan>* out);
 
   // RAII checkout of an arena sized for a plan. Returned to the per-size
-  // pool on destruction; `allocated()` says whether this checkout had to
-  // create the arena (steady state: false).
+  // pool on destruction (or freed, when no cached plan has that size any
+  // more); `allocated()` says whether this checkout had to create the arena
+  // (steady state: false).
   class ArenaLease {
    public:
     ArenaLease(PlanCache* cache, std::unique_ptr<ExecArena> arena,
@@ -74,6 +77,8 @@ class PlanCache {
  private:
   friend class ArenaLease;
   void release_arena(std::unique_ptr<ExecArena> arena);
+  // Whether a cached plan runs in arenas of `floats`; caller holds mu_.
+  bool size_in_use(size_t floats) const;
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, std::shared_ptr<const Plan>> plans_;

@@ -9,14 +9,12 @@
 // autograd tape, and no shape logic — the steady state is two allocations
 // per replica total: the plan itself and its arena.
 //
-// Every kernel the executor runs keeps the per-element arithmetic of the
-// corresponding eager loop in nn/ops.cpp, and fusion only merges memory
-// passes (it never reassociates per-element math). The one deliberate
-// exception is k_group_norm's mean/variance reduction, which interleaves
-// four double-precision accumulator chains to hide FP-add latency — a
-// reassociation of double partials whose effect on the fp32 outputs is
-// below measurement in practice (tests assert planned == eager to 1e-5;
-// the bench observes 0.0 on the shipped configs).
+// Every op executes the nn/kernels.h kernel its eager op in nn/ops.cpp
+// runs, group-norm reduction included, and every conv the PackCache panels
+// the eager conv2d uses. Fusion only merges memory passes: an epilogue runs
+// its standalone kernel in place over the producer's output, never
+// reassociated math. So planned == eager byte for byte, which the tests
+// assert exactly.
 #pragma once
 
 #include <cstdint>

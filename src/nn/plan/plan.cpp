@@ -1,28 +1,40 @@
 #include "nn/plan/plan.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include <memory>
-
+#include "nn/kernels.h"
 #include "nn/packcache.h"
-#include "nn/plan/kernels.h"
 #include "obs/env.h"
 #include "obs/trace.h"
 
 namespace dcdiff::nn::plan {
 namespace {
 
-size_t inner_of(const TensorInfo& t) {
+size_t inner_of(const std::vector<int>& shape) {
   size_t inner = 1;
-  for (size_t d = 2; d < t.shape.size(); ++d) {
-    inner *= static_cast<size_t>(t.shape[d]);
+  for (size_t d = 2; d < shape.size(); ++d) {
+    inner *= static_cast<size_t>(shape[d]);
   }
   return inner;
+}
+
+// A fused activation epilogue, run in place over the op's written output
+// with the standalone activation's own kernel.
+void apply_post_inplace(PostOp post, float* p, size_t n) {
+  switch (post) {
+    case PostOp::kNone: break;
+    case PostOp::kSiLU: k_silu(p, p, n); break;
+    case PostOp::kRelu: k_relu(p, p, n); break;
+    case PostOp::kTanh: k_tanh(p, p, n); break;
+    case PostOp::kSigmoid: k_sigmoid(p, p, n); break;
+  }
 }
 
 const char* kind_name(OpKind k) {
@@ -67,30 +79,25 @@ double now_us() {
 
 }  // namespace
 
-Plan::Plan(Graph&& g, PackCache* packs) : graph_(std::move(g)) {
+Plan::Plan(Graph&& g, PackCache& packs) : graph_(std::move(g)) {
   if (graph_.outputs.empty()) {
     throw std::invalid_argument("plan: graph has no outputs");
   }
   stats_ = fuse_graph(&graph_);
   arena_floats_ = plan_memory(&graph_);
-  conv_packs_.resize(graph_.ops.size());
+  conv_panels_.resize(graph_.ops.size(), nullptr);
   for (size_t i = 0; i < graph_.ops.size(); ++i) {
     const Op& op = graph_.ops[i];
     if (op.kind != OpKind::kConv2d) continue;
     const Tensor& w =
         graph_.params[static_cast<size_t>(
             graph_.tensors[static_cast<size_t>(op.in[1])].index)];
-    const int f = w.dim(0);
-    const int kdim = w.dim(1) * w.dim(2) * w.dim(3);
-    ConvPack& cp = conv_packs_[i];
-    if (packs != nullptr && !w.requires_grad()) {
-      // Same process-lifetime panels the eager conv2d resolves, shared
-      // across replicas; the cache's keep_alive pins the weight node.
-      cp.panels = &packs->get(w, f, kdim);
-    } else {
-      cp.owned.emplace(false, f, kdim, w.value().data(), kdim);
-      cp.panels = &*cp.owned;
+    if (w.requires_grad()) {
+      throw std::invalid_argument("plan: conv weight still requires grad");
     }
+    // The process-lifetime panels the eager conv2d resolves, shared across
+    // replicas; the cache's keep_alive pins the weight node.
+    conv_panels_[i] = &packs.get(w, w.dim(0), w.dim(1) * w.dim(2) * w.dim(3));
   }
 }
 
@@ -156,38 +163,40 @@ void Plan::run(ExecArena& arena, const std::vector<const float*>& inputs,
     const TensorInfo& ot = graph_.tensors[static_cast<size_t>(op.out)];
     float* out = base + ot.offset;
     const float* a = resolve(op.in[0], base, inputs);
+    // First input's shape: x of the conv/linear/pool ops, a of concat/slice.
+    const std::vector<int>& xs =
+        graph_.tensors[static_cast<size_t>(op.in[0])].shape;
     const double t0 = profile_enabled() ? now_us() : 0;
     switch (op.kind) {
       case OpKind::kConv2d: {
-        const TensorInfo& xt = graph_.tensors[static_cast<size_t>(op.in[0])];
         const TensorInfo& wt = graph_.tensors[static_cast<size_t>(op.in[1])];
         const float* bias =
             op.i2 ? resolve(op.in[2], base, inputs) : nullptr;
-        k_conv2d(a, xt.shape[0], xt.shape[1], xt.shape[2], xt.shape[3],
-                 *conv_packs_[i].panels, wt.shape[2], wt.shape[3], op.i0,
-                 op.i1, ot.shape[2], ot.shape[3], bias, out);
+        conv_panels_[i]->conv2d_forward(a, xs[0], xs[1], xs[2], xs[3],
+                                        wt.shape[2], wt.shape[3], op.i0,
+                                        op.i1, ot.shape[2], ot.shape[3], bias,
+                                        out);
         if (op.fused_gn) {
           const size_t nin = op.in.size();
           const float* gamma = resolve(op.in[nin - 2], base, inputs);
           const float* beta = resolve(op.in[nin - 1], base, inputs);
           k_group_norm(out, gamma, beta, out, ot.shape[0], ot.shape[1],
-                       op.i3, inner_of(ot), op.f0);
+                       op.i3, inner_of(ot.shape), op.f0);
         }
         break;
       }
       case OpKind::kLinear: {
-        const TensorInfo& xt = graph_.tensors[static_cast<size_t>(op.in[0])];
         const float* w = resolve(op.in[1], base, inputs);
         const float* bias =
             op.i2 ? resolve(op.in[2], base, inputs) : nullptr;
-        k_linear(a, xt.shape[0], xt.shape[1], ot.shape[1], w, bias, out);
+        k_linear(a, xs[0], xs[1], ot.shape[1], w, bias, out);
         break;
       }
       case OpKind::kGroupNorm: {
         const float* gamma = resolve(op.in[1], base, inputs);
         const float* beta = resolve(op.in[2], base, inputs);
         k_group_norm(a, gamma, beta, out, ot.shape[0], ot.shape[1], op.i0,
-                     inner_of(ot), op.f0);
+                     inner_of(ot.shape), op.f0);
         break;
       }
       case OpKind::kSiLU:
@@ -216,58 +225,44 @@ void Plan::run(ExecArena& arena, const std::vector<const float*>& inputs,
         break;
       case OpKind::kAddSampleChannelBias:
         k_add_sample_channel_bias(a, resolve(op.in[1], base, inputs), out,
-                                  ot.numel, inner_of(ot));
+                                  ot.numel, inner_of(ot.shape));
         break;
       case OpKind::kMulPerSample:
         k_mul_per_sample(a, resolve(op.in[1], base, inputs), out, ot.numel,
                          ot.numel / static_cast<size_t>(ot.shape[0]));
         break;
       case OpKind::kConcatChannels: {
-        const TensorInfo& at = graph_.tensors[static_cast<size_t>(op.in[0])];
         const TensorInfo& bt = graph_.tensors[static_cast<size_t>(op.in[1])];
-        const size_t inner = inner_of(at);
-        k_concat_channels(a, resolve(op.in[1], base, inputs), out,
-                          at.shape[0],
-                          static_cast<size_t>(at.shape[1]) * inner,
+        const size_t inner = inner_of(xs);
+        k_concat_channels(a, resolve(op.in[1], base, inputs), out, xs[0],
+                          static_cast<size_t>(xs[1]) * inner,
                           static_cast<size_t>(bt.shape[1]) * inner);
         break;
       }
       case OpKind::kSliceChannels: {
-        const TensorInfo& at = graph_.tensors[static_cast<size_t>(op.in[0])];
-        const size_t inner = inner_of(at);
-        k_slice_channels(a, out, at.shape[0],
-                         static_cast<size_t>(at.shape[1]) * inner,
+        const size_t inner = inner_of(xs);
+        k_slice_channels(a, out, xs[0],
+                         static_cast<size_t>(xs[1]) * inner,
                          static_cast<size_t>(op.i1 - op.i0) * inner,
                          static_cast<size_t>(op.i0) * inner);
         break;
       }
       case OpKind::kReshape:
-        k_copy(a, out, ot.numel);
+        std::copy_n(a, ot.numel, out);
         break;
-      case OpKind::kAvgPool2d: {
-        const TensorInfo& xt = graph_.tensors[static_cast<size_t>(op.in[0])];
-        k_avg_pool2d(a, out, xt.shape[0], xt.shape[1], xt.shape[2],
-                     xt.shape[3], op.i0);
+      case OpKind::kAvgPool2d:
+        k_avg_pool2d(a, out, xs[0], xs[1], xs[2], xs[3], op.i0);
         break;
-      }
-      case OpKind::kGlobalAvgPool: {
-        const TensorInfo& xt = graph_.tensors[static_cast<size_t>(op.in[0])];
-        k_global_avg_pool(a, out, xt.shape[0], xt.shape[1], xt.shape[2],
-                          xt.shape[3]);
+      case OpKind::kGlobalAvgPool:
+        k_global_avg_pool(a, out, xs[0], xs[1], xs[2], xs[3]);
         break;
-      }
-      case OpKind::kUpsample2x: {
-        const TensorInfo& xt = graph_.tensors[static_cast<size_t>(op.in[0])];
-        k_upsample2x(a, out, xt.shape[0], xt.shape[1], xt.shape[2],
-                     xt.shape[3]);
+      case OpKind::kUpsample2x:
+        k_upsample2x(a, out, xs[0], xs[1], xs[2], xs[3]);
         break;
-      }
-      case OpKind::kRepeatBatch: {
-        const TensorInfo& xt = graph_.tensors[static_cast<size_t>(op.in[0])];
-        k_repeat_batch(a, out, xt.shape[0], op.i0,
-                       xt.numel / static_cast<size_t>(xt.shape[0]));
+      case OpKind::kRepeatBatch:
+        k_repeat_batch(a, out, xs[0], op.i0,
+                       ot.numel / static_cast<size_t>(ot.shape[0]));
         break;
-      }
       case OpKind::kEnsembleMean:
         k_ensemble_mean(a, out, op.i0, op.i1,
                         ot.numel / static_cast<size_t>(ot.shape[0]));

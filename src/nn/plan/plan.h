@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "nn/gemm.h"
@@ -37,13 +36,14 @@ class ExecArena {
 
 class Plan {
  public:
-  // Compiles `g`: fusion, liveness arena planning, weight resolution.
-  // Frozen conv weights resolve through `packs` (shared, process-lifetime
-  // panels — the same ones the eager path uses); with no cache, or for
-  // weights that might still train, the plan packs privately. Throws
-  // std::invalid_argument / std::runtime_error on malformed graphs
-  // (PlanCache::get_or_build converts that into a typed Status).
-  Plan(Graph&& g, PackCache* packs);
+  // Compiles `g`: fusion, liveness arena planning, weight resolution. Conv
+  // weights resolve to `packs`' panels, the ones the eager conv2d uses, so
+  // a plan packs nothing of its own; `packs` must outlive the plan. A plan
+  // bakes in the weights it was built from, so every conv weight must be
+  // frozen: one that still requires grad is a std::invalid_argument, as is
+  // a malformed graph (PlanCache::get_or_build converts either into a typed
+  // Status).
+  Plan(Graph&& g, PackCache& packs);
 
   size_t arena_floats() const { return arena_floats_; }
   int num_inputs() const { return graph_.num_inputs; }
@@ -61,18 +61,14 @@ class Plan {
            std::vector<const float*>* outputs) const;
 
  private:
-  struct ConvPack {
-    const PackedA* panels = nullptr;   // borrowed from PackCache, or...
-    std::optional<PackedA> owned;      // ...packed privately at build
-  };
   const float* resolve(TensorId id, float* arena,
                        const std::vector<const float*>& inputs) const;
 
   Graph graph_;
   FusionStats stats_;
   size_t arena_floats_ = 0;
-  std::vector<ConvPack> conv_packs_;  // parallel to graph_.ops (empty slots
-                                      // for non-conv ops)
+  // Borrowed PackCache panels, parallel to graph_.ops (null for non-conv).
+  std::vector<const PackedA*> conv_panels_;
 };
 
 }  // namespace dcdiff::nn::plan

@@ -28,11 +28,11 @@ std::string shape_str(const std::vector<int>& shape) {
   return s + "]";
 }
 
-void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
-  if (a.shape() != b.shape()) {
+void check_same_shape(const std::vector<int>& a, const std::vector<int>& b,
+                      const char* op) {
+  if (a != b) {
     throw std::invalid_argument(std::string(op) + ": shape mismatch " +
-                                shape_str(a.shape()) + " vs " +
-                                shape_str(b.shape()));
+                                shape_str(a) + " vs " + shape_str(b));
   }
 }
 

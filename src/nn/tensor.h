@@ -80,7 +80,8 @@ size_t shape_numel(const std::vector<int>& shape);
 // Human-readable shape (for error messages).
 std::string shape_str(const std::vector<int>& shape);
 // Throws unless the two shapes match exactly.
-void check_same_shape(const Tensor& a, const Tensor& b, const char* op);
+void check_same_shape(const std::vector<int>& a, const std::vector<int>& b,
+                      const char* op);
 
 // RAII guard disabling tape recording (inference mode).
 class NoGradGuard {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 
 #include "data/datasets.h"
@@ -186,6 +187,60 @@ TEST_F(PipelineTest, CornerAnchoringFixesGlobalBrightness) {
   for (float v : rec.plane(0)) mean += v;
   mean /= static_cast<double>(rec.plane(0).size());
   EXPECT_NEAR(mean, 210.0, 25.0);
+}
+
+// Byte-for-byte image equality (memcmp of every plane).
+bool same_bytes(const Image& a, const Image& b) {
+  if (a.width() != b.width() || a.height() != b.height() ||
+      a.channels() != b.channels()) {
+    return false;
+  }
+  for (int c = 0; c < a.channels(); ++c) {
+    if (std::memcmp(a.plane(c).data(), b.plane(c).data(),
+                    a.plane(c).size() * sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+int trainable_params(const DCDiffModel& model) {
+  int n = 0;
+  for (const nn::Tensor& p : model.params()) n += p.requires_grad() ? 1 : 0;
+  return n;
+}
+
+// A model is frozen from construction on; a train_* call unfreezes only for
+// its own duration.
+TEST_F(PipelineTest, ModelIsFrozenOutsideTraining) {
+  DCDiffModel model(tiny_config("frozen"));
+  EXPECT_FALSE(model.params().empty());
+  EXPECT_EQ(trainable_params(model), 0);
+  model.train_stage1();
+  EXPECT_EQ(trainable_params(model), 0);
+}
+
+// Training drops the panels and plans built from the old weights: a model
+// that reconstructs, trains and reconstructs again matches, planned and
+// eager, a twin that only trained.
+TEST_F(PipelineTest, TrainingAfterReconstructLeavesNoStalePanels) {
+  const Image img = data::dataset_image(data::DatasetId::kKodak, 3, 32);
+  const jpeg::CoeffImage dropped = dropped_for(img);
+  DCDiffModel model(tiny_config("fresh"));
+  DCDiffModel twin(tiny_config("fresh"));
+  for (const bool planned : {true, false}) {
+    set_plan_enabled(planned);
+    (void)model.reconstruct(dropped);
+  }
+  model.train_stage2();
+  twin.train_stage2();
+  for (const bool planned : {true, false}) {
+    set_plan_enabled(planned);
+    EXPECT_TRUE(same_bytes(model.reconstruct(dropped),
+                           twin.reconstruct(dropped)))
+        << "planned=" << planned;
+  }
+  set_plan_enabled(true);
 }
 
 TEST_F(PipelineTest, MldTrainingPathRuns) {

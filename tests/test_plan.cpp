@@ -4,8 +4,8 @@
 // The load-bearing properties:
 //   * Planned execution is bit-identical to the eager tape path for
 //     reconstruct(), reconstruct_batch() and a hook-free
-//     reconstruct_batch_anytime() (the plan's kernels clone the eager loop
-//     bodies, group-norm reductions included).
+//     reconstruct_batch_anytime() (both executors call the nn/kernels.h
+//     kernels and the same PackCache panels).
 //   * An image's pixels do not depend on its batch-mates: reconstruct(x)
 //     equals row 0 of reconstruct_batch({x, ...}) byte for byte at the
 //     paper's UNet widths, planned and eager.
@@ -15,23 +15,35 @@
 //     never consulted.
 //   * Steady state allocates nothing: after warmup, repeated planned
 //     forwards grow neither the plan arena pool nor the thread workspace.
-//   * Plan build failures surface as a typed Status, never an exception.
+//   * Plan build failures surface as a typed Status, never an exception; a
+//     conv weight that still requires grad is such a failure.
+//   * Every op kind and fused form runs the eager op's kernel: a one-op plan
+//     equals the eager op chain byte for byte.
+//   * Plans borrow the model's PackCache panels (one per conv weight), and
+//     the arena pool holds only sizes that cached plans use.
 //   * Replica-sharded serving works with per-replica plans (this suite runs
 //     under the `concurrency` CTest label; a TSan build exercises it).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <future>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/pipeline.h"
+#include "core/tensor_image.h"
 #include "data/datasets.h"
 #include "jpeg/codec.h"
+#include "nn/modules.h"
+#include "nn/packcache.h"
 #include "nn/plan/builder.h"
 #include "nn/plan/cache.h"
 #include "nn/workspace.h"
@@ -311,6 +323,7 @@ TEST_F(PlanTest, SteadyStatePlannedForwardAllocatesNothing) {
 
 TEST(PlanCacheTest, BuildFailureSurfacesAsStatus) {
   nn::plan::PlanCache cache;
+  nn::PackCache packs;
   std::shared_ptr<const nn::plan::Plan> plan;
 
   // A capture that throws (unsupported op) becomes invalid_argument.
@@ -319,32 +332,352 @@ TEST(PlanCacheTest, BuildFailureSurfacesAsStatus) {
       [](nn::plan::GraphBuilder&) {
         throw std::invalid_argument("unsupported op");
       },
-      nullptr, &plan);
+      packs, &plan);
   EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(cache.size(), 0u);
 
   // A capture that marks no output is a malformed graph, same code.
   const Status empty = cache.get_or_build(
       "empty", [](nn::plan::GraphBuilder& g) { (void)g.input({1, 4}); },
-      nullptr, &plan);
+      packs, &plan);
   EXPECT_EQ(empty.code(), StatusCode::kInvalidArgument);
 
-  // A well-formed graph compiles and runs the same math as eager.
+  // A well-formed graph compiles (its math: EveryOpMatchesEager below).
   const Status ok = cache.get_or_build(
       "ok",
       [](nn::plan::GraphBuilder& g) { g.mark_output(g.silu(g.input({1, 4}))); },
-      nullptr, &plan);
+      packs, &plan);
   ASSERT_TRUE(ok.is_ok()) << ok.to_string();
   EXPECT_EQ(cache.size(), 1u);
-  auto lease = cache.arena_for(*plan);
-  const float in[4] = {-1.0f, 0.0f, 0.5f, 2.0f};
-  std::vector<const float*> outs;
-  plan->run(lease.arena(), {in}, &outs);
-  ASSERT_EQ(outs.size(), 1u);
-  for (int i = 0; i < 4; ++i) {
-    const float want = in[i] / (1.0f + std::exp(-in[i]));
-    EXPECT_EQ(outs[0][i], want) << "lane " << i;
+}
+
+// A plan bakes in the weights it was built from and borrows the shared
+// panels, so a conv weight that may still train is refused at build time.
+TEST(PlanCacheTest, TrainableConvWeightIsRefused) {
+  nn::plan::PlanCache cache;
+  nn::PackCache packs;
+  Rng rng(7);
+  nn::Conv2d conv(3, 4, 3, 1, 1, rng);  // a fresh layer requires grad
+  ASSERT_TRUE(conv.w.requires_grad());
+  const auto capture = [&](nn::plan::GraphBuilder& g) {
+    g.mark_output(conv.capture(g, g.input({1, 3, 8, 8})));
+  };
+  std::shared_ptr<const nn::plan::Plan> plan;
+  EXPECT_EQ(cache.get_or_build("conv", capture, packs, &plan).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(packs.size(), 0u);
+
+  conv.w.set_requires_grad(false);
+  EXPECT_TRUE(cache.get_or_build("conv", capture, packs, &plan).is_ok());
+  EXPECT_EQ(packs.size(), 1u);
+}
+
+// ---- every op kind and fused form equals its eager op chain ----
+
+nn::Tensor random_tensor(std::vector<int> shape, Rng& rng) {
+  std::vector<float> v(nn::shape_numel(shape));
+  for (float& x : v) x = rng.uniform(-2.0f, 2.0f);
+  return nn::Tensor::from_data(std::move(shape), std::move(v));
+}
+
+TEST(PlanCacheTest, EveryOpMatchesEager) {
+  using nn::Tensor;
+  using nn::plan::GraphBuilder;
+  using nn::plan::TensorId;
+  using Ids = std::vector<TensorId>;
+  using Ts = std::vector<Tensor>;
+  Rng rng(17);
+  // Frozen parameters: conv (8,4,3,3), group norm over 8 channels in 4
+  // groups, linear (6,5).
+  const Tensor cw = random_tensor({8, 4, 3, 3}, rng);
+  const Tensor cb = random_tensor({8}, rng);
+  const Tensor gamma = random_tensor({8}, rng);
+  const Tensor beta = random_tensor({8}, rng);
+  const Tensor lw = random_tensor({6, 5}, rng);
+  const Tensor lb = random_tensor({6}, rng);
+  const std::vector<int> x4 = {2, 3, 4, 5};
+
+  struct Case {
+    std::string name;
+    std::vector<std::vector<int>> inputs;  // one graph input per shape
+    std::function<TensorId(GraphBuilder&, const Ids&)> planned;
+    std::function<Tensor(const Ts&)> eager;
+  };
+  std::vector<Case> cases = {
+      {"conv2d", {{2, 4, 6, 6}},
+       [&](GraphBuilder& g, const Ids& in) {
+         return g.conv2d(in[0], cw, cb, 1, 1);
+       },
+       [&](const Ts& in) { return nn::conv2d(in[0], cw, cb, 1, 1); }},
+      {"conv2d_stride2_nobias", {{2, 4, 7, 7}},
+       [&](GraphBuilder& g, const Ids& in) {
+         return g.conv2d(in[0], cw, Tensor(), 2, 0);
+       },
+       [&](const Ts& in) { return nn::conv2d(in[0], cw, Tensor(), 2, 0); }},
+      {"linear", {{3, 5}},
+       [&](GraphBuilder& g, const Ids& in) { return g.linear(in[0], lw, lb); },
+       [&](const Ts& in) { return nn::linear(in[0], lw, lb); }},
+      {"group_norm", {{2, 8, 5, 5}},
+       [&](GraphBuilder& g, const Ids& in) {
+         return g.group_norm(in[0], gamma, beta, 4);
+       },
+       [&](const Ts& in) { return nn::group_norm(in[0], gamma, beta, 4); }},
+      {"silu", {x4},
+       [](GraphBuilder& g, const Ids& in) { return g.silu(in[0]); },
+       [](const Ts& in) { return nn::silu(in[0]); }},
+      {"relu", {x4},
+       [](GraphBuilder& g, const Ids& in) { return g.relu(in[0]); },
+       [](const Ts& in) { return nn::relu(in[0]); }},
+      {"tanh", {x4},
+       [](GraphBuilder& g, const Ids& in) { return g.tanh(in[0]); },
+       [](const Ts& in) { return nn::tanh_op(in[0]); }},
+      {"sigmoid", {x4},
+       [](GraphBuilder& g, const Ids& in) { return g.sigmoid(in[0]); },
+       [](const Ts& in) { return nn::sigmoid(in[0]); }},
+      // The eager clamp is the DDIM sampler's in-place pass over z0.
+      {"clamp", {x4},
+       [](GraphBuilder& g, const Ids& in) {
+         return g.clamp(in[0], -1.2f, 1.2f);
+       },
+       [](const Ts& in) {
+         std::vector<float> v = in[0].value();
+         for (float& x : v) x = std::clamp(x, -1.2f, 1.2f);
+         return Tensor::from_data(in[0].shape(), std::move(v));
+       }},
+      {"add", {x4, x4},
+       [](GraphBuilder& g, const Ids& in) { return g.add(in[0], in[1]); },
+       [](const Ts& in) { return nn::add(in[0], in[1]); }},
+      {"sub", {x4, x4},
+       [](GraphBuilder& g, const Ids& in) { return g.sub(in[0], in[1]); },
+       [](const Ts& in) { return nn::sub(in[0], in[1]); }},
+      {"scale", {x4},
+       [](GraphBuilder& g, const Ids& in) { return g.scale(in[0], 0.37f); },
+       [](const Ts& in) { return nn::scale(in[0], 0.37f); }},
+      {"add_sample_channel_bias", {x4, {2, 3}},
+       [](GraphBuilder& g, const Ids& in) {
+         return g.add_sample_channel_bias(in[0], in[1]);
+       },
+       [](const Ts& in) { return nn::add_sample_channel_bias(in[0], in[1]); }},
+      {"mul_per_sample", {x4, {2}},
+       [](GraphBuilder& g, const Ids& in) {
+         return g.mul_per_sample(in[0], in[1]);
+       },
+       [](const Ts& in) { return nn::mul_per_sample(in[0], in[1]); }},
+      {"concat_channels", {x4, {2, 2, 4, 5}},
+       [](GraphBuilder& g, const Ids& in) {
+         return g.concat_channels(in[0], in[1]);
+       },
+       [](const Ts& in) { return nn::concat_channels(in[0], in[1]); }},
+      {"slice_channels", {{2, 5, 4, 3}},
+       [](GraphBuilder& g, const Ids& in) {
+         return g.slice_channels(in[0], 1, 4);
+       },
+       [](const Ts& in) { return nn::slice_channels(in[0], 1, 4); }},
+      {"reshape", {x4},
+       [](GraphBuilder& g, const Ids& in) { return g.reshape(in[0], {6, 20}); },
+       [](const Ts& in) { return nn::reshape(in[0], {6, 20}); }},
+      {"avg_pool2d", {{2, 3, 8, 6}},
+       [](GraphBuilder& g, const Ids& in) { return g.avg_pool2d(in[0], 2); },
+       [](const Ts& in) { return nn::avg_pool2d(in[0], 2); }},
+      {"global_avg_pool", {x4},
+       [](GraphBuilder& g, const Ids& in) { return g.global_avg_pool(in[0]); },
+       [](const Ts& in) { return nn::global_avg_pool(in[0]); }},
+      {"upsample2x", {x4},
+       [](GraphBuilder& g, const Ids& in) { return g.upsample2x(in[0]); },
+       [](const Ts& in) { return nn::upsample_nearest2x(in[0]); }},
+      {"repeat_batch", {x4},
+       [](GraphBuilder& g, const Ids& in) { return g.repeat_batch(in[0], 3); },
+       [](const Ts& in) { return core::repeat_batch(in[0], 3); }},
+      // The eager fold of ensemble rows: members added left to right, then
+      // scaled.
+      {"ensemble_mean", {{6, 3, 4, 5}},
+       [](GraphBuilder& g, const Ids& in) {
+         return g.ensemble_mean(in[0], 2, 3);
+       },
+       [](const Ts& in) {
+         std::vector<Tensor> means;
+         for (int j = 0; j < 2; ++j) {
+           Tensor acc = core::take_sample(in[0], 3 * j);
+           for (int m = 1; m < 3; ++m) {
+             acc = nn::add(acc, core::take_sample(in[0], 3 * j + m));
+           }
+           means.push_back(nn::scale(acc, 1.0f / 3.0f));
+         }
+         return core::stack_batch(means);
+       }},
+      // Fused forms: conv + group norm [+ activation].
+      {"conv2d+group_norm", {{2, 4, 6, 6}},
+       [&](GraphBuilder& g, const Ids& in) {
+         return g.group_norm(g.conv2d(in[0], cw, cb, 1, 1), gamma, beta, 4);
+       },
+       [&](const Ts& in) {
+         return nn::group_norm(nn::conv2d(in[0], cw, cb, 1, 1), gamma, beta,
+                               4);
+       }},
+      {"conv2d+group_norm+silu", {{2, 4, 6, 6}},
+       [&](GraphBuilder& g, const Ids& in) {
+         return g.silu(
+             g.group_norm(g.conv2d(in[0], cw, cb, 1, 1), gamma, beta, 4));
+       },
+       [&](const Ts& in) {
+         return nn::silu(nn::group_norm(nn::conv2d(in[0], cw, cb, 1, 1),
+                                        gamma, beta, 4));
+       }},
+  };
+  // Fused forms: conv / group norm / linear followed by each activation.
+  struct Act {
+    const char* name;
+    TensorId (GraphBuilder::*planned)(TensorId);
+    Tensor (*eager)(const Tensor&);
+  };
+  const Act acts[] = {{"silu", &GraphBuilder::silu, &nn::silu},
+                      {"relu", &GraphBuilder::relu, &nn::relu},
+                      {"tanh", &GraphBuilder::tanh, &nn::tanh_op},
+                      {"sigmoid", &GraphBuilder::sigmoid, &nn::sigmoid}};
+  for (const Act& act : acts) {
+    cases.push_back(
+        {std::string("conv2d+") + act.name, {{2, 4, 6, 6}},
+         [&](GraphBuilder& g, const Ids& in) {
+           return (g.*act.planned)(g.conv2d(in[0], cw, cb, 1, 1));
+         },
+         [&](const Ts& in) {
+           return act.eager(nn::conv2d(in[0], cw, cb, 1, 1));
+         }});
+    cases.push_back(
+        {std::string("group_norm+") + act.name, {{2, 8, 5, 5}},
+         [&](GraphBuilder& g, const Ids& in) {
+           return (g.*act.planned)(g.group_norm(in[0], gamma, beta, 4));
+         },
+         [&](const Ts& in) {
+           return act.eager(nn::group_norm(in[0], gamma, beta, 4));
+         }});
+    cases.push_back(
+        {std::string("linear+") + act.name, {{3, 5}},
+         [&](GraphBuilder& g, const Ids& in) {
+           return (g.*act.planned)(g.linear(in[0], lw, lb));
+         },
+         [&](const Ts& in) { return act.eager(nn::linear(in[0], lw, lb)); }});
   }
+
+  nn::plan::PlanCache cache;
+  nn::PackCache packs;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Ts inputs;
+    std::vector<const float*> ptrs;
+    for (const std::vector<int>& shape : c.inputs) {
+      inputs.push_back(random_tensor(shape, rng));
+      ptrs.push_back(inputs.back().value().data());
+    }
+    std::shared_ptr<const nn::plan::Plan> plan;
+    const Status st = cache.get_or_build(
+        c.name,
+        [&](GraphBuilder& g) {
+          Ids ids;
+          for (const std::vector<int>& shape : c.inputs) {
+            ids.push_back(g.input(shape));
+          }
+          g.mark_output(c.planned(g, ids));
+        },
+        packs, &plan);
+    ASSERT_TRUE(st.is_ok()) << st.to_string();
+    EXPECT_EQ(plan->num_ops(), 1u);  // one op, or one fully fused chain
+    auto lease = cache.arena_for(*plan);
+    std::vector<const float*> outs;
+    plan->run(lease.arena(), ptrs, &outs);
+    const Tensor want = c.eager(inputs);
+    ASSERT_EQ(plan->output_shape(0), want.shape());
+    EXPECT_EQ(std::memcmp(outs[0], want.value().data(),
+                          want.numel() * sizeof(float)),
+              0);
+  }
+}
+
+// ---- the arena pool follows the plan cache ----
+
+// Evicting a plan frees its idle arenas, and an arena released after its
+// plan left the cache is freed rather than pooled: a rebuilt plan has to
+// allocate again.
+TEST(PlanCacheTest, EvictedPlanLeavesNoPooledArena) {
+  nn::plan::PlanCache cache;
+  nn::PackCache packs;
+  obs::Counter& allocs = obs::counter("plan.arena_allocs");
+  std::shared_ptr<const nn::plan::Plan> plan;
+  // Plan i is a silu over 16 * (i + 1) floats: one arena size per plan.
+  const auto build = [&](int i) {
+    const Status st = cache.get_or_build(
+        "p" + std::to_string(i),
+        [i](nn::plan::GraphBuilder& g) {
+          g.mark_output(g.silu(g.input({1, 16 * (i + 1)})));
+        },
+        packs, &plan);
+    ASSERT_TRUE(st.is_ok()) << st.to_string();
+  };
+  build(0);
+  const std::shared_ptr<const nn::plan::Plan> first = plan;
+  {
+    auto a = cache.arena_for(*first);
+    auto b = cache.arena_for(*first);
+  }  // two arenas of plan 0's size pooled
+  std::optional<nn::plan::PlanCache::ArenaLease> held;
+  held.emplace(cache.arena_for(*first));
+  EXPECT_FALSE(held->allocated());
+  for (int i = 1; i <= static_cast<int>(nn::plan::PlanCache::kMaxPlans);
+       ++i) {
+    build(i);  // the last build evicts plan 0
+  }
+  held.reset();  // released after its plan left the cache
+
+  build(0);
+  const uint64_t before = allocs.value();
+  auto lease = cache.arena_for(*plan);
+  EXPECT_TRUE(lease.allocated());
+  EXPECT_EQ(allocs.value(), before + 1);
+}
+
+// ---- one set of weight panels per model ----
+
+// A model is frozen from construction on, so its plans borrow the shared
+// PackCache panels: the first planned reconstruct packs each conv weight it
+// runs exactly once (the count an eager twin packs), and neither the eager
+// path nor a replica's own plans pack anything again.
+TEST(PlanPanels, PlansBorrowOnePanelPerConvWeight) {
+  core::DCDiffConfig cfg;  // paper widths, random init
+  cfg.ddim_steps = 2;
+  const Image img = data::dataset_image(data::DatasetId::kKodak, 0, 32);
+  const jpeg::CoeffImage coeffs =
+      jpeg::decode_jfif(core::sender_encode(img).bytes);
+  obs::Counter& misses = obs::counter("nn.packcache.misses");
+  obs::Counter& builds = obs::counter("plan.builds");
+
+  core::set_plan_enabled(false);
+  const core::DCDiffModel twin(cfg);
+  uint64_t before = misses.value();
+  (void)twin.reconstruct(coeffs);
+  const uint64_t conv_weights = misses.value() - before;
+  ASSERT_GT(conv_weights, 0u);
+
+  core::set_plan_enabled(true);
+  const auto model = std::make_shared<const core::DCDiffModel>(cfg);
+  before = misses.value();
+  uint64_t builds_before = builds.value();
+  (void)model->reconstruct(coeffs);
+  EXPECT_EQ(builds.value(), builds_before + 1);
+  EXPECT_EQ(misses.value() - before, conv_weights);
+
+  core::set_plan_enabled(false);
+  before = misses.value();
+  (void)model->reconstruct(coeffs);
+  EXPECT_EQ(misses.value(), before);
+  core::set_plan_enabled(true);
+
+  const auto replica = core::DCDiffModel::replicate(model);
+  before = misses.value();
+  builds_before = builds.value();
+  (void)replica->reconstruct(coeffs);
+  EXPECT_EQ(builds.value(), builds_before + 1);
+  EXPECT_EQ(misses.value(), before);
 }
 
 // ---- replica-sharded serving through per-replica plans ----
