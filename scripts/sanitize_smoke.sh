@@ -34,7 +34,10 @@
 # every eager forward and the plan executor run the raw-pointer kernels of
 # src/nn/kernels.h, including the in-place activation epilogues and the
 # fused conv+group-norm that normalizes its own output (out == x), so both
-# sanitizers check those buffers alone.
+# sanitizers check those buffers alone. It also covers test_diffusion and
+# test_core_pipeline, which run the one DDIM loop with both denoisers (the
+# eager UNet and the compiled UNet-step plan) and the decoder plan sharing
+# the step plan's arena lease.
 #
 # Both presets compile the fault-injection sites in (DCDIFF_FAULT_INJECTION),
 # so the `fault`-labelled stage runs the full scenario suites (injected

@@ -64,24 +64,15 @@ Tensor Autoencoder::decode(const Tensor& z, const ACFeatures& ac) const {
   return tanh_op(dec_out_(h));
 }
 
-Autoencoder::CapturedAC Autoencoder::capture_encode_ac(
-    plan::GraphBuilder& g, plan::TensorId tilde) const {
-  CapturedAC f;
-  f.half = g.silu(ac_n1_.capture(g, ac_in_.capture(g, tilde)));
-  const plan::TensorId h =
-      g.silu(ac_n2_.capture(g, ac_down_.capture(g, f.half)));
-  f.quarter = ac_out_.capture(g, h);
-  return f;
-}
-
 plan::TensorId Autoencoder::capture_decode(plan::GraphBuilder& g,
                                            plan::TensorId z,
-                                           const CapturedAC& ac) const {
-  plan::TensorId h = dec_res_.capture(g, g.concat_channels(z, ac.quarter),
-                                      plan::kNoTensor);
+                                           plan::TensorId quarter,
+                                           plan::TensorId half) const {
+  plan::TensorId h =
+      dec_res_.capture(g, g.concat_channels(z, quarter), plan::kNoTensor);
   h = g.upsample2x(h);
   h = g.silu(
-      dec_n1_.capture(g, dec_up1_.capture(g, g.concat_channels(h, ac.half))));
+      dec_n1_.capture(g, dec_up1_.capture(g, g.concat_channels(h, half))));
   h = g.upsample2x(h);
   h = g.silu(dec_n2_.capture(g, dec_up2_.capture(g, h)));
   return g.tanh(dec_out_.capture(g, h));

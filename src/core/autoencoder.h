@@ -42,16 +42,12 @@ class Autoencoder {
   // Decodes (z, ac features) to the reconstruction in [-1,1].
   nn::Tensor decode(const nn::Tensor& z, const ACFeatures& ac) const;
 
-  // Plan-capture counterparts of encode_ac / decode (see nn/plan/builder.h).
-  struct CapturedAC {
-    nn::plan::TensorId half = nn::plan::kNoTensor;
-    nn::plan::TensorId quarter = nn::plan::kNoTensor;
-  };
-  CapturedAC capture_encode_ac(nn::plan::GraphBuilder& g,
-                               nn::plan::TensorId tilde) const;
+  // Plan-capture counterpart of decode (see nn/plan/builder.h); `quarter`
+  // and `half` are the two ACFeatures fields.
   nn::plan::TensorId capture_decode(nn::plan::GraphBuilder& g,
                                     nn::plan::TensorId z,
-                                    const CapturedAC& ac) const;
+                                    nn::plan::TensorId quarter,
+                                    nn::plan::TensorId half) const;
 
   const AutoencoderConfig& config() const { return cfg_; }
   std::vector<nn::Tensor> params() const;

@@ -83,13 +83,6 @@ ControlModule::Features ControlModule::forward(const Tensor& tilde) const {
   return f;
 }
 
-std::pair<plan::TensorId, plan::TensorId> ControlModule::capture(
-    plan::GraphBuilder& g, plan::TensorId tilde) const {
-  plan::TensorId h = g.silu(n1_.capture(g, in_.capture(g, tilde)));
-  h = g.silu(n2_.capture(g, down_.capture(g, h)));
-  return {proj1_.capture(g, h), proj2_.capture(g, h)};
-}
-
 std::vector<Tensor> ControlModule::params() const {
   std::vector<Tensor> p;
   in_.collect(p);
@@ -139,22 +132,18 @@ Tensor UNet::forward(const Tensor& z_t, const std::vector<int>& t,
   return conv_out_(silu(norm_out_(hu)));
 }
 
-plan::TensorId UNet::capture(plan::GraphBuilder& g, plan::TensorId z_t, int n,
-                             int t, plan::TensorId c1, plan::TensorId c2,
-                             plan::TensorId s, plan::TensorId b) const {
+plan::TensorId UNet::capture(plan::GraphBuilder& g, plan::TensorId z_t,
+                             plan::TensorId temb, plan::TensorId c1,
+                             plan::TensorId c2, plan::TensorId s,
+                             plan::TensorId b) const {
   if (cfg_.mid_attention) {
     throw std::invalid_argument("UNet capture: mid_attention not supported");
   }
-  // The timestep is fixed per captured step, so the embedding MLP and each
-  // block's temb projection are constants: fold them eagerly (the same ops
-  // the eager forward runs, hence bit-identical values).
-  NoGradGuard no_grad;
-  const std::vector<int> tvec(static_cast<size_t>(n), t);
-  Tensor temb = timestep_embedding(tvec, cfg_.temb_dim);
-  temb = temb2_(silu(temb1_(temb)));
-  const Tensor st = silu(temb);
+  const int rows = g.shape(z_t)[0];
+  const plan::TensorId st = g.silu(
+      temb2_.capture(g, g.silu(temb1_.capture(g, temb))));
   const auto temb_bias = [&](const ResBlock& rb) {
-    return g.constant(rb.temb_proj(st));
+    return g.repeat_batch(rb.temb_proj.capture(g, st), rows);
   };
   const plan::TensorId h0 = g.add(conv_in_.capture(g, z_t), c1);
   const plan::TensorId skip = res_down_.capture(g, h0, temb_bias(res_down_));
@@ -247,17 +236,9 @@ Tensor eps_from_z0(const Tensor& z_t, const Tensor& z0,
   return sub(a, b);
 }
 
-// Eager sampler. Every iteration heap-allocates its temporaries (pred, z0,
-// eps, the two update terms); the planned path (capture_ddim below) places
-// the same values in precomputed plan-arena slices instead, so inference
-// through a Plan runs this loop with zero per-step allocations.
-Tensor ddim_sample_checkpointed(const UNet& unet,
-                                const DiffusionSchedule& sched,
-                                const ControlModule::Features& ctrl,
-                                const Tensor& noise, int steps,
-                                const Tensor& s, const Tensor& b,
-                                Prediction prediction,
-                                const DdimCheckpointFn& on_checkpoint) {
+Tensor ddim_sample(const DdimDenoiser& denoise, const DiffusionSchedule& sched,
+                   const Tensor& noise, int steps, Prediction prediction,
+                   const DdimCheckpointFn& on_checkpoint) {
   NoGradGuard no_grad;
   DCDIFF_TRACE_SPAN("ddim_sample");
   const int n = noise.dim(0);
@@ -286,7 +267,7 @@ Tensor ddim_sample_checkpointed(const UNet& unet,
     step_count.inc();
     const int t = ts[static_cast<size_t>(k)];
     std::fill(tvec.begin(), tvec.end(), t);
-    const Tensor pred = unet.forward(z, tvec, ctrl, s, b);
+    const Tensor pred = denoise(z, t);
     Tensor z0, eps;
     if (prediction == Prediction::kEps) {
       eps = pred;
@@ -312,63 +293,20 @@ Tensor ddim_sample_checkpointed(const UNet& unet,
   return z;
 }
 
-plan::TensorId capture_ddim(plan::GraphBuilder& g, const UNet& unet,
-                            const DiffusionSchedule& sched, plan::TensorId c1,
-                            plan::TensorId c2, plan::TensorId noise, int steps,
-                            plan::TensorId s, plan::TensorId b,
-                            Prediction prediction) {
-  const int n = g.shape(noise)[0];
-  if (steps < 1 || steps > sched.T) {
-    throw std::invalid_argument("capture_ddim: bad step count");
-  }
-  // Same evenly spaced descending subsequence as ddim_sample_checkpointed.
-  std::vector<int> ts(static_cast<size_t>(steps));
-  for (int i = 0; i < steps; ++i) {
-    ts[static_cast<size_t>(i)] = static_cast<int>(
-        static_cast<int64_t>(sched.T - 1) * i / std::max(1, steps - 1));
-  }
-  plan::TensorId z = noise;
-  // Mirror the eager sampler's trace spans so a compiled run is observable
-  // the same way the eager loop is (cmake/quickstart_trace_test.cmake
-  // asserts both names appear in the trace whichever executor ran).
-  g.begin_span("ddim_sample");
-  for (int k = steps - 1; k >= 0; --k) {
-    g.begin_span("ddim_step");
-    const int t = ts[static_cast<size_t>(k)];
-    const plan::TensorId pred = unet.capture(g, z, n, t, c1, c2, s, b);
-    plan::TensorId z0;
-    plan::TensorId eps = plan::kNoTensor;
-    if (prediction == Prediction::kEps) {
-      eps = pred;
-      // predict_z0's uniform-timestep path, with its endpoint guard.
-      const float sab =
-          std::max(1e-4f, sched.sqrt_ab[static_cast<size_t>(t)]);
-      z0 = g.sub(g.scale(z, 1.0f / sab),
-                 g.scale(eps, sched.sqrt_one_m_ab[static_cast<size_t>(t)] /
-                                  sab));
-    } else {
-      z0 = pred;
-    }
-    z0 = g.clamp(z0, -1.2f, 1.2f);
-    if (k == 0) {
-      z = z0;
-      g.end_span();  // ddim_step
-      break;
-    }
-    if (prediction == Prediction::kX0) {
-      // eps_from_z0's uniform-timestep path.
-      const float s1m =
-          std::max(1e-4f, sched.sqrt_one_m_ab[static_cast<size_t>(t)]);
-      eps = g.sub(g.scale(z, 1.0f / s1m),
-                  g.scale(z0, sched.sqrt_ab[static_cast<size_t>(t)] / s1m));
-    }
-    const int t_prev = ts[static_cast<size_t>(k - 1)];
-    z = g.add(g.scale(z0, sched.sqrt_ab[static_cast<size_t>(t_prev)]),
-              g.scale(eps, sched.sqrt_one_m_ab[static_cast<size_t>(t_prev)]));
-    g.end_span();  // ddim_step
-  }
-  g.end_span();  // ddim_sample
-  return z;
+Tensor ddim_sample_checkpointed(const UNet& unet,
+                                const DiffusionSchedule& sched,
+                                const ControlModule::Features& ctrl,
+                                const Tensor& noise, int steps,
+                                const Tensor& s, const Tensor& b,
+                                Prediction prediction,
+                                const DdimCheckpointFn& on_checkpoint) {
+  std::vector<int> tvec(static_cast<size_t>(noise.dim(0)));
+  return ddim_sample(
+      [&](const Tensor& z, int t) {
+        std::fill(tvec.begin(), tvec.end(), t);
+        return unet.forward(z, tvec, ctrl, s, b);
+      },
+      sched, noise, steps, prediction, on_checkpoint);
 }
 
 }  // namespace dcdiff::core

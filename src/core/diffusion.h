@@ -5,7 +5,6 @@
 #pragma once
 
 #include <functional>
-#include <utility>
 #include <vector>
 
 #include "nn/modules.h"
@@ -45,9 +44,6 @@ class ControlModule {
     nn::Tensor c2;  // (N, 2*base, H/8, W/8)
   };
   Features forward(const nn::Tensor& tilde) const;
-  // Records the control forward into a plan graph; returns {c1, c2}.
-  std::pair<nn::plan::TensorId, nn::plan::TensorId> capture(
-      nn::plan::GraphBuilder& g, nn::plan::TensorId tilde) const;
   std::vector<nn::Tensor> params() const;
 
  private:
@@ -66,15 +62,16 @@ class UNet {
                      const ControlModule::Features& ctrl,
                      const nn::Tensor& s = nn::Tensor(),
                      const nn::Tensor& b = nn::Tensor()) const;
-  // Records one denoising forward for batch `n` at the fixed timestep `t`.
-  // The timestep-embedding MLP and each block's temb projection collapse to
-  // graph constants (computed eagerly here, bit-identical to the eager
-  // recompute), so the planned step runs none of them. `s`/`b` are the
-  // FreeU factors as graph tensors, or plan::kNoTensor when unmodulated.
-  // Throws std::invalid_argument when cfg.mid_attention is set (the plan
-  // path does not capture attention; callers fall back to eager).
+  // Records one denoising forward of the rows `z_t` into a plan graph, all
+  // rows at one timestep. `temb` is that step's sinusoidal embedding, a
+  // single (1, temb_dim) row: the embedding MLP and each block's projection
+  // run on it once, and the projections are repeated across the rows, which
+  // is the eager forward's bytes because the linear kernel is row-invariant.
+  // `s`/`b` are the FreeU factors as graph tensors, or plan::kNoTensor when
+  // unmodulated. Throws std::invalid_argument when cfg.mid_attention is set
+  // (the plan does not capture attention; callers fall back to eager).
   nn::plan::TensorId capture(nn::plan::GraphBuilder& g, nn::plan::TensorId z_t,
-                             int n, int t, nn::plan::TensorId c1,
+                             nn::plan::TensorId temb, nn::plan::TensorId c1,
                              nn::plan::TensorId c2,
                              nn::plan::TensorId s = nn::plan::kNoTensor,
                              nn::plan::TensorId b = nn::plan::kNoTensor) const;
@@ -111,10 +108,23 @@ enum class Prediction {
 using DdimCheckpointFn = std::function<bool(const nn::Tensor& z0,
                                             int steps_done)>;
 
-// DDIM sampling (eta = 0) of a z0 latent. `steps` evenly-spaced timesteps;
-// `noise` is the initial z_T (shape (N, z_channels, h, w)); s/b as in
-// UNet::forward (undefined tensors for s = b = 1). Runs under NoGradGuard.
-// `on_checkpoint` may be empty (a plain full-length run).
+// One network forward of the sampler: the prediction for the latent rows
+// `z_t`, every row at timestep `t`.
+using DdimDenoiser = std::function<nn::Tensor(const nn::Tensor& z_t, int t)>;
+
+// DDIM sampling (eta = 0) of a z0 latent: the one sampler loop, whichever
+// executor runs the network. `steps` evenly-spaced timesteps; `noise` is the
+// initial z_T (shape (N, z_channels, h, w)); `denoise` is the UNet forward,
+// eager or planned (core/recon_plan.h). The DDIM arithmetic between the
+// forwards runs eager. Runs under NoGradGuard. `on_checkpoint` may be empty
+// (a plain full-length run).
+nn::Tensor ddim_sample(const DdimDenoiser& denoise,
+                       const DiffusionSchedule& sched, const nn::Tensor& noise,
+                       int steps, Prediction prediction,
+                       const DdimCheckpointFn& on_checkpoint);
+
+// ddim_sample with the eager UNet::forward as the denoiser; s/b as in
+// UNet::forward (undefined tensors for s = b = 1).
 nn::Tensor ddim_sample_checkpointed(const UNet& unet,
                                     const DiffusionSchedule& sched,
                                     const ControlModule::Features& ctrl,
@@ -122,19 +132,6 @@ nn::Tensor ddim_sample_checkpointed(const UNet& unet,
                                     const nn::Tensor& s, const nn::Tensor& b,
                                     Prediction prediction,
                                     const DdimCheckpointFn& on_checkpoint);
-
-// Plan capture of ddim_sample_checkpointed without a hook: unrolls the
-// `steps` DDIM updates into the graph with the same arithmetic as the eager
-// loop. The per-step temporaries the eager path heap-allocates every
-// iteration (pred, z0, eps, the update terms) become liveness-planned
-// slices of the plan arena.
-nn::plan::TensorId capture_ddim(nn::plan::GraphBuilder& g, const UNet& unet,
-                                const DiffusionSchedule& sched,
-                                nn::plan::TensorId c1, nn::plan::TensorId c2,
-                                nn::plan::TensorId noise, int steps,
-                                nn::plan::TensorId s = nn::plan::kNoTensor,
-                                nn::plan::TensorId b = nn::plan::kNoTensor,
-                                Prediction prediction = Prediction::kEps);
 
 // Recovers z0 from (z_t, predicted eps) at timestep t:
 //   z0 = (z_t - sqrt(1-ab_t) eps) / sqrt(ab_t)     (per-sample t)

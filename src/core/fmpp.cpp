@@ -1,7 +1,5 @@
 #include "core/fmpp.h"
 
-#include "nn/plan/builder.h"
-
 namespace dcdiff::core {
 
 using namespace dcdiff::nn;
@@ -25,20 +23,6 @@ FMPP::Factors FMPP::forward(const Tensor& tilde) const {
   Factors f;
   f.s = reshape(slice_channels(out, 0, 1), {n});
   f.b = reshape(slice_channels(out, 1, 2), {n});
-  return f;
-}
-
-FMPP::CapturedFactors FMPP::capture(plan::GraphBuilder& g,
-                                    plan::TensorId tilde) const {
-  plan::TensorId h = g.relu(c1_.capture(g, tilde));
-  h = g.relu(c2_.capture(g, h));
-  h = g.add(g.relu(c3_.capture(g, h)), g.avg_pool2d(h, 2));
-  h = g.global_avg_pool(h);
-  const plan::TensorId out = g.scale(g.sigmoid(fc_.capture(g, h)), 2.0f);
-  const int n = g.shape(out)[0];
-  CapturedFactors f;
-  f.s = g.reshape(g.slice_channels(out, 0, 1), {n});
-  f.b = g.reshape(g.slice_channels(out, 1, 2), {n});
   return f;
 }
 

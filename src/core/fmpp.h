@@ -21,14 +21,6 @@ class FMPP {
   // tilde: (N,3,H,W) normalized x-tilde.
   Factors forward(const nn::Tensor& tilde) const;
 
-  // Plan-capture counterpart of forward (see nn/plan/builder.h).
-  struct CapturedFactors {
-    nn::plan::TensorId s = nn::plan::kNoTensor;
-    nn::plan::TensorId b = nn::plan::kNoTensor;
-  };
-  CapturedFactors capture(nn::plan::GraphBuilder& g,
-                          nn::plan::TensorId tilde) const;
-
   std::vector<nn::Tensor> params() const;
 
  private:

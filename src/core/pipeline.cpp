@@ -6,6 +6,7 @@
 #include <future>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include <atomic>
@@ -77,7 +78,7 @@ DCDiffModel::DCDiffModel(const DCDiffConfig& cfg)
   unet_ = std::make_shared<UNet>(cfg.unet, cfg.seed);
   fmpp_ = std::make_shared<FMPP>(cfg.seed);
   packs_ = std::make_shared<nn::PackCache>();
-  plans_ = std::make_shared<ReconPlanner>();
+  plans_ = std::make_shared<nn::plan::PlanCache>();
   set_requires_grad(params(), false);
 }
 
@@ -95,7 +96,7 @@ DCDiffModel::DCDiffModel(const DCDiffModel& src, ReplicaTag)
       packs_(src.packs_),
       // Plans are per replica: each serving worker compiles its own (the
       // weights and panels inside them stay shared via the components).
-      plans_(std::make_shared<ReconPlanner>()) {}
+      plans_(std::make_shared<nn::plan::PlanCache>()) {}
 
 std::shared_ptr<const DCDiffModel> DCDiffModel::replicate(
     const std::shared_ptr<const DCDiffModel>& src) {
@@ -126,7 +127,7 @@ void DCDiffModel::begin_training(const char* what) {
   // The weights are about to change: panels packed from them and plans
   // compiled over them would be stale.
   packs_ = std::make_shared<nn::PackCache>();
-  plans_ = std::make_shared<ReconPlanner>();
+  plans_ = std::make_shared<nn::plan::PlanCache>();
 }
 
 DCDiffModel::Sample DCDiffModel::make_sample(int index) const {
@@ -431,38 +432,6 @@ void DCDiffModel::train_or_load() {
   }
 }
 
-Status DCDiffModel::planned_group(const Tensor& tilde_b, const float* noise,
-                                  int n, int ph, int pw, int steps,
-                                  int ensemble, bool use_fmpp,
-                                  Tensor* xhat) const {
-  DCDIFF_TRACE_SPAN("planned_group");
-  ReconPlanKey key;
-  key.n = n;
-  key.ensemble = ensemble;
-  key.steps = steps;
-  key.ph = ph;
-  key.pw = pw;
-  key.use_fmpp = use_fmpp;
-  key.prediction = cfg_.prediction;
-  std::shared_ptr<const plan::Plan> p;
-  const Status st = plans_->get(key, *control_, *ae_, *fmpp_, *unet_, sched_,
-                                *packs_, &p);
-  if (!st.is_ok()) return st;
-  try {
-    auto lease = plans_->arena_for(*p);
-    // Steady state is 0: the arena pool hands back an existing buffer.
-    static obs::Gauge& allocs = obs::gauge("plan.allocs_per_forward");
-    allocs.set(lease.allocated() ? 1.0 : 0.0);
-    std::vector<const float*> outs;
-    p->run(lease.arena(), {tilde_b.value().data(), noise}, &outs);
-    std::vector<float> out(outs[0], outs[0] + p->output_numel(0));
-    *xhat = Tensor::from_data(p->output_shape(0), std::move(out));
-  } catch (const std::exception& e) {
-    return Status::internal(std::string("plan run: ") + e.what());
-  }
-  return Status::ok();
-}
-
 AnytimeResult DCDiffModel::reconstruct_batch_anytime(
     const std::vector<AnytimeItem>& items, const ReconstructOptions& opts,
     const AnytimeControl& ctrl) const {
@@ -570,107 +539,112 @@ AnytimeResult DCDiffModel::reconstruct_batch_anytime(
       }
     };
 
-    Tensor xhat_b;
-    int group_steps = steps;
-    // A compiled plan runs the whole chain at once; a caller that watches
-    // (or stops) individual steps gets the eager tape.
-    bool planned = false;
-    if (plan_enabled() && !ctrl.on_step) {
-      const Status st = planned_group(tilde_b, noise.data(), n, ph, pw, steps,
-                                      ensemble, opts.use_fmpp, &xhat_b);
-      planned = st.is_ok();
-      if (!planned) {
+    // Conditioning runs once per image (batch n); sampling runs on the
+    // n * ensemble noise rows.
+    ControlModule::Features cond;
+    ACFeatures acfeat;
+    Tensor s, b;
+    {
+      DCDIFF_TRACE_SPAN("conditioner");
+      cond = control_->forward(tilde_b);
+      acfeat = ae_->encode_ac(tilde_b);
+      if (opts.use_fmpp) {
+        const FMPP::Factors f = fmpp_->forward(tilde_b);
+        s = repeat_batch(f.s, ensemble);
+        b = repeat_batch(f.b, ensemble);
+      }
+      if (ensemble > 1) {
+        cond.c1 = repeat_batch(cond.c1, ensemble);
+        cond.c2 = repeat_batch(cond.c2, ensemble);
+      }
+    }
+
+    // The UNet and the decoder run on the group's compiled plans, or on the
+    // eager modules under set_plan_enabled(false) or when a plan cannot be
+    // built or its arena leased (plan.eager_fallbacks).
+    std::optional<GroupPlans> planned;
+    if (plan_enabled()) {
+      const Status st =
+          GroupPlans::open(*plans_, *packs_, *unet_, *ae_, n, ensemble,
+                           ph / 4, pw / 4, opts.use_fmpp, &planned);
+      if (!st.is_ok()) {
         fallbacks_c.inc();
         DCDIFF_LOG_WARN("core.plan", "eager_fallback",
                         {{"error", st.to_string()}});
       }
     }
-    if (!planned) {
-      // Conditioning runs once per image (batch n); sampling runs on the
-      // n * ensemble noise rows.
-      ControlModule::Features cond;
-      ACFeatures acfeat;
-      Tensor s, b;
-      {
-        DCDIFF_TRACE_SPAN("conditioner");
-        cond = control_->forward(tilde_b);
-        acfeat = ae_->encode_ac(tilde_b);
-        if (opts.use_fmpp) {
-          const FMPP::Factors f = fmpp_->forward(tilde_b);
-          s = repeat_batch(f.s, ensemble);
-          b = repeat_batch(f.b, ensemble);
-        }
-        if (ensemble > 1) {
-          cond.c1 = repeat_batch(cond.c1, ensemble);
-          cond.c2 = repeat_batch(cond.c2, ensemble);
-        }
-      }
+    const DdimDenoiser denoise = [&](const Tensor& z, int t) {
+      if (planned) return planned->denoise(z, t, cond, s, b);
+      return unet_->forward(
+          z, std::vector<int>(static_cast<size_t>(z.dim(0)), t), cond, s, b);
+    };
+    const auto decode = [&](const Tensor& z0_b) {
+      DCDIFF_TRACE_SPAN("decode");
+      return planned ? planned->decode(z0_b, acfeat)
+                     : ae_->decode(z0_b, acfeat);
+    };
 
-      const auto decode = [&](const Tensor& z0_b) {
-        DCDIFF_TRACE_SPAN("decode");
-        return ae_->decode(z0_b, acfeat);
-      };
-      std::vector<Tensor> prev_fold(static_cast<size_t>(n));
-      DdimCheckpointFn hook;
-      if (ctrl.on_step) {
-        hook = [&](const Tensor& z0_rows, int done) -> bool {
-          checkpoints_c.inc();
-          // Fault site: a checkpoint callback that throws. The exception
-          // must surface as a typed internal error at the caller's API
-          // boundary, never corrupt sampler state or strand the batch.
-          if (DCDIFF_FAULT_POINT("core.anytime.checkpoint_throw")) {
-            throw std::runtime_error(
-                "injected fault: core.anytime.checkpoint_throw");
-          }
-          const AnytimeControl::Action action = ctrl.on_step(done, steps);
-          if (action == AnytimeControl::Action::kStop) {
-            group_steps = done;
-            // Stopping on the terminal checkpoint is just completion.
-            if (done < steps) out.early_exit = true;
-            return false;
-          }
-          if (action == AnytimeControl::Action::kEmitPartial &&
-              ctrl.on_partial && done < steps) {
-            DCDIFF_TRACE_SPAN("anytime_partial");
-            const Tensor z0_b = ensemble_mean(z0_rows, n, ensemble);
-            // Convergence proxy: PSNR-style distance to the item's
-            // previously emitted checkpoint over the clamp range
-            // [-1.2, 1.2].
-            std::vector<double> proxy(static_cast<size_t>(n), 0.0);
-            for (int j = 0; j < n; ++j) {
-              const Tensor cur = n == 1 ? z0_b : take_sample(z0_b, j);
-              if (prev_fold[static_cast<size_t>(j)].defined()) {
-                const auto& a = cur.value();
-                const auto& p = prev_fold[static_cast<size_t>(j)].value();
-                double mse = 0;
-                for (size_t v = 0; v < a.size(); ++v) {
-                  const double d = a[v] - p[v];
-                  mse += d * d;
-                }
-                mse /= static_cast<double>(a.size());
-                proxy[static_cast<size_t>(j)] =
-                    mse <= 0 ? 99.0
-                             : std::min(99.0, 10.0 * std::log10(5.76 / mse));
+    int group_steps = steps;
+    std::vector<Tensor> prev_fold(static_cast<size_t>(n));
+    DdimCheckpointFn hook;
+    if (ctrl.on_step) {
+      hook = [&](const Tensor& z0_rows, int done) -> bool {
+        checkpoints_c.inc();
+        // Fault site: a checkpoint callback that throws. The exception
+        // must surface as a typed internal error at the caller's API
+        // boundary, never corrupt sampler state or strand the batch.
+        if (DCDIFF_FAULT_POINT("core.anytime.checkpoint_throw")) {
+          throw std::runtime_error(
+              "injected fault: core.anytime.checkpoint_throw");
+        }
+        const AnytimeControl::Action action = ctrl.on_step(done, steps);
+        if (action == AnytimeControl::Action::kStop) {
+          group_steps = done;
+          // Stopping on the terminal checkpoint is just completion.
+          if (done < steps) out.early_exit = true;
+          return false;
+        }
+        if (action == AnytimeControl::Action::kEmitPartial &&
+            ctrl.on_partial && done < steps) {
+          DCDIFF_TRACE_SPAN("anytime_partial");
+          const Tensor z0_b = ensemble_mean(z0_rows, n, ensemble);
+          // Convergence proxy: PSNR-style distance to the item's
+          // previously emitted checkpoint over the clamp range
+          // [-1.2, 1.2].
+          std::vector<double> proxy(static_cast<size_t>(n), 0.0);
+          for (int j = 0; j < n; ++j) {
+            const Tensor cur = n == 1 ? z0_b : take_sample(z0_b, j);
+            if (prev_fold[static_cast<size_t>(j)].defined()) {
+              const auto& a = cur.value();
+              const auto& p = prev_fold[static_cast<size_t>(j)].value();
+              double mse = 0;
+              for (size_t v = 0; v < a.size(); ++v) {
+                const double d = a[v] - p[v];
+                mse += d * d;
               }
-              prev_fold[static_cast<size_t>(j)] = cur;
+              mse /= static_cast<double>(a.size());
+              proxy[static_cast<size_t>(j)] =
+                  mse <= 0 ? 99.0
+                           : std::min(99.0, 10.0 * std::log10(5.76 / mse));
             }
-            finish(decode(z0_b), [&](int j, Image img) {
-              partials_c.inc();
-              ctrl.on_partial(idx[static_cast<size_t>(j)], std::move(img),
-                              done, proxy[static_cast<size_t>(j)]);
-            });
+            prev_fold[static_cast<size_t>(j)] = cur;
           }
-          return true;
-        };
-      }
-
-      const Tensor z_final = ddim_sample_checkpointed(
-          *unet_, sched_, cond,
-          Tensor::from_data({n * ensemble, zc, ph / 4, pw / 4},
-                            std::move(noise)),
-          steps, s, b, cfg_.prediction, hook);
-      xhat_b = decode(ensemble_mean(z_final, n, ensemble));
+          finish(decode(z0_b), [&](int j, Image img) {
+            partials_c.inc();
+            ctrl.on_partial(idx[static_cast<size_t>(j)], std::move(img),
+                            done, proxy[static_cast<size_t>(j)]);
+          });
+        }
+        return true;
+      };
     }
+
+    const Tensor z_final = ddim_sample(
+        denoise, sched_,
+        Tensor::from_data({n * ensemble, zc, ph / 4, pw / 4},
+                          std::move(noise)),
+        steps, cfg_.prediction, hook);
+    const Tensor xhat_b = decode(ensemble_mean(z_final, n, ensemble));
     finish(xhat_b, [&](int j, Image img) {
       out.images[static_cast<size_t>(idx[static_cast<size_t>(j)])] =
           std::move(img);

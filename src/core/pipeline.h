@@ -23,6 +23,7 @@
 #include "core/fmpp.h"
 #include "image/image.h"
 #include "jpeg/codec.h"
+#include "nn/plan/fwd.h"
 #include "support/status.h"
 
 namespace dcdiff::nn {
@@ -31,12 +32,10 @@ class PackCache;  // packcache.h; held by pointer only
 
 namespace dcdiff::core {
 
-class ReconPlanner;  // recon_plan.h; held by pointer only
-
-// Executor switch. Hook-free reconstruction runs on compiled plans (see
-// core/recon_plan.h and nn/plan/) unless set_plan_enabled(false) asks for
-// the eager tape, the reference that tests and benchmarks compare the plan
-// against. Process-wide, thread-safe.
+// Executor switch. Every reconstruction runs its UNet steps and decoder on
+// compiled plans (see core/recon_plan.h and nn/plan/) unless
+// set_plan_enabled(false) asks for the eager modules, the reference that
+// tests and benchmarks compare the plans against. Process-wide, thread-safe.
 bool plan_enabled();
 void set_plan_enabled(bool enabled);
 
@@ -111,9 +110,9 @@ struct AnytimeItem {
 // continues, decodes the current checkpoint into partial images (delivered
 // through `on_partial`, then sampling continues), or stops sampling early —
 // the final decode then happens on the best checkpoint so the caller still
-// receives valid (coarser) images. An absent on_step means run to
-// completion on the compiled plan, exactly reconstruct_batch; a hooked run
-// that never stops gives the same pixels on the eager tape.
+// receives valid (coarser) images. The hook runs between the steps of the
+// one DDIM loop, planned or eager alike, and perturbs no arithmetic: an
+// absent on_step, or one that never stops, gives exactly reconstruct_batch.
 struct AnytimeControl {
   enum class Action { kContinue, kEmitPartial, kStop };
   std::function<Action(int steps_done, int total_steps)> on_step;
@@ -200,12 +199,11 @@ class DCDiffModel {
   // per-step checkpoint hook (see AnytimeControl). This is the one
   // reconstruction path; reconstruct and reconstruct_batch forward to it.
   // It resolves steps, ensemble and seed, groups the items by padded size,
-  // derives each group's noise rows, runs the group on its compiled plan —
-  // or on the eager tape when ctrl.on_step is set (checkpoints need the
-  // live per-step z0, which a plan does not expose), the plan cannot be
-  // built, or set_plan_enabled(false) — and crops and postprocesses the
-  // decoded rows. Without a hook it equals reconstruct_batch for the same
-  // options.
+  // derives each group's noise rows, runs the conditioner once and the DDIM
+  // loop with the hook — the UNet steps and the decoder on the group's
+  // compiled plans, or eager when a plan cannot be built or under
+  // set_plan_enabled(false) — and crops and postprocesses the decoded rows.
+  // Without a hook it equals reconstruct_batch for the same options.
   AnytimeResult reconstruct_batch_anytime(const std::vector<AnytimeItem>& items,
                                           const ReconstructOptions& opts,
                                           const AnytimeControl& ctrl) const;
@@ -227,15 +225,6 @@ class DCDiffModel {
   Sample make_sample(int index) const;
   // Throws for replicas; drops the panels and plans of the old weights.
   void begin_training(const char* what);
-  // The planned executor for one uniform-size group: `n` images at padded
-  // size ph x pw, `tilde_b` the stacked (n,3,ph,pw) tilde batch and `noise`
-  // the (n*ensemble, z_channels, ph/4, pw/4) noise rows. On success *xhat
-  // holds the decoded (n,3,ph,pw) batch; a plan build or run failure comes
-  // back as a typed Status and reconstruct_batch_anytime falls back to the
-  // eager tape.
-  Status planned_group(const nn::Tensor& tilde_b, const float* noise, int n,
-                       int ph, int pw, int steps, int ensemble, bool use_fmpp,
-                       nn::Tensor* xhat) const;
 
   DCDiffConfig cfg_;
   DiffusionSchedule sched_;
@@ -252,10 +241,11 @@ class DCDiffModel {
   // bound thread-locally for the duration of each inference call (see
   // nn/packcache.h). Replaced when training starts.
   std::shared_ptr<nn::PackCache> packs_;
-  // Compiled reconstruction plans. Fresh per replica (each serving worker
-  // compiles and owns its plans; the weights and PackedA panels they
-  // reference stay shared through ae_/unet_/.../packs_).
-  std::shared_ptr<ReconPlanner> plans_;
+  // Compiled UNet-step and decoder plans (core/recon_plan.h). Fresh per
+  // replica (each serving worker compiles and owns its plans; the weights
+  // and PackedA panels they reference stay shared through
+  // ae_/unet_/.../packs_).
+  std::shared_ptr<nn::plan::PlanCache> plans_;
 };
 
 // ----- sender/receiver convenience API -----

@@ -1,71 +1,91 @@
 #include "core/recon_plan.h"
 
-#include <stdexcept>
+#include <exception>
+#include <string>
+#include <utility>
 
 #include "nn/plan/builder.h"
+#include "obs/metrics.h"
 
 namespace dcdiff::core {
 
 using namespace dcdiff::nn;
 
-std::string ReconPlanKey::str() const {
-  return "n" + std::to_string(n) + "_e" + std::to_string(ensemble) + "_s" +
-         std::to_string(steps) + "_" + std::to_string(ph) + "x" +
-         std::to_string(pw) + (use_fmpp ? "_fmpp" : "_nofmpp") +
-         (prediction == Prediction::kX0 ? "_x0" : "_eps");
-}
-
-namespace {
-
-// Mirrors the eager executor of DCDiffModel::reconstruct_batch_anytime op
-// for op: conditioning at batch n, sampling on the folded n*ensemble row
-// axis, ensemble mean, decode.
-void build_recon_graph(plan::GraphBuilder& g, const ReconPlanKey& key,
-                       const ControlModule& control, const Autoencoder& ae,
-                       const FMPP& fmpp, const UNet& unet,
-                       const DiffusionSchedule& sched) {
-  if (key.n < 1 || key.ensemble < 1 || key.ph < 8 || key.pw < 8 ||
-      key.ph % 8 != 0 || key.pw % 8 != 0) {
-    throw std::invalid_argument("recon plan: bad group shape");
-  }
-  const int zc = unet.config().z_channels;
-  const plan::TensorId tilde = g.input({key.n, 3, key.ph, key.pw});
-  const plan::TensorId noise =
-      g.input({key.n * key.ensemble, zc, key.ph / 4, key.pw / 4});
-  auto [c1, c2] = control.capture(g, tilde);
-  const Autoencoder::CapturedAC ac = ae.capture_encode_ac(g, tilde);
-  plan::TensorId s = plan::kNoTensor;
-  plan::TensorId b = plan::kNoTensor;
-  if (key.use_fmpp) {
-    const FMPP::CapturedFactors f = fmpp.capture(g, tilde);
-    s = g.repeat_batch(f.s, key.ensemble);
-    b = g.repeat_batch(f.b, key.ensemble);
-  }
-  if (key.ensemble > 1) {
-    c1 = g.repeat_batch(c1, key.ensemble);
-    c2 = g.repeat_batch(c2, key.ensemble);
-  }
-  const plan::TensorId z_rows = capture_ddim(
-      g, unet, sched, c1, c2, noise, key.steps, s, b, key.prediction);
-  const plan::TensorId z0 = key.ensemble > 1
-                                ? g.ensemble_mean(z_rows, key.n, key.ensemble)
-                                : z_rows;
-  g.mark_output(ae.capture_decode(g, z0, ac));
-}
-
-}  // namespace
-
-Status ReconPlanner::get(const ReconPlanKey& key, const ControlModule& control,
-                         const Autoencoder& ae, const FMPP& fmpp,
-                         const UNet& unet, const DiffusionSchedule& sched,
-                         nn::PackCache& packs,
-                         std::shared_ptr<const nn::plan::Plan>* out) {
-  return cache_.get_or_build(
-      key.str(),
+Status GroupPlans::open(plan::PlanCache& cache, PackCache& packs,
+                        const UNet& unet, const Autoencoder& ae, int n,
+                        int ensemble, int h, int w, bool use_fmpp,
+                        std::optional<GroupPlans>* out) {
+  const UNetConfig& uc = unet.config();
+  const int rows = n * ensemble;
+  const std::string hw = std::to_string(h) + "x" + std::to_string(w);
+  std::shared_ptr<const plan::Plan> step, decoder;
+  Status st = cache.get_or_build(
+      "unet_r" + std::to_string(rows) + "_" + hw + (use_fmpp ? "_fmpp" : ""),
       [&](plan::GraphBuilder& g) {
-        build_recon_graph(g, key, control, ae, fmpp, unet, sched);
+        const plan::TensorId z = g.input({rows, uc.z_channels, h, w});
+        const plan::TensorId temb = g.input({1, uc.temb_dim});
+        const plan::TensorId c1 = g.input({rows, uc.base, h, w});
+        const plan::TensorId c2 = g.input({rows, 2 * uc.base, h / 2, w / 2});
+        plan::TensorId s = plan::kNoTensor, b = plan::kNoTensor;
+        if (use_fmpp) {
+          s = g.input({rows});
+          b = g.input({rows});
+        }
+        g.mark_output(unet.capture(g, z, temb, c1, c2, s, b));
       },
-      packs, out);
+      packs, &step);
+  if (!st.is_ok()) return st;
+  const AutoencoderConfig& ac = ae.config();
+  st = cache.get_or_build(
+      "decoder_n" + std::to_string(n) + "_" + hw,
+      [&](plan::GraphBuilder& g) {
+        const plan::TensorId z = g.input({n, ac.z_channels, h, w});
+        const plan::TensorId quarter = g.input({n, ac.ac_channels, h, w});
+        const plan::TensorId half = g.input({n, ac.base, 2 * h, 2 * w});
+        g.mark_output(ae.capture_decode(g, z, quarter, half));
+      },
+      packs, &decoder);
+  if (!st.is_ok()) return st;
+  try {
+    auto lease = cache.arena_for(
+        step->arena_floats() >= decoder->arena_floats() ? *step : *decoder);
+    // Steady state is 0: the arena pool hands back an existing buffer.
+    static obs::Gauge& allocs = obs::gauge("plan.allocs_per_forward");
+    allocs.set(lease.allocated() ? 1.0 : 0.0);
+    out->emplace(GroupPlans(std::move(step), std::move(decoder),
+                            std::move(lease), uc.temb_dim));
+  } catch (const std::exception& e) {
+    return Status::internal(std::string("plan arena: ") + e.what());
+  }
+  return Status::ok();
+}
+
+Tensor GroupPlans::run(const plan::Plan& p,
+                       const std::vector<const float*>& inputs) {
+  std::vector<const float*> outs;
+  p.run(lease_.arena(), inputs, &outs);
+  return Tensor::from_data(
+      p.output_shape(0),
+      std::vector<float>(outs[0], outs[0] + p.output_numel(0)));
+}
+
+Tensor GroupPlans::denoise(const Tensor& z_t, int t,
+                           const ControlModule::Features& ctrl,
+                           const Tensor& s, const Tensor& b) {
+  const Tensor temb = timestep_embedding({t}, temb_dim_);
+  std::vector<const float*> in = {z_t.value().data(), temb.value().data(),
+                                  ctrl.c1.value().data(),
+                                  ctrl.c2.value().data()};
+  if (s.defined()) {
+    in.push_back(s.value().data());
+    in.push_back(b.value().data());
+  }
+  return run(*step_, in);
+}
+
+Tensor GroupPlans::decode(const Tensor& z0, const ACFeatures& ac) {
+  return run(*decoder_, {z0.value().data(), ac.quarter.value().data(),
+                         ac.half.value().data()});
 }
 
 }  // namespace dcdiff::core

@@ -1,58 +1,65 @@
-// Compile-once reconstruction plans (see nn/plan/): the entire receiver
-// forward — control module, AC encoder, FMPP, the unrolled DDIM chain and
-// the decoder — captured as one static operator graph per group signature
-// (batch, ensemble, steps, padded size, fmpp, prediction) and executed out
-// of a single liveness-planned arena. Compiling happens once per signature
-// per model replica; steady-state execution allocates nothing.
+// Compile-once reconstruction plans (see nn/plan/): the two networks a
+// reconstruction runs, each captured once per shape and executed out of a
+// liveness-planned arena.
+//
+// * The UNet-step plan: one denoising forward, keyed by (rows, latent
+//   h x w, fmpp). The one DDIM loop (core/diffusion.h) runs it once per
+//   step, so no plan key holds the step count, the ensemble size or the
+//   prediction kind, and a caller may watch or stop the chain between
+//   steps.
+// * The decoder plan: the stage-1 decoder, keyed by (n, latent h x w).
+//
+// The conditioner (control module, AC encoder, FMPP) runs once per call and
+// is the cheapest stage, so it has no plan (DESIGN.md §13).
 #pragma once
 
 #include <memory>
-#include <string>
+#include <optional>
+#include <vector>
 
 #include "core/autoencoder.h"
 #include "core/diffusion.h"
-#include "core/fmpp.h"
 #include "nn/plan/cache.h"
 #include "support/status.h"
 
 namespace dcdiff::core {
 
-// Shape/config signature of one reconstruction group. Calls with equal keys
-// share a compiled plan (weights are bound per ReconPlanner, which is per
-// model replica).
-struct ReconPlanKey {
-  int n = 1;           // images in the group
-  int ensemble = 1;    // noise seeds averaged per image
-  int steps = 1;       // DDIM steps
-  int ph = 0, pw = 0;  // padded tilde size (multiples of 8)
-  bool use_fmpp = true;
-  Prediction prediction = Prediction::kX0;
-
-  std::string str() const;
-};
-
-// Per-replica plan registry for DCDiffModel::reconstruct*. Wraps a
-// nn::plan::PlanCache whose capture function assembles the receiver graph.
-// Thread-safe (the underlying cache is).
-class ReconPlanner {
+// The compiled executor of one size group: its UNet-step and decoder plans,
+// both running out of one arena lease sized for the larger of the two.
+// Planned output equals the eager modules' byte for byte.
+class GroupPlans {
  public:
-  // The compiled plan for `key` (cached; compiled on first use). Build
-  // failures surface as a typed Status — callers fall back to the eager
-  // path. Plan inputs: 0 = tilde batch (n,3,ph,pw); 1 = noise rows
-  // (n*ensemble, z_channels, ph/4, pw/4), each image's ensemble members
-  // adjacent. Output 0: xhat (n,3,ph,pw).
-  Status get(const ReconPlanKey& key, const ControlModule& control,
-             const Autoencoder& ae, const FMPP& fmpp, const UNet& unet,
-             const DiffusionSchedule& sched, nn::PackCache& packs,
-             std::shared_ptr<const nn::plan::Plan>* out);
+  // Fetches the plans for `n` images of latent size h x w sampled on
+  // n * ensemble rows from `cache` (compiling on a miss; conv weights
+  // resolve through `packs`) and leases the arena. A build or lease failure
+  // is a typed Status and leaves *out empty; the caller then runs the group
+  // eager.
+  static Status open(nn::plan::PlanCache& cache, nn::PackCache& packs,
+                     const UNet& unet, const Autoencoder& ae, int n,
+                     int ensemble, int h, int w, bool use_fmpp,
+                     std::optional<GroupPlans>* out);
 
-  nn::plan::PlanCache::ArenaLease arena_for(const nn::plan::Plan& p) {
-    return cache_.arena_for(p);
-  }
-  size_t size() const { return cache_.size(); }
+  // UNet::forward of the rows `z_t` at timestep `t`; s/b are defined iff
+  // the group was opened with use_fmpp.
+  nn::Tensor denoise(const nn::Tensor& z_t, int t,
+                     const ControlModule::Features& ctrl, const nn::Tensor& s,
+                     const nn::Tensor& b);
+  // Autoencoder::decode of the n latents `z0`.
+  nn::Tensor decode(const nn::Tensor& z0, const ACFeatures& ac);
 
  private:
-  nn::plan::PlanCache cache_;
+  GroupPlans(std::shared_ptr<const nn::plan::Plan> step,
+             std::shared_ptr<const nn::plan::Plan> decoder,
+             nn::plan::PlanCache::ArenaLease lease, int temb_dim)
+      : step_(std::move(step)), decoder_(std::move(decoder)),
+        lease_(std::move(lease)), temb_dim_(temb_dim) {}
+  // Runs `p` in the shared arena and copies its output out of it.
+  nn::Tensor run(const nn::plan::Plan& p,
+                 const std::vector<const float*>& inputs);
+
+  std::shared_ptr<const nn::plan::Plan> step_, decoder_;
+  nn::plan::PlanCache::ArenaLease lease_;
+  int temb_dim_;
 };
 
 }  // namespace dcdiff::core

@@ -1,14 +1,15 @@
-// The forward of every op that both executors run: its shape rule and its
-// raw-pointer kernel, each written once.
+// The forward of every inference op: its shape rule and its raw-pointer
+// kernel, each written once.
 //
-// The eager ops (nn/ops.cpp) and the plan builder (nn/plan/builder.cpp) call
-// the same shape rule, so a graph captures exactly the shapes the tape
-// accepts. The eager ops and the plan executor (nn/plan/plan.cpp) call the
-// same kernel, so a planned forward is bit-identical to the eager one by
-// construction: there is no second loop to drift. Kernels take `out` as a
-// separate buffer; the elementwise ones and k_group_norm also accept
-// `out == input` (each element is read before its slot is written), which
-// is how the plan's fused epilogues and the DDIM clamp run in place.
+// The eager ops (nn/ops.cpp) and, for the op kinds a plan records
+// (nn/plan/ir.h), the plan builder (nn/plan/builder.cpp) call the same shape
+// rule, so a graph captures exactly the shapes the tape accepts. The eager
+// ops and the plan executor (nn/plan/plan.cpp) call the same kernel, so a
+// planned forward is bit-identical to the eager one by construction: there
+// is no second loop to drift. Kernels take `out` as a separate buffer; the
+// elementwise ones and k_group_norm also accept `out == input` (each
+// element is read before its slot is written), which is how the plan's
+// fused epilogues and the DDIM clamp run in place.
 #pragma once
 
 #include <cstddef>

@@ -75,9 +75,9 @@ struct ResBlock {
   // temb: (N, temb_dim) or undefined.
   Tensor operator()(const Tensor& x, const Tensor& temb) const;
   Tensor operator()(const Tensor& x) const { return (*this)(x, Tensor()); }
-  // `temb_bias` is the precomputed temb_proj(silu(temb)) value as a graph
-  // tensor (constant for a fixed timestep), or plan::kNoTensor when the
-  // block has no timestep injection.
+  // `temb_bias` is temb_proj(silu(temb)) as a graph tensor, one row per
+  // sample of x, or plan::kNoTensor when the block has no timestep
+  // injection.
   plan::TensorId capture(plan::GraphBuilder& g, plan::TensorId x,
                          plan::TensorId temb_bias) const;
   void collect(std::vector<Tensor>& out) const;

@@ -21,12 +21,6 @@ TensorId GraphBuilder::input(std::vector<int> shape) {
   return add_tensor(std::move(shape), Storage::kInput, g_->num_inputs++);
 }
 
-TensorId GraphBuilder::constant(const Tensor& t) {
-  g_->const_pool.push_back(t.value());
-  return add_tensor(t.shape(), Storage::kConstant,
-                    static_cast<int>(g_->const_pool.size() - 1));
-}
-
 TensorId GraphBuilder::param(const Tensor& t) {
   if (!t.defined()) return kNoTensor;
   auto it = param_ids_.find(t.node().get());
@@ -39,14 +33,6 @@ TensorId GraphBuilder::param(const Tensor& t) {
 }
 
 void GraphBuilder::mark_output(TensorId id) { g_->outputs.push_back(id); }
-
-void GraphBuilder::begin_span(const char* name) {
-  g_->marks.push_back({static_cast<int>(g_->ops.size()), name});
-}
-
-void GraphBuilder::end_span() {
-  g_->marks.push_back({static_cast<int>(g_->ops.size()), nullptr});
-}
 
 const std::vector<int>& GraphBuilder::shape(TensorId id) const {
   return g_->tensors[static_cast<size_t>(id)].shape;
@@ -90,35 +76,13 @@ TensorId GraphBuilder::silu(TensorId a) {
   return emit({.kind = OpKind::kSiLU, .in = {a}}, shape(a));
 }
 
-TensorId GraphBuilder::relu(TensorId a) {
-  return emit({.kind = OpKind::kRelu, .in = {a}}, shape(a));
-}
-
 TensorId GraphBuilder::tanh(TensorId a) {
   return emit({.kind = OpKind::kTanh, .in = {a}}, shape(a));
-}
-
-TensorId GraphBuilder::sigmoid(TensorId a) {
-  return emit({.kind = OpKind::kSigmoid, .in = {a}}, shape(a));
-}
-
-TensorId GraphBuilder::clamp(TensorId a, float lo, float hi) {
-  return emit({.kind = OpKind::kClamp, .in = {a}, .f0 = lo, .f1 = hi},
-              shape(a));
 }
 
 TensorId GraphBuilder::add(TensorId a, TensorId b) {
   check_same_shape(shape(a), shape(b), "add");
   return emit({.kind = OpKind::kAdd, .in = {a, b}}, shape(a));
-}
-
-TensorId GraphBuilder::sub(TensorId a, TensorId b) {
-  check_same_shape(shape(a), shape(b), "sub");
-  return emit({.kind = OpKind::kSub, .in = {a, b}}, shape(a));
-}
-
-TensorId GraphBuilder::scale(TensorId a, float s) {
-  return emit({.kind = OpKind::kScale, .in = {a}, .f0 = s}, shape(a));
 }
 
 TensorId GraphBuilder::add_sample_channel_bias(TensorId x, TensorId b) {
@@ -136,26 +100,6 @@ TensorId GraphBuilder::concat_channels(TensorId a, TensorId b) {
               concat_channels_shape(shape(a), shape(b)));
 }
 
-TensorId GraphBuilder::slice_channels(TensorId a, int c0, int c1) {
-  return emit({.kind = OpKind::kSliceChannels, .in = {a}, .i0 = c0, .i1 = c1},
-              slice_channels_shape(shape(a), c0, c1));
-}
-
-TensorId GraphBuilder::reshape(TensorId a, std::vector<int> new_shape) {
-  return emit({.kind = OpKind::kReshape, .in = {a}},
-              reshape_shape(shape(a), new_shape));
-}
-
-TensorId GraphBuilder::avg_pool2d(TensorId x, int k) {
-  return emit({.kind = OpKind::kAvgPool2d, .in = {x}, .i0 = k},
-              avg_pool2d_shape(shape(x), k));
-}
-
-TensorId GraphBuilder::global_avg_pool(TensorId x) {
-  return emit({.kind = OpKind::kGlobalAvgPool, .in = {x}},
-              global_avg_pool_shape(shape(x)));
-}
-
 TensorId GraphBuilder::upsample2x(TensorId x) {
   return emit({.kind = OpKind::kUpsample2x, .in = {x}},
               upsample2x_shape(shape(x)));
@@ -166,12 +110,6 @@ TensorId GraphBuilder::repeat_batch(TensorId x, int k) {
   if (k == 1) return x;
   return emit({.kind = OpKind::kRepeatBatch, .in = {x}, .i0 = k},
               std::move(out));
-}
-
-TensorId GraphBuilder::ensemble_mean(TensorId x, int n, int ensemble) {
-  return emit(
-      {.kind = OpKind::kEnsembleMean, .in = {x}, .i0 = n, .i1 = ensemble},
-      ensemble_mean_shape(shape(x), n, ensemble));
 }
 
 }  // namespace dcdiff::nn::plan

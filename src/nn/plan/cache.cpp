@@ -30,8 +30,8 @@ Status PlanCache::get_or_build(const std::string& key,
       return Status::ok();
     }
   }
-  // Build outside the lock: capture replays the full forward (DDIM steps x
-  // ensemble unrolled) and packs weights, which can take a moment.
+  // Build outside the lock: capture replays a whole module forward and
+  // resolves its weights, which can take a moment.
   std::shared_ptr<const Plan> plan;
   obs::ScopedLatency build_timer(build_seconds);
   try {
@@ -75,8 +75,8 @@ Status PlanCache::get_or_build(const std::string& key,
 PlanCache::ArenaLease PlanCache::arena_for(const Plan& plan) {
   static obs::Counter& arena_allocs = obs::counter("plan.arena_allocs");
   // Fault site: arena acquisition fails as an allocation would. The caller
-  // (planned_group) must convert this to Status::internal and fall back to
-  // the eager tape — the request still completes, plan.eager_fallbacks
+  // (core::GroupPlans::open) must convert this to Status::internal and run
+  // the group eager — the request still completes, plan.eager_fallbacks
   // ticks. Sits before the pool lookup so repeated runs keep faulting
   // deterministically instead of being masked by a pooled arena.
   if (DCDIFF_FAULT_POINT("nn.plan.arena_fail")) throw std::bad_alloc();

@@ -1,6 +1,6 @@
 // Forward declarations for the static inference-plan subsystem, so module
-// headers (nn/modules.h, core/*.h) can declare graph-capture methods without
-// pulling in the full plan IR.
+// headers (nn/modules.h, core/*.h) can declare graph-capture methods and
+// hold plan caches without pulling in the full plan IR.
 #pragma once
 
 namespace dcdiff::nn::plan {

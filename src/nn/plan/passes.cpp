@@ -8,18 +8,13 @@ namespace dcdiff::nn::plan {
 namespace {
 
 bool is_activation(OpKind k) {
-  return k == OpKind::kSiLU || k == OpKind::kRelu || k == OpKind::kTanh ||
-         k == OpKind::kSigmoid;
+  return k == OpKind::kSiLU || k == OpKind::kTanh;
 }
 
 PostOp to_post(OpKind k) {
-  switch (k) {
-    case OpKind::kSiLU: return PostOp::kSiLU;
-    case OpKind::kRelu: return PostOp::kRelu;
-    case OpKind::kTanh: return PostOp::kTanh;
-    case OpKind::kSigmoid: return PostOp::kSigmoid;
-    default: return PostOp::kNone;
-  }
+  return k == OpKind::kSiLU ? PostOp::kSiLU
+         : k == OpKind::kTanh ? PostOp::kTanh
+                              : PostOp::kNone;
 }
 
 }  // namespace
@@ -98,19 +93,6 @@ FusionStats fuse_graph(Graph* g) {
       }
     }
     fused.push_back(std::move(op));
-  }
-  // Remap span marks: a mark at old op index m now sits before the surviving
-  // op that replaced it — the count of kept ops with a smaller old index.
-  // (Absorbed consumers execute at their producer's position, which is
-  // always earlier, so a span can only tighten, never leak an op.)
-  if (!g->marks.empty()) {
-    std::vector<int> kept_before(g->ops.size() + 1, 0);
-    for (size_t i = 0; i < g->ops.size(); ++i) {
-      kept_before[i + 1] = kept_before[i] + (removed[i] ? 0 : 1);
-    }
-    for (SpanMark& m : g->marks) {
-      m.op = kept_before[static_cast<size_t>(m.op)];
-    }
   }
   g->ops = std::move(fused);
   stats.ops_after = static_cast<int>(g->ops.size());

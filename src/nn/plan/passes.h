@@ -19,9 +19,10 @@ struct FusionStats {
 
 // Merges producer/sole-consumer chains whose intermediate is not a graph
 // output: conv2d -> group_norm [-> activation], conv2d -> activation,
-// group_norm -> activation, linear -> activation. The merged op writes the
-// chain's final tensor; skipped intermediates are left dangling (no
-// producer, no consumer) and take no arena space. Fusion never reassociates
+// group_norm -> activation, linear -> activation (SiLU or tanh). The merged
+// op writes the chain's final tensor; skipped intermediates are left
+// dangling (no producer, no consumer) and take no arena space. Fusion never
+// reassociates
 // arithmetic — epilogues run as in-place passes over the written output —
 // so fused execution stays bit-identical to eager.
 FusionStats fuse_graph(Graph* g);

@@ -1,10 +1,8 @@
 #include "nn/plan/plan.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -12,7 +10,6 @@
 #include "nn/kernels.h"
 #include "nn/packcache.h"
 #include "obs/env.h"
-#include "obs/trace.h"
 
 namespace dcdiff::nn::plan {
 namespace {
@@ -31,9 +28,7 @@ void apply_post_inplace(PostOp post, float* p, size_t n) {
   switch (post) {
     case PostOp::kNone: break;
     case PostOp::kSiLU: k_silu(p, p, n); break;
-    case PostOp::kRelu: k_relu(p, p, n); break;
     case PostOp::kTanh: k_tanh(p, p, n); break;
-    case PostOp::kSigmoid: k_sigmoid(p, p, n); break;
   }
 }
 
@@ -43,23 +38,13 @@ const char* kind_name(OpKind k) {
     case OpKind::kLinear: return "linear";
     case OpKind::kGroupNorm: return "group_norm";
     case OpKind::kSiLU: return "silu";
-    case OpKind::kRelu: return "relu";
     case OpKind::kTanh: return "tanh";
-    case OpKind::kSigmoid: return "sigmoid";
-    case OpKind::kClamp: return "clamp";
     case OpKind::kAdd: return "add";
-    case OpKind::kSub: return "sub";
-    case OpKind::kScale: return "scale";
     case OpKind::kAddSampleChannelBias: return "add_sc_bias";
     case OpKind::kMulPerSample: return "mul_per_sample";
     case OpKind::kConcatChannels: return "concat";
-    case OpKind::kSliceChannels: return "slice";
-    case OpKind::kReshape: return "reshape";
-    case OpKind::kAvgPool2d: return "avg_pool2d";
-    case OpKind::kGlobalAvgPool: return "global_avg_pool";
     case OpKind::kUpsample2x: return "upsample2x";
     case OpKind::kRepeatBatch: return "repeat_batch";
-    case OpKind::kEnsembleMean: return "ensemble_mean";
   }
   return "?";
 }
@@ -124,8 +109,6 @@ const float* Plan::resolve(TensorId id, float* arena,
   switch (t.storage) {
     case Storage::kInput:
       return inputs[static_cast<size_t>(t.index)];
-    case Storage::kConstant:
-      return graph_.const_pool[static_cast<size_t>(t.index)].data();
     case Storage::kParam:
       return graph_.params[static_cast<size_t>(t.index)].value().data();
     case Storage::kArena:
@@ -141,29 +124,12 @@ void Plan::run(ExecArena& arena, const std::vector<const float*>& inputs,
   }
   float* base = arena.data();
   std::map<std::string, std::pair<int, double>> prof;  // kind -> {count, us}
-  // Captured span marks replay as real trace spans (ddim_sample, ddim_step,
-  // ...) so a compiled run traces like the eager path. Zero cost when
-  // tracing is off.
-  const bool tracing = obs::trace_enabled() && !graph_.marks.empty();
-  size_t mark_i = 0;
-  std::vector<std::unique_ptr<obs::ScopedSpan>> span_stack;
-  const auto replay_marks = [&](int upto) {
-    while (mark_i < graph_.marks.size() && graph_.marks[mark_i].op <= upto) {
-      const SpanMark& m = graph_.marks[mark_i++];
-      if (m.name != nullptr) {
-        span_stack.push_back(std::make_unique<obs::ScopedSpan>(m.name));
-      } else if (!span_stack.empty()) {
-        span_stack.pop_back();
-      }
-    }
-  };
   for (size_t i = 0; i < graph_.ops.size(); ++i) {
-    if (tracing) replay_marks(static_cast<int>(i));
     const Op& op = graph_.ops[i];
     const TensorInfo& ot = graph_.tensors[static_cast<size_t>(op.out)];
     float* out = base + ot.offset;
     const float* a = resolve(op.in[0], base, inputs);
-    // First input's shape: x of the conv/linear/pool ops, a of concat/slice.
+    // First input's shape: x of the conv/linear/upsample ops, a of concat.
     const std::vector<int>& xs =
         graph_.tensors[static_cast<size_t>(op.in[0])].shape;
     const double t0 = profile_enabled() ? now_us() : 0;
@@ -202,26 +168,11 @@ void Plan::run(ExecArena& arena, const std::vector<const float*>& inputs,
       case OpKind::kSiLU:
         k_silu(a, out, ot.numel);
         break;
-      case OpKind::kRelu:
-        k_relu(a, out, ot.numel);
-        break;
       case OpKind::kTanh:
         k_tanh(a, out, ot.numel);
         break;
-      case OpKind::kSigmoid:
-        k_sigmoid(a, out, ot.numel);
-        break;
-      case OpKind::kClamp:
-        k_clamp(a, out, ot.numel, op.f0, op.f1);
-        break;
       case OpKind::kAdd:
         k_add(a, resolve(op.in[1], base, inputs), out, ot.numel);
-        break;
-      case OpKind::kSub:
-        k_sub(a, resolve(op.in[1], base, inputs), out, ot.numel);
-        break;
-      case OpKind::kScale:
-        k_scale(a, out, ot.numel, op.f0);
         break;
       case OpKind::kAddSampleChannelBias:
         k_add_sample_channel_bias(a, resolve(op.in[1], base, inputs), out,
@@ -239,23 +190,6 @@ void Plan::run(ExecArena& arena, const std::vector<const float*>& inputs,
                           static_cast<size_t>(bt.shape[1]) * inner);
         break;
       }
-      case OpKind::kSliceChannels: {
-        const size_t inner = inner_of(xs);
-        k_slice_channels(a, out, xs[0],
-                         static_cast<size_t>(xs[1]) * inner,
-                         static_cast<size_t>(op.i1 - op.i0) * inner,
-                         static_cast<size_t>(op.i0) * inner);
-        break;
-      }
-      case OpKind::kReshape:
-        std::copy_n(a, ot.numel, out);
-        break;
-      case OpKind::kAvgPool2d:
-        k_avg_pool2d(a, out, xs[0], xs[1], xs[2], xs[3], op.i0);
-        break;
-      case OpKind::kGlobalAvgPool:
-        k_global_avg_pool(a, out, xs[0], xs[1], xs[2], xs[3]);
-        break;
       case OpKind::kUpsample2x:
         k_upsample2x(a, out, xs[0], xs[1], xs[2], xs[3]);
         break;
@@ -263,16 +197,8 @@ void Plan::run(ExecArena& arena, const std::vector<const float*>& inputs,
         k_repeat_batch(a, out, xs[0], op.i0,
                        ot.numel / static_cast<size_t>(ot.shape[0]));
         break;
-      case OpKind::kEnsembleMean:
-        k_ensemble_mean(a, out, op.i0, op.i1,
-                        ot.numel / static_cast<size_t>(ot.shape[0]));
-        break;
     }
     apply_post_inplace(op.post, out, ot.numel);
-    if (tracing && i + 1 == graph_.ops.size()) {
-      replay_marks(static_cast<int>(graph_.ops.size()));
-      span_stack.clear();  // close any span left open by capture
-    }
     if (profile_enabled()) {
       auto& slot = prof[kind_name(op.kind)];
       slot.first++;

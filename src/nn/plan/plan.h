@@ -3,8 +3,8 @@
 //
 // A Plan is immutable after construction and holds no mutable execution
 // state, so one plan may be shared across threads; each concurrent run()
-// needs its own ExecArena (PlanCache pools them per size). The steady state
-// per replica is exactly two allocations: the plan and its arena.
+// needs its own ExecArena (PlanCache pools them per size). A run allocates
+// nothing.
 #pragma once
 
 #include <cstddef>

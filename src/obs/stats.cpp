@@ -123,13 +123,14 @@ SloTracker::~SloTracker() { delete impl_; }
 
 int SloTracker::max_window_seconds() const { return impl_->max_window; }
 
-void SloTracker::record(double e2e_seconds, bool ok, bool deadline_missed) {
+void SloTracker::record(double e2e_seconds, bool ok, bool deadline_missed,
+                        bool error) {
   std::lock_guard<std::mutex> lock(impl_->mu);
   Slot& s = impl_->slot_for(impl_->now_second());
   s.completed++;
   if (ok) s.ok++;
   if (deadline_missed) s.missed++;
-  if (!ok && !deadline_missed) s.errors++;
+  if (error) s.errors++;
   s.max_latency = std::max(s.max_latency, e2e_seconds);
   const size_t idx = static_cast<size_t>(
       std::upper_bound(impl_->bounds.begin(), impl_->bounds.end(),

@@ -58,7 +58,9 @@ class SloTracker {
   SloTracker(const SloTracker&) = delete;
   SloTracker& operator=(const SloTracker&) = delete;
 
-  void record(double e2e_seconds, bool ok, bool deadline_missed);
+  // One answered request. `ok`: full-quality goodput; `error`: an internal
+  // error. A degraded answer that missed no deadline is neither.
+  void record(double e2e_seconds, bool ok, bool deadline_missed, bool error);
   // Stats over the last `seconds` (clamped to [1, max_window_seconds]).
   Window window(int seconds) const;
   int max_window_seconds() const;

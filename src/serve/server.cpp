@@ -521,9 +521,9 @@ void ReceiverServer::run_batch(Worker& self, std::vector<Request>& batch,
 
   // Three model calls at most. Plain requests split on whether they need
   // the per-step hook: a progressive request streams partials, and a
-  // deadline may stop sampling at the min_steps floor. Hooked groups run on
-  // the eager tape, the rest on the compiled plan; and since each hooked
-  // group stops only once all of *its* members have expired, quality
+  // deadline may stop sampling at the min_steps floor. All groups run on
+  // the same compiled plans; the split exists because each hooked group
+  // stops only once all of *its* members have expired, so quality
   // requests never pin a doomed sibling to the full step count. Tiles
   // sample coordinate-seeded noise at their crop origins, and get the hook
   // only when one of them carries a deadline. Per-item noise seeding makes
@@ -858,7 +858,8 @@ void ReceiverServer::finish_request(obs::RequestRecord rec, bool slo_account) {
     // Degraded answers are not goodput: the client got an image, but not
     // the quality it asked for — serve.slo.* is where that shows up.
     slo_.record(rec.e2e_seconds,
-                rec.status == "ok" && !missed && !rec.degraded, missed);
+                rec.status == "ok" && !missed && !rec.degraded, missed,
+                internal_error);
   }
   flight_.record(rec);
   // The ring already holds this request, so a dump triggered by it shows

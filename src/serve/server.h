@@ -39,8 +39,9 @@
 //   plain requests, plain requests that need the per-step hook (progressive
 //   or deadline-bearing), and tiles — and each group is one
 //   core::DCDiffModel::reconstruct_batch_anytime call whose status its
-//   requests take. Hook-free groups run on the compiled plan, hooked ones
-//   on the eager tape.
+//   requests take. Every group runs on the compiled UNet-step and decoder
+//   plans; the split is for deadline semantics (a hooked group stops only
+//   when all of its own members have expired).
 // * Anytime sampling: every DDIM step yields a decodable checkpoint. A
 //   request whose deadline fires — queued or mid-batch — is answered with
 //   its best checkpoint and Outcome::kDegraded once the quality floor of

@@ -141,26 +141,29 @@ TEST(FlightRecorder, RequestRecordJsonValidates) {
 
 TEST(SloTracker, WindowAggregatesOutcomes) {
   obs::SloTracker slo(60);
-  for (int i = 0; i < 20; ++i) slo.record(0.010, true, false);
-  for (int i = 0; i < 4; ++i) slo.record(0.500, false, true);
-  slo.record(0.050, false, false);  // internal error
+  for (int i = 0; i < 20; ++i) slo.record(0.010, true, false, false);
+  for (int i = 0; i < 4; ++i) slo.record(0.500, false, true, false);
+  slo.record(0.050, false, false, true);  // internal error
+  // Degraded (e.g. governor-shed) and on time: not ok, not missed, and not
+  // an error either.
+  slo.record(0.020, false, false, false);
   const obs::SloTracker::Window w = slo.window(10);
-  EXPECT_EQ(w.completed, 25u);
+  EXPECT_EQ(w.completed, 26u);
   EXPECT_EQ(w.ok, 20u);
   EXPECT_EQ(w.deadline_missed, 4u);
   EXPECT_EQ(w.errors, 1u);
-  EXPECT_NEAR(w.miss_rate, 4.0 / 25.0, 1e-9);
+  EXPECT_NEAR(w.miss_rate, 4.0 / 26.0, 1e-9);
   EXPECT_GT(w.goodput, 0.0);
-  // p99 over {20 x 10ms, 4 x 500ms, 1 x 50ms}: must land in the bucket
-  // holding the 500ms mass ((0.5, 1.0] — values equal to a bound go to the
-  // next bucket), far above the 10ms bulk.
+  // p99 over {20 x 10ms, 1 x 20ms, 4 x 500ms, 1 x 50ms}: must land in the
+  // bucket holding the 500ms mass ((0.5, 1.0] — values equal to a bound go
+  // to the next bucket), far above the 10ms bulk.
   EXPECT_GE(w.p99_seconds, 0.5);
   EXPECT_LE(w.p99_seconds, 1.0);
 }
 
 TEST(SloTracker, WindowsJsonValidates) {
   obs::SloTracker slo(60);
-  slo.record(0.010, true, false);
+  slo.record(0.010, true, false, false);
   const std::string j = slo.windows_json();
   EXPECT_TRUE(obs::json_validate(j)) << j;
   EXPECT_NE(j.find("\"10s\""), std::string::npos);

@@ -2,23 +2,27 @@
 // core/recon_plan.h) and its wiring into DCDiffModel::reconstruct*.
 //
 // The load-bearing properties:
-//   * Planned execution is bit-identical to the eager tape path for
-//     reconstruct(), reconstruct_batch() and a hook-free
-//     reconstruct_batch_anytime() (both executors call the nn/kernels.h
-//     kernels and the same PackCache panels).
+//   * Planned execution (the UNet-step and decoder plans driven by the one
+//     DDIM loop) is bit-identical to the eager modules for reconstruct(),
+//     reconstruct_batch() and reconstruct_batch_anytime(), hooked or not,
+//     for x0- and eps-predicting models (both executors call the
+//     nn/kernels.h kernels and the same PackCache panels).
+//   * Hooked traffic (partials, early stops) runs planned, and a model the
+//     plan cannot capture (mid-block attention) falls back to eager once
+//     per size group with the same bytes.
 //   * An image's pixels do not depend on its batch-mates: reconstruct(x)
 //     equals row 0 of reconstruct_batch({x, ...}) byte for byte at the
 //     paper's UNet widths, planned and eager.
-//   * Plans compile once per shape signature and are reused (cache hits, no
-//     rebuilds).
+//   * Plans compile once per shape and are reused (cache hits, no
+//     rebuilds), whatever the step count.
 //   * set_plan_enabled(false) selects the eager reference: the plan layer is
 //     never consulted.
 //   * Steady state allocates nothing: after warmup, repeated planned
 //     forwards grow neither the plan arena pool nor the thread workspace.
 //   * Plan build failures surface as a typed Status, never an exception; a
 //     conv weight that still requires grad is such a failure.
-//   * Every op kind and fused form runs the eager op's kernel: a one-op plan
-//     equals the eager op chain byte for byte.
+//   * Each of the 11 op kinds and each fused form runs the eager op's
+//     kernel: a one-op plan equals the eager op chain byte for byte.
 //   * Plans borrow the model's PackCache panels (one per conv weight), and
 //     the arena pool holds only sizes that cached plans use.
 //   * Replica-sharded serving works with per-replica plans (this suite runs
@@ -237,6 +241,158 @@ TEST_F(PlanTest, CoordinateNoiseRunsPlannedAndMatchesEager) {
   }
 }
 
+// ---- hooked traffic runs planned ----
+
+// The per-step hook runs between the steps of the one DDIM loop, so a
+// progressive run and a run stopped early use the warm UNet-step and
+// decoder plans (cache hits, no build, no fallback) and equal the same call
+// on the eager modules byte for byte: every partial, its psnr proxy, and
+// the final images.
+TEST_F(PlanTest, HookedRunsArePlannedAndMatchEager) {
+  using Action = core::AnytimeControl::Action;
+  const jpeg::CoeffImage c0 = jpeg::decode_jfif(bitstream(0));
+  const jpeg::CoeffImage c1 = jpeg::decode_jfif(bitstream(1));
+  const std::vector<core::AnytimeItem> items = {{&c0, 0, 0}, {&c1, 0, 0}};
+  core::set_plan_enabled(true);
+  (void)model_->reconstruct_batch_anytime(items, {}, {});  // warm this size
+
+  struct Partial {
+    int item, steps_done;
+    double proxy;
+    Image image;
+  };
+  struct Run {
+    core::AnytimeResult result;
+    std::vector<Partial> partials;
+  };
+  const auto run = [&](const std::function<Action(int, int)>& on_step) {
+    Run r;
+    core::AnytimeControl ctrl;
+    ctrl.on_step = on_step;
+    ctrl.on_partial = [&](int item, Image image, int done, double proxy) {
+      r.partials.push_back({item, done, proxy, std::move(image)});
+    };
+    r.result = model_->reconstruct_batch_anytime(items, {}, ctrl);
+    return r;
+  };
+  const std::function<Action(int, int)> every_step = [](int done, int total) {
+    return done < total ? Action::kEmitPartial : Action::kContinue;
+  };
+  const std::function<Action(int, int)> stop_at_2 = [](int done, int) {
+    return done >= 2 ? Action::kStop : Action::kEmitPartial;
+  };
+  for (const auto& on_step : {every_step, stop_at_2}) {
+    core::set_plan_enabled(true);
+    const uint64_t builds_before = obs::counter("plan.builds").value();
+    const uint64_t hits_before = obs::counter("plan.cache_hits").value();
+    const uint64_t fallbacks_before =
+        obs::counter("plan.eager_fallbacks").value();
+    const Run planned = run(on_step);
+    EXPECT_GT(obs::counter("plan.cache_hits").value(), hits_before);
+    EXPECT_EQ(obs::counter("plan.builds").value(), builds_before);
+    EXPECT_EQ(obs::counter("plan.eager_fallbacks").value(), fallbacks_before);
+
+    core::set_plan_enabled(false);
+    const Run eager = run(on_step);
+    core::set_plan_enabled(true);
+
+    ASSERT_FALSE(eager.partials.empty());
+    ASSERT_EQ(planned.partials.size(), eager.partials.size());
+    for (size_t i = 0; i < eager.partials.size(); ++i) {
+      const Partial& p = planned.partials[i];
+      const Partial& e = eager.partials[i];
+      EXPECT_EQ(p.item, e.item) << "partial " << i;
+      EXPECT_EQ(p.steps_done, e.steps_done) << "partial " << i;
+      EXPECT_EQ(p.proxy, e.proxy) << "partial " << i;
+      EXPECT_TRUE(same_bytes(p.image, e.image)) << "partial " << i;
+    }
+    EXPECT_EQ(planned.result.early_exit, eager.result.early_exit);
+    EXPECT_EQ(planned.result.steps_done, eager.result.steps_done);
+    ASSERT_EQ(planned.result.images.size(), items.size());
+    for (size_t i = 0; i < items.size(); ++i) {
+      EXPECT_TRUE(same_bytes(planned.result.images[i], eager.result.images[i]))
+          << "image " << i;
+    }
+  }
+}
+
+// No plan depends on the step count: a governor-shed or a full-length call
+// of one size reuses the plans the first call compiled.
+TEST_F(PlanTest, StepCountsShareOnePlan) {
+  // 40 px: a size no other test of this model compiles.
+  const jpeg::CoeffImage coeffs = jpeg::decode_jfif(bitstream(3, 40));
+  core::set_plan_enabled(true);
+  for (const int steps : {2, 3, 4}) {
+    core::ReconstructOptions opts;
+    opts.ddim_steps = steps;
+    const uint64_t builds_before = obs::counter("plan.builds").value();
+    (void)model_->reconstruct(coeffs, opts);
+    EXPECT_EQ(obs::counter("plan.builds").value() - builds_before,
+              steps == 2 ? 2u : 0u)
+        << steps << " steps";
+  }
+}
+
+// ---- paths a whole-model capture never covered ----
+
+std::vector<jpeg::CoeffImage> two_sizes() {
+  std::vector<jpeg::CoeffImage> coeffs;
+  for (const int size : {32, 48}) {
+    const Image img = data::dataset_image(data::DatasetId::kKodak, 0, size);
+    coeffs.push_back(jpeg::decode_jfif(core::sender_encode(img).bytes));
+  }
+  return coeffs;
+}
+
+core::DCDiffConfig random_init_config() {
+  core::DCDiffConfig cfg = tiny_config();
+  cfg.tag = "test_plan_random_init";  // never trained or cached
+  return cfg;
+}
+
+// An eps-predicting model runs the same plans (the prediction kind is DDIM
+// arithmetic outside them) and equals eager byte for byte.
+TEST(PlanPaths, EpsPredictionPlannedMatchesEager) {
+  core::DCDiffConfig cfg = random_init_config();
+  cfg.prediction = core::Prediction::kEps;
+  const core::DCDiffModel model(cfg);
+  const std::vector<jpeg::CoeffImage> coeffs = two_sizes();
+  core::set_plan_enabled(false);
+  const std::vector<Image> eager = model.reconstruct_batch(coeffs);
+  core::set_plan_enabled(true);
+  const uint64_t builds_before = obs::counter("plan.builds").value();
+  const uint64_t fallbacks_before =
+      obs::counter("plan.eager_fallbacks").value();
+  const std::vector<Image> planned = model.reconstruct_batch(coeffs);
+  EXPECT_EQ(obs::counter("plan.builds").value(), builds_before + 4);
+  EXPECT_EQ(obs::counter("plan.eager_fallbacks").value(), fallbacks_before);
+  ASSERT_EQ(planned.size(), eager.size());
+  for (size_t i = 0; i < eager.size(); ++i) {
+    EXPECT_TRUE(same_bytes(planned[i], eager[i])) << "image " << i;
+  }
+}
+
+// The plan does not capture mid-block attention: such a model falls back
+// once per size group and still equals the eager reference.
+TEST(PlanPaths, MidAttentionFallsBackPerGroupAndMatchesEager) {
+  core::DCDiffConfig cfg = random_init_config();
+  cfg.unet.mid_attention = true;
+  const core::DCDiffModel model(cfg);
+  const std::vector<jpeg::CoeffImage> coeffs = two_sizes();
+  core::set_plan_enabled(false);
+  const std::vector<Image> eager = model.reconstruct_batch(coeffs);
+  core::set_plan_enabled(true);
+  const uint64_t fallbacks_before =
+      obs::counter("plan.eager_fallbacks").value();
+  const std::vector<Image> fallback = model.reconstruct_batch(coeffs);
+  EXPECT_EQ(obs::counter("plan.eager_fallbacks").value(),
+            fallbacks_before + 2);
+  ASSERT_EQ(fallback.size(), eager.size());
+  for (size_t i = 0; i < eager.size(); ++i) {
+    EXPECT_TRUE(same_bytes(fallback[i], eager[i])) << "image " << i;
+  }
+}
+
 // Batch-mates never change an image's pixels. At the paper's UNet widths
 // (base 32, temb 64) the timestep-embedding linears have 2 rows for one
 // image and 8 for four (ensemble 2), which straddles the GEMM's small
@@ -426,34 +582,12 @@ TEST(PlanCacheTest, EveryOpMatchesEager) {
       {"silu", {x4},
        [](GraphBuilder& g, const Ids& in) { return g.silu(in[0]); },
        [](const Ts& in) { return nn::silu(in[0]); }},
-      {"relu", {x4},
-       [](GraphBuilder& g, const Ids& in) { return g.relu(in[0]); },
-       [](const Ts& in) { return nn::relu(in[0]); }},
       {"tanh", {x4},
        [](GraphBuilder& g, const Ids& in) { return g.tanh(in[0]); },
        [](const Ts& in) { return nn::tanh_op(in[0]); }},
-      {"sigmoid", {x4},
-       [](GraphBuilder& g, const Ids& in) { return g.sigmoid(in[0]); },
-       [](const Ts& in) { return nn::sigmoid(in[0]); }},
-      // The eager clamp is the DDIM sampler's in-place pass over z0.
-      {"clamp", {x4},
-       [](GraphBuilder& g, const Ids& in) {
-         return g.clamp(in[0], -1.2f, 1.2f);
-       },
-       [](const Ts& in) {
-         std::vector<float> v = in[0].value();
-         for (float& x : v) x = std::clamp(x, -1.2f, 1.2f);
-         return Tensor::from_data(in[0].shape(), std::move(v));
-       }},
       {"add", {x4, x4},
        [](GraphBuilder& g, const Ids& in) { return g.add(in[0], in[1]); },
        [](const Ts& in) { return nn::add(in[0], in[1]); }},
-      {"sub", {x4, x4},
-       [](GraphBuilder& g, const Ids& in) { return g.sub(in[0], in[1]); },
-       [](const Ts& in) { return nn::sub(in[0], in[1]); }},
-      {"scale", {x4},
-       [](GraphBuilder& g, const Ids& in) { return g.scale(in[0], 0.37f); },
-       [](const Ts& in) { return nn::scale(in[0], 0.37f); }},
       {"add_sample_channel_bias", {x4, {2, 3}},
        [](GraphBuilder& g, const Ids& in) {
          return g.add_sample_channel_bias(in[0], in[1]);
@@ -469,43 +603,12 @@ TEST(PlanCacheTest, EveryOpMatchesEager) {
          return g.concat_channels(in[0], in[1]);
        },
        [](const Ts& in) { return nn::concat_channels(in[0], in[1]); }},
-      {"slice_channels", {{2, 5, 4, 3}},
-       [](GraphBuilder& g, const Ids& in) {
-         return g.slice_channels(in[0], 1, 4);
-       },
-       [](const Ts& in) { return nn::slice_channels(in[0], 1, 4); }},
-      {"reshape", {x4},
-       [](GraphBuilder& g, const Ids& in) { return g.reshape(in[0], {6, 20}); },
-       [](const Ts& in) { return nn::reshape(in[0], {6, 20}); }},
-      {"avg_pool2d", {{2, 3, 8, 6}},
-       [](GraphBuilder& g, const Ids& in) { return g.avg_pool2d(in[0], 2); },
-       [](const Ts& in) { return nn::avg_pool2d(in[0], 2); }},
-      {"global_avg_pool", {x4},
-       [](GraphBuilder& g, const Ids& in) { return g.global_avg_pool(in[0]); },
-       [](const Ts& in) { return nn::global_avg_pool(in[0]); }},
       {"upsample2x", {x4},
        [](GraphBuilder& g, const Ids& in) { return g.upsample2x(in[0]); },
        [](const Ts& in) { return nn::upsample_nearest2x(in[0]); }},
       {"repeat_batch", {x4},
        [](GraphBuilder& g, const Ids& in) { return g.repeat_batch(in[0], 3); },
        [](const Ts& in) { return core::repeat_batch(in[0], 3); }},
-      // The eager fold of ensemble rows: members added left to right, then
-      // scaled.
-      {"ensemble_mean", {{6, 3, 4, 5}},
-       [](GraphBuilder& g, const Ids& in) {
-         return g.ensemble_mean(in[0], 2, 3);
-       },
-       [](const Ts& in) {
-         std::vector<Tensor> means;
-         for (int j = 0; j < 2; ++j) {
-           Tensor acc = core::take_sample(in[0], 3 * j);
-           for (int m = 1; m < 3; ++m) {
-             acc = nn::add(acc, core::take_sample(in[0], 3 * j + m));
-           }
-           means.push_back(nn::scale(acc, 1.0f / 3.0f));
-         }
-         return core::stack_batch(means);
-       }},
       // Fused forms: conv + group norm [+ activation].
       {"conv2d+group_norm", {{2, 4, 6, 6}},
        [&](GraphBuilder& g, const Ids& in) {
@@ -532,9 +635,7 @@ TEST(PlanCacheTest, EveryOpMatchesEager) {
     Tensor (*eager)(const Tensor&);
   };
   const Act acts[] = {{"silu", &GraphBuilder::silu, &nn::silu},
-                      {"relu", &GraphBuilder::relu, &nn::relu},
-                      {"tanh", &GraphBuilder::tanh, &nn::tanh_op},
-                      {"sigmoid", &GraphBuilder::sigmoid, &nn::sigmoid}};
+                      {"tanh", &GraphBuilder::tanh, &nn::tanh_op}};
   for (const Act& act : acts) {
     cases.push_back(
         {std::string("conv2d+") + act.name, {{2, 4, 6, 6}},
@@ -663,7 +764,7 @@ TEST(PlanPanels, PlansBorrowOnePanelPerConvWeight) {
   before = misses.value();
   uint64_t builds_before = builds.value();
   (void)model->reconstruct(coeffs);
-  EXPECT_EQ(builds.value(), builds_before + 1);
+  EXPECT_EQ(builds.value(), builds_before + 2);  // UNet step + decoder
   EXPECT_EQ(misses.value() - before, conv_weights);
 
   core::set_plan_enabled(false);
@@ -676,7 +777,7 @@ TEST(PlanPanels, PlansBorrowOnePanelPerConvWeight) {
   before = misses.value();
   builds_before = builds.value();
   (void)replica->reconstruct(coeffs);
-  EXPECT_EQ(builds.value(), builds_before + 1);
+  EXPECT_EQ(builds.value(), builds_before + 2);
   EXPECT_EQ(misses.value(), before);
 }
 
