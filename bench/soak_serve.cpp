@@ -13,6 +13,9 @@
 //     non-ok Status (never a crash, never a silent drop);
 //   * the server's own accounting balances: accepted ==
 //     completed + degraded + rejected-after-accept;
+//   * every accepted request and every tile was booked exactly once: the
+//     flight recorder's lifetime count is accepted + tiles, and each
+//     record's stamps run submit <= route <= batch <= model <= done;
 //   * shutdown drains and joins inside the run (a hang trips the CTest
 //     timeout).
 //
@@ -41,6 +44,7 @@
 #include "data/datasets.h"
 #include "image/image.h"
 #include "obs/metrics.h"
+#include "obs/reqtrace.h"
 #include "serve/server.h"
 #include "serve/stream.h"
 #include "testing/fault.h"
@@ -216,6 +220,19 @@ RunOutcome run_cell(const std::string& plan_text, int requests,
     if (stats.accepted + submit_rejected != submitted) {
       fail("accounting: " + std::to_string(submitted) + " submitted vs " +
            std::to_string(stats.accepted + submit_rejected) + " accounted");
+    }
+    const obs::FlightRecorder& flight = server.flight_recorder();
+    if (flight.total_recorded() != stats.accepted + stats.tiles) {
+      fail("ledger: " + std::to_string(flight.total_recorded()) +
+           " records for " + std::to_string(stats.accepted) +
+           " accepted + " + std::to_string(stats.tiles) + " tiles");
+    }
+    for (const obs::RequestRecord& r : flight.snapshot()) {
+      if (!(r.submit_us <= r.route_us && r.route_us <= r.batch_us &&
+            r.batch_us <= r.model_us && r.model_us <= r.done_us)) {
+        fail("ledger: request " + std::to_string(r.request_id) +
+             " stamps out of order: " + obs::request_record_json(r));
+      }
     }
   }
   return out;

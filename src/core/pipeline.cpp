@@ -561,17 +561,14 @@ AnytimeResult DCDiffModel::reconstruct_batch_anytime(
 
     // The UNet and the decoder run on the group's compiled plans, or on the
     // eager modules under set_plan_enabled(false) or when a plan cannot be
-    // built or its arena leased (plan.eager_fallbacks).
+    // built or its arena leased (plan.eager_fallbacks; the failure itself
+    // is logged where it happens, a remembered build failure once per key).
     std::optional<GroupPlans> planned;
     if (plan_enabled()) {
       const Status st =
           GroupPlans::open(*plans_, *packs_, *unet_, *ae_, n, ensemble,
                            ph / 4, pw / 4, opts.use_fmpp, &planned);
-      if (!st.is_ok()) {
-        fallbacks_c.inc();
-        DCDIFF_LOG_WARN("core.plan", "eager_fallback",
-                        {{"error", st.to_string()}});
-      }
+      if (!st.is_ok()) fallbacks_c.inc();
     }
     const DdimDenoiser denoise = [&](const Tensor& z, int t) {
       if (planned) return planned->denoise(z, t, cond, s, b);

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "nn/plan/builder.h"
+#include "obs/log.h"
 #include "obs/metrics.h"
 
 namespace dcdiff::core {
@@ -55,7 +56,9 @@ Status GroupPlans::open(plan::PlanCache& cache, PackCache& packs,
     out->emplace(GroupPlans(std::move(step), std::move(decoder),
                             std::move(lease), uc.temb_dim));
   } catch (const std::exception& e) {
-    return Status::internal(std::string("plan arena: ") + e.what());
+    const Status st = Status::internal(std::string("plan arena: ") + e.what());
+    DCDIFF_LOG_WARN("core.plan", "arena_failed", {{"error", st.to_string()}});
+    return st;
   }
   return Status::ok();
 }

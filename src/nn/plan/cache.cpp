@@ -6,8 +6,9 @@
 #include <new>
 
 #include "nn/plan/builder.h"
-#include "testing/fault.h"
+#include "obs/log.h"
 #include "obs/metrics.h"
+#include "testing/fault.h"
 
 namespace dcdiff::nn::plan {
 
@@ -17,7 +18,6 @@ Status PlanCache::get_or_build(const std::string& key,
   static obs::Counter& hits = obs::counter("plan.cache_hits");
   static obs::Counter& builds = obs::counter("plan.builds");
   static obs::Counter& failures = obs::counter("plan.build_failures");
-  static obs::Counter& evictions = obs::counter("plan.evictions");
   static obs::Gauge& arena_bytes = obs::gauge("plan.arena_bytes");
   static obs::Gauge& fused = obs::gauge("plan.fused_ops");
   static obs::Histogram& build_seconds = obs::histogram("plan.build_seconds");
@@ -29,22 +29,36 @@ Status PlanCache::get_or_build(const std::string& key,
       *out = it->second;
       return Status::ok();
     }
+    auto failed = failed_.find(key);
+    if (failed != failed_.end()) return failed->second;
   }
   // Build outside the lock: capture replays a whole module forward and
   // resolves its weights, which can take a moment.
   std::shared_ptr<const Plan> plan;
   obs::ScopedLatency build_timer(build_seconds);
+  bool captured = false;
   try {
     Graph g;
     GraphBuilder builder(&g);
     capture(builder);
+    captured = true;
     plan = std::make_shared<const Plan>(std::move(g), packs);
-  } catch (const std::invalid_argument& e) {
-    failures.inc();
-    return Status::invalid_argument(std::string("plan build: ") + e.what());
   } catch (const std::exception& e) {
     failures.inc();
-    return Status::internal(std::string("plan build: ") + e.what());
+    const bool invalid = dynamic_cast<const std::invalid_argument*>(&e);
+    const Status st(
+        invalid ? StatusCode::kInvalidArgument : StatusCode::kInternal,
+        std::string("plan build: ") + e.what());
+    DCDIFF_LOG_WARN("nn.plan", "build_failed",
+                    {{"key", key}, {"error", st.to_string()}});
+    // A module the capture cannot express fails the same way every time;
+    // compiling can also fail on the weights' current state (a conv weight
+    // that still trains), which a later call may find changed.
+    if (invalid && !captured) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (failed_.emplace(key, st).second) admit_locked(key);
+    }
+    return st;
   }
   builds.inc();
   arena_bytes.set_max(
@@ -57,12 +71,7 @@ Status PlanCache::get_or_build(const std::string& key,
     if (!inserted) {
       it->second = plan;  // concurrent build of the same key: last wins
     } else {
-      order_.push_back(key);
-      while (order_.size() > kMaxPlans) {
-        plans_.erase(order_.front());
-        order_.pop_front();
-        evictions.inc();
-      }
+      admit_locked(key);
     }
     // Idle arenas of a size no cached plan uses any more are freed.
     std::erase_if(arena_pool_,
@@ -70,6 +79,17 @@ Status PlanCache::get_or_build(const std::string& key,
   }
   *out = std::move(plan);
   return Status::ok();
+}
+
+void PlanCache::admit_locked(const std::string& key) {
+  static obs::Counter& evictions = obs::counter("plan.evictions");
+  order_.push_back(key);
+  while (order_.size() > kMaxPlans) {
+    plans_.erase(order_.front());
+    failed_.erase(order_.front());
+    order_.pop_front();
+    evictions.inc();
+  }
 }
 
 PlanCache::ArenaLease PlanCache::arena_for(const Plan& plan) {

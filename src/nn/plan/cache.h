@@ -3,9 +3,12 @@
 // allocate nothing. The pool holds arenas only of sizes some cached plan
 // uses, so evicting a plan also frees its idle arenas.
 //
-// Build failures (unsupported op reached during capture, malformed graph)
-// surface as a typed Status — never an exception escaping into a serving
-// worker — and are not cached, so a transient failure retries.
+// Build failures surface as a typed Status — never an exception escaping
+// into a serving worker. A capture that fails with kInvalidArgument (a
+// module the plan cannot express, such as mid-block attention) is
+// remembered per key, so it is captured and logged once. A compile failure
+// (a conv weight that still trains, an empty graph) and a kInternal one
+// (bad_alloc) are not, and retry.
 #pragma once
 
 #include <cstddef>
@@ -36,9 +39,9 @@ class PlanCache {
   // The cached plan for `key`, building on a miss by running `capture` into
   // a fresh Graph and compiling it (conv weights resolved through `packs`,
   // which must outlive the plan). Bounded FIFO: the oldest plan is evicted
-  // past kMaxPlans (in-flight shared_ptr holders keep evicted plans alive).
-  // Thread-safe; concurrent misses for one key may build twice, last build
-  // wins.
+  // past kMaxPlans (in-flight shared_ptr holders keep evicted plans alive;
+  // remembered failures share the bound). Thread-safe; concurrent misses
+  // for one key may build twice, last build wins.
   Status get_or_build(const std::string& key, const CaptureFn& capture,
                       PackCache& packs, std::shared_ptr<const Plan>* out);
 
@@ -79,9 +82,12 @@ class PlanCache {
   void release_arena(std::unique_ptr<ExecArena> arena);
   // Whether a cached plan runs in arenas of `floats`; caller holds mu_.
   bool size_in_use(size_t floats) const;
+  // Appends `key` to the FIFO and evicts past kMaxPlans; caller holds mu_.
+  void admit_locked(const std::string& key);
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, std::shared_ptr<const Plan>> plans_;
+  std::unordered_map<std::string, Status> failed_;  // remembered captures
   std::deque<std::string> order_;
   std::unordered_map<size_t, std::vector<std::unique_ptr<ExecArena>>>
       arena_pool_;

@@ -68,8 +68,8 @@ class ThreadPool {
   // Cumulative wall time this pool's threads (workers plus the calling
   // thread's own range shares) have spent inside dispatched loop bodies.
   // Utilization over an interval is delta busy / (delta wall * num_threads);
-  // the serving engine samples it per worker partition into the
-  // serve.worker.<i>.pool_busy_seconds gauge on each stats snapshot.
+  // the serving engine reads it per worker at export time
+  // (dcdiff_serve_worker_pool_busy_seconds_total{worker="i"}).
   double busy_seconds() const {
     return static_cast<double>(busy_ns_.load(std::memory_order_relaxed)) *
            1e-9;

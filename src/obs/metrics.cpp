@@ -319,9 +319,4 @@ Histogram& histogram(const std::string& name,
   return Registry::instance().histogram(name, std::move(upper_bounds));
 }
 
-std::string indexed(const std::string& family, int index,
-                    const std::string& leaf) {
-  return family + "." + std::to_string(index) + "." + leaf;
-}
-
 }  // namespace dcdiff::obs

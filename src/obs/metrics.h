@@ -165,12 +165,4 @@ Gauge& gauge(const std::string& name);
 Histogram& histogram(const std::string& name,
                      std::vector<double> upper_bounds = {});
 
-// Name of one member of an indexed metric family: indexed("serve.worker", 3,
-// "batches") -> "serve.worker.3.batches". Keeps per-instance metric names
-// (per serve worker, per partition) consistent across call sites. Callers
-// should resolve the metric once per instance and cache the reference — the
-// formatted lookup costs a string build plus the registry map.
-std::string indexed(const std::string& family, int index,
-                    const std::string& leaf);
-
 }  // namespace dcdiff::obs

@@ -34,7 +34,7 @@ std::string stats_json(const std::string& extra_json = "");
 // lines, newline-terminated).
 std::string stats_prometheus(const std::string& extra = "");
 
-// "serve.worker.0.queue_depth" -> "dcdiff_serve_worker_0_queue_depth".
+// "serve.queue_depth" -> "dcdiff_serve_queue_depth".
 std::string prometheus_name(const std::string& name);
 
 // Rolling-window request-outcome tracker. Thread-safe; record() is a mutex

@@ -26,9 +26,34 @@ Result rejected(Status st) {
   return r;
 }
 
-double elapsed_seconds(std::chrono::steady_clock::time_point from,
-                       std::chrono::steady_clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
+// The terminal Result of a reconstruction that ran `done` of `target` steps.
+Result finished(Image image, int done, int target) {
+  Result r;
+  r.outcome = done < target ? Outcome::kDegraded : Outcome::kComplete;
+  r.image = std::move(image);
+  r.steps_done = done;
+  r.steps_target = target;
+  return r;
+}
+
+// Trace-clock instant a request's deadline expires (+inf when it has none).
+double deadline_us(const obs::RequestRecord& rec) {
+  return rec.deadline_ms > 0 ? rec.submit_us + 1e3 * rec.deadline_ms
+                             : std::numeric_limits<double>::infinity();
+}
+
+// Interned trace context of one request on `worker` (-1 with tracing off).
+int32_t request_context(const obs::RequestRecord& rec) {
+  obs::TraceContext ctx;
+  ctx.worker = rec.worker;
+  ctx.request_ids.push_back(rec.request_id);
+  return obs::intern_trace_context(std::move(ctx));
+}
+
+// Busy seconds of the pool a worker computes on: its partition, or the
+// global pool when it has none. A relaxed atomic read, taken at export.
+double pool_busy_seconds(const nn::ThreadPool* partition) {
+  return (partition ? *partition : nn::ThreadPool::instance()).busy_seconds();
 }
 
 }  // namespace
@@ -137,10 +162,6 @@ ReceiverServer::ReceiverServer(const ServerConfig& cfg,
     w->index = i;
     w->model = i == 0 ? model_ : core::DCDiffModel::replicate(model_);
     if (!pools.empty()) w->pool = std::move(pools[static_cast<size_t>(i)]);
-    w->depth_gauge =
-        &obs::gauge(obs::indexed("serve.worker", i, "queue_depth"));
-    w->batch_counter = &obs::counter(obs::indexed("serve.worker", i, "batches"));
-    w->steal_counter = &obs::counter(obs::indexed("serve.worker", i, "steals"));
     workers_.push_back(std::move(w));
   }
   for (int i = 0; i < cfg_.workers; ++i) {
@@ -216,10 +237,6 @@ std::shared_ptr<detail::StreamState> ReceiverServer::submit(
   if (decode_status.is_ok()) layout = plan_tiles(coeffs, req.tile);
   const size_t slots = layout.tiled() ? layout.tiles.size() : 1;
 
-  const auto now = Clock::now();
-  const auto deadline = req.deadline_ms > 0
-                            ? now + std::chrono::milliseconds(req.deadline_ms)
-                            : Clock::time_point::max();
   const double submit_us = obs::trace_now_us();
 
   std::lock_guard<std::mutex> lk(mu_);
@@ -249,30 +266,29 @@ std::shared_ptr<detail::StreamState> ReceiverServer::submit(
     return state;
   }
 
+  // Ids are assigned at acceptance, under mu_, so they are unique per
+  // server and monotone in acceptance order (rejected submits consume
+  // none). A tiled request's tiles share its submit and route stamps.
+  obs::RequestRecord rec;
+  rec.request_id = next_request_id_++;
+  rec.session_id = session_id;
+  rec.deadline_ms = std::max(0, req.deadline_ms);
+  rec.submit_us = submit_us;
+  rec.route_us = obs::trace_now_us();
   const auto enqueue = [&](Request r, int hint) {
-    // Ids are assigned at acceptance, under mu_, so they are process-unique
-    // and monotone in acceptance order (rejected submits consume none).
-    r.request_id = next_request_id_++;
-    const int target = route_locked(hint);
-    r.routed_worker = target;
-    r.route_us = obs::trace_now_us();
-    Worker& w = *workers_[static_cast<size_t>(target)];
-    w.queue.push_back(std::move(r));
+    r.rec.routed_worker = route_locked(hint);
+    workers_[static_cast<size_t>(r.rec.routed_worker)]->queue.push_back(
+        std::move(r));
     ++total_queued_;
-    w.depth_gauge->set(static_cast<double>(w.queue.size()));
   };
 
   if (!layout.tiled()) {
     Request r;
     r.coeffs = std::move(coeffs);
     r.stream = state;
-    r.enqueued = now;
-    r.deadline = deadline;
-    r.session_id = session_id;
     r.tier = req.tier;
     r.delivery = req.delivery;
-    r.deadline_ms = std::max(0, req.deadline_ms);
-    r.submit_us = submit_us;
+    r.rec = rec;
     enqueue(std::move(r), req.worker_hint);
   } else {
     auto job = std::make_shared<TileJob>();
@@ -281,42 +297,33 @@ std::shared_ptr<detail::StreamState> ReceiverServer::submit(
     job->tile_workers.assign(layout.tiles.size(), -1);
     job->tile_steps.assign(layout.tiles.size(), 0);
     job->remaining = layout.tiles.size();
-    job->stream = state;
-    job->session_id = session_id;
-    job->request_id = next_request_id_++;  // the logical request's id
-    job->enqueued = now;
-    job->deadline = deadline;
-    job->deadline_ms = std::max(0, req.deadline_ms);
-    job->submit_us = submit_us;
+    rec.tiled = true;
     for (size_t i = 0; i < layout.tiles.size(); ++i) {
       const TileSpec& spec = layout.tiles[i];
       Request r;
       r.coeffs = extract_tile(coeffs, spec);
-      r.enqueued = now;
-      r.deadline = deadline;
-      r.session_id = session_id;
+      // Delivery stays final-only: partials are a whole-image contract.
       r.tier = req.tier;
-      // Partials are a whole-image contract; tiles deliver final-only.
-      r.delivery = DeliveryMode::kFinalOnly;
       r.tile = job;
       r.tile_index = static_cast<int>(i);
       // Latent grid is pixel / 4; crop origins are MCU-aligned so this is
       // exact. Coordinate-seeded noise then reproduces the untiled field.
       r.noise_x0 = spec.cx0 / 4;
       r.noise_y0 = spec.cy0 / 4;
-      r.deadline_ms = std::max(0, req.deadline_ms);
-      r.submit_us = submit_us;
+      r.rec = rec;
+      r.rec.request_id = next_request_id_++;
       // Tiles always route least-loaded: the point of the fan-out is to
       // land siblings on distinct workers.
       enqueue(std::move(r), -1);
     }
-    job->full = std::move(coeffs);
+    job->parent.coeffs = std::move(coeffs);
+    job->parent.stream = state;
+    job->parent.rec = std::move(rec);
     stats_.tiles += layout.tiles.size();
     tiles_ctr.inc(static_cast<uint64_t>(layout.tiles.size()));
   }
 
   stats_.accepted++;
-  stats_.queue_depth = total_queued_;
   depth.set(static_cast<double>(total_queued_));
   depth.set_max(static_cast<double>(total_queued_));
   accepted.inc();
@@ -343,17 +350,20 @@ bool ReceiverServer::pop_one_locked(Worker& self, std::vector<Request>& batch,
     if (source != nullptr) ++*steals;
   }
   if (source == nullptr) return false;
-  batch.push_back(std::move(source->queue.front()));
+  Request& r = batch.emplace_back(std::move(source->queue.front()));
   source->queue.pop_front();
-  batch.back().stolen = source != &self;
-  batch.back().batch_us = obs::trace_now_us();
   --total_queued_;
-  source->depth_gauge->set(static_cast<double>(source->queue.size()));
+  r.rec.worker = self.index;
+  r.rec.stolen = source != &self;
+  r.rec.batch_us = obs::trace_now_us();
   return true;
 }
 
 void ReceiverServer::worker_loop(int index) {
   static obs::Gauge& depth = obs::gauge("serve.queue_depth");
+  static obs::Counter& stolen = obs::counter("serve.steals");
+  static obs::Histogram& batch_size =
+      obs::histogram("serve.batch_size", {1, 2, 4, 8, 16, 32, 64});
   Worker& self = *workers_[static_cast<size_t>(index)];
   // Bind this thread's partition: every parallel loop in the model forward
   // now runs on this worker's disjoint thread set. The driving thread pins
@@ -385,8 +395,8 @@ void ReceiverServer::worker_loop(int index) {
       // Microbatch window: hold the batch open briefly so concurrent
       // submitters coalesce into one reconstruct_batch call. Own queue
       // first; steal only when it runs dry.
-      const auto window_end =
-          Clock::now() + std::chrono::milliseconds(cfg_.batch_timeout_ms);
+      const auto window_end = std::chrono::steady_clock::now() +
+                              std::chrono::milliseconds(cfg_.batch_timeout_ms);
       while (static_cast<int>(batch.size()) < cfg_.max_batch) {
         if (pop_one_locked(self, batch, &steals)) continue;
         if (stopping_ || cfg_.batch_timeout_ms <= 0) break;
@@ -398,15 +408,20 @@ void ReceiverServer::worker_loop(int index) {
       }
       self.busy = true;
       self.inflight.clear();
-      for (const Request& r : batch) self.inflight.push_back(r.request_id);
+      for (const Request& r : batch) self.inflight.push_back(r.rec.request_id);
       depth_at_pop = total_queued_;
-      stats_.queue_depth = total_queued_;
       depth.set(static_cast<double>(total_queued_));
+      stats_.batches++;
+      stats_.steals += steals;
+      self.stats.batches++;
+      self.stats.steals += steals;
     }
+    stolen.inc(steals);
+    batch_size.observe(static_cast<double>(batch.size()));
     // More requests may remain; let another worker pick them up while this
     // batch runs.
     queue_cv_.notify_one();
-    run_batch(self, batch, steals, depth_at_pop);
+    run_batch(self, batch, depth_at_pop);
     {
       std::lock_guard<std::mutex> lk(mu_);
       self.busy = false;
@@ -416,21 +431,7 @@ void ReceiverServer::worker_loop(int index) {
 }
 
 void ReceiverServer::run_batch(Worker& self, std::vector<Request>& batch,
-                               uint64_t steals, size_t depth_at_pop) {
-  static obs::Histogram& batch_size =
-      obs::histogram("serve.batch_size", {1, 2, 4, 8, 16, 32, 64});
-  // SLO-resolution buckets (see Histogram::slo_latency_bounds for policy).
-  static obs::Histogram& e2e = obs::histogram(
-      "serve.e2e_seconds", obs::Histogram::slo_latency_bounds());
-  static obs::Histogram& queue_wait = obs::histogram(
-      "serve.queue_wait_seconds", obs::Histogram::slo_latency_bounds());
-  static obs::Counter& completed = obs::counter("serve.completed");
-  static obs::Counter& internal = obs::counter("serve.internal_errors");
-  static obs::Counter& stolen = obs::counter("serve.steals");
-  static obs::Counter& degraded_ctr = obs::counter("serve.degraded");
-  static obs::Counter& partials_ctr = obs::counter("serve.partials");
-  static obs::Counter& suppressed_ctr =
-      obs::counter("serve.partials_suppressed");
+                               size_t depth_at_pop) {
   static obs::Counter& governor_sheds = obs::counter("serve.governor.sheds");
   static obs::Gauge& governor_steps = obs::gauge("serve.governor.steps");
 
@@ -438,22 +439,15 @@ void ReceiverServer::run_batch(Worker& self, std::vector<Request>& batch,
   // every span that closes on it — serve.batch below, and the model's own
   // conditioner / ddim_step / decode spans — is stamped with the batch's
   // request ids and this worker's index, whether the requests were routed
-  // here or stolen. Queue-wait spans are emitted retroactively per request
-  // (the wait happened in the queue, not on any thread) under a context of
-  // that one id plus the executing worker.
+  // here or stolen.
   obs::TraceContext batch_ctx;
   batch_ctx.worker = self.index;
-  for (const Request& r : batch) batch_ctx.request_ids.push_back(r.request_id);
+  for (const Request& r : batch) {
+    batch_ctx.request_ids.push_back(r.rec.request_id);
+  }
   DCDIFF_FAULT_CONTEXT(batch_ctx.request_ids, self.index);
   obs::ScopedTraceContext trace_ctx(std::move(batch_ctx));
   DCDIFF_TRACE_SPAN("serve.batch");
-  for (const Request& r : batch) {
-    obs::TraceContext one;
-    one.worker = self.index;
-    one.request_ids.push_back(r.request_id);
-    obs::trace_emit("serve.queue_wait", r.route_us, r.batch_us - r.route_us,
-                    obs::intern_trace_context(std::move(one)));
-  }
 
   // Fault site: stall this worker with the batch already claimed (busy is
   // set, the requests are out of every queue). Sleeping here pushes the
@@ -467,21 +461,9 @@ void ReceiverServer::run_batch(Worker& self, std::vector<Request>& batch,
   // Fault site: skew the clock this batch uses to judge deadline expiry
   // (positive param = milliseconds into the future), the way a stale or
   // stepped clock would. Zero when injection is off or the site is silent.
-  Clock::duration skew{};
   double skew_ms = 0;
-  if (DCDIFF_FAULT_POINT_P("serve.deadline.skew", &skew_ms)) {
-    skew = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double, std::milli>(skew_ms));
-  }
-
-  const auto start = Clock::now() + skew;
-  for (const Request& r : batch) {
-    queue_wait.observe(elapsed_seconds(r.enqueued, start));
-  }
-  stolen.inc(steals);
-  self.steal_counter->inc(steals);
-  batch_size.observe(static_cast<double>(batch.size()));
-  self.batch_counter->inc();
+  (void)DCDIFF_FAULT_POINT_P("serve.deadline.skew", &skew_ms);
+  const double skew_us = 1e3 * skew_ms;
 
   bool all_latency = true;
   for (const Request& r : batch) {
@@ -494,13 +476,16 @@ void ReceiverServer::run_batch(Worker& self, std::vector<Request>& batch,
     planned_steps = governor_.plan_steps(depth_at_pop);
   }
   governor_steps.set(static_cast<double>(planned_steps));
-  const bool shed = planned_steps < full_steps_;
-  if (shed) governor_sheds.inc();
+  if (planned_steps < full_steps_) {
+    governor_sheds.inc();
+    std::lock_guard<std::mutex> lk(mu_);
+    stats_.governor_sheds++;
+  }
 
-  const auto all_expired = [skew](const std::vector<Request*>& g) {
-    const auto now = Clock::now() + skew;
+  const auto all_expired = [skew_us](const std::vector<Request*>& g) {
+    const double now_us = obs::trace_now_us() + skew_us;
     for (const Request* r : g) {
-      if (r->deadline >= now) return false;
+      if (deadline_us(r->rec) >= now_us) return false;
     }
     return true;
   };
@@ -531,33 +516,26 @@ void ReceiverServer::run_batch(Worker& self, std::vector<Request>& batch,
   std::vector<Request*> groups[3];  // plain, plain needing the hook, tiles
   for (Request& r : batch) {
     const bool hooked = r.delivery == DeliveryMode::kProgressive ||
-                        r.deadline != Clock::time_point::max();
+                        r.rec.deadline_ms > 0;
     groups[r.tile ? 2 : hooked ? 1 : 0].push_back(&r);
   }
 
   const double model_us = obs::trace_now_us();
-  // Per-request outputs, indexed like `batch`. Each request takes the status
-  // of its own group's model call.
-  std::vector<Image> out_images(batch.size());
-  std::vector<int> out_steps(batch.size(), 0);
-  std::vector<Status> out_status(batch.size());
-  uint64_t n_partials = 0, n_suppressed = 0;
+  // Per-request results, indexed like `batch`. Each request takes the
+  // status of its own group's model call.
+  std::vector<Result> results(batch.size());
   const auto pos = [&](const Request* r) {
     return static_cast<size_t>(r - batch.data());
   };
   for (const std::vector<Request*>& group : groups) {
     if (group.empty()) continue;
     bool progressive = false, deadline = false;
-    for (const Request* r : group) {
-      deadline = deadline || r->deadline != Clock::time_point::max();
+    for (Request* r : group) {
+      deadline = deadline || r->rec.deadline_ms > 0;
       if (r->delivery != DeliveryMode::kProgressive) continue;
-      if (abandoned(r->stream)) {
-        ++n_suppressed;
-        continue;
-      }
-      progressive = true;
+      r->suppressed = abandoned(r->stream);
+      progressive = progressive || !r->suppressed;
     }
-    Status status;
     try {
       std::vector<core::AnytimeItem> items;
       items.reserve(group.size());
@@ -593,12 +571,9 @@ void ReceiverServer::run_batch(Worker& self, std::vector<Request>& batch,
           Request* r = group[static_cast<size_t>(item)];
           if (r->delivery != DeliveryMode::kProgressive) return;
           if (abandoned(r->stream)) return;  // consumer vanished mid-batch
-          obs::TraceContext one;
-          one.worker = self.index;
-          one.request_ids.push_back(r->request_id);
           obs::trace_emit("serve.partial", obs::trace_now_us(), 0,
-                          obs::intern_trace_context(std::move(one)));
-          ++n_partials;
+                          request_context(r->rec));
+          ++r->partials;
           detail::push_partial(r->stream,
                                Partial{std::move(image), done, psnr_proxy});
         };
@@ -606,199 +581,182 @@ void ReceiverServer::run_batch(Worker& self, std::vector<Request>& batch,
       core::AnytimeResult res =
           self.model->reconstruct_batch_anytime(items, opts, ctrl);
       for (size_t k = 0; k < group.size(); ++k) {
-        out_images[pos(group[k])] = std::move(res.images[k]);
-        out_steps[pos(group[k])] = res.steps_done[k];
+        results[pos(group[k])] = finished(std::move(res.images[k]),
+                                          res.steps_done[k], full_steps_);
       }
     } catch (const std::exception& e) {
-      status = Status::internal(e.what());
+      for (const Request* r : group) {
+        results[pos(r)] = rejected(Status::internal(e.what()));
+      }
     }
-    for (const Request* r : group) out_status[pos(r)] = status;
   }
 
-  const auto end = Clock::now();
   const double done_us = obs::trace_now_us();
+  DCDIFF_LOG_DEBUG("serve", "batch_done",
+                   {{"batch", static_cast<int64_t>(batch.size())},
+                    {"seconds", (done_us - model_us) * 1e-6}});
   const int ensemble = cfg_.recon.ensemble > 0
                            ? cfg_.recon.ensemble
                            : self.model->config().sample_ensemble;
-  std::vector<Result> results(batch.size());
-  std::vector<obs::RequestRecord> records(batch.size());
-  uint64_t n_completed = 0, n_internal = 0, n_degraded = 0, n_tile_done = 0;
   for (size_t i = 0; i < batch.size(); ++i) {
-    const Request& r = batch[i];
-    Result& res = results[i];
-    obs::RequestRecord& rec = records[i];
-    rec.request_id = r.request_id;
-    rec.session_id = r.session_id;
-    rec.worker = self.index;
-    rec.routed_worker = r.routed_worker;
-    rec.stolen = r.stolen;
-    rec.submit_us = r.submit_us;
-    rec.route_us = r.route_us;
-    rec.batch_us = r.batch_us;
+    obs::RequestRecord& rec = batch[i].rec;
     rec.model_us = model_us;
     rec.done_us = done_us;
     rec.batch_size = static_cast<int>(batch.size());
     rec.ddim_steps = full_steps_;
     rec.ensemble = ensemble;
-    rec.deadline_ms = r.deadline_ms;
-    rec.tiled = r.tile != nullptr;
-    rec.queue_wait_seconds = elapsed_seconds(r.enqueued, start);
-    // A request can be answered past its deadline (it expired in the queue
-    // or mid-batch): the client gets an image — degraded if the hook cut
-    // sampling short — and the SLO books a miss.
-    rec.deadline_missed = r.deadline < end;
-    if (out_status[i].is_ok()) {
-      res.status = Status::ok();
-      res.outcome = out_steps[i] < full_steps_ ? Outcome::kDegraded
-                                               : Outcome::kComplete;
-      res.image = std::move(out_images[i]);
-      res.steps_done = out_steps[i];
-      res.steps_target = full_steps_;
-      rec.steps_done = out_steps[i];
-      rec.degraded = res.outcome == Outcome::kDegraded;
-      // Tile sub-requests roll up into their stitched parent's outcome
-      // (finish_tile); only logical requests count here.
-      if (r.tile) {
-        ++n_tile_done;
-      } else if (rec.degraded) {
-        ++n_degraded;
-      } else {
-        ++n_completed;
-      }
-    } else {
-      res = rejected(out_status[i]);
-      rec.status = "internal";
-      if (!r.tile) ++n_internal;
-    }
-    res.e2e_seconds = elapsed_seconds(r.enqueued, end);
-    rec.e2e_seconds = res.e2e_seconds;
-  }
-  completed.inc(n_completed);
-  internal.inc(n_internal);
-  degraded_ctr.inc(n_degraded);
-  partials_ctr.inc(n_partials);
-  suppressed_ctr.inc(n_suppressed);
-  DCDIFF_LOG_DEBUG("serve", "batch_done",
-                   {{"batch", static_cast<int64_t>(batch.size())},
-                    {"degraded", static_cast<int64_t>(n_degraded)},
-                    {"stolen", static_cast<int64_t>(steals)},
-                    {"seconds", elapsed_seconds(start, end)}});
-
-  // Account first, fulfil second: a client that sees its stream ready must
-  // also see itself counted in stats().
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stats_.completed += n_completed;
-    stats_.degraded += n_degraded;
-    stats_.partials += n_partials;
-    stats_.partials_suppressed += n_suppressed;
-    stats_.internal_errors += n_internal;
-    stats_.governor_sheds += shed ? 1 : 0;
-    stats_.batches++;
-    stats_.steals += steals;
-    self.stats.batches++;
-    self.stats.completed += n_completed + n_tile_done;
-    self.stats.steals += steals;
-  }
-  // e2e is a per-logical-request latency family; tile sub-requests report
-  // through their stitched parent instead (finish_tile observes it there).
-  for (size_t i = 0; i < batch.size(); ++i) {
-    Request& r = batch[i];
-    if (r.tile) {
-      finish_tile(self, r, std::move(results[i].image), out_steps[i],
-                  full_steps_, results[i].status);
-    } else {
-      e2e.observe(results[i].e2e_seconds);
-      detail::push_result(r.stream, std::move(results[i]));
-    }
-  }
-  for (obs::RequestRecord& rec : records) {
-    // Tile sub-request records are flight-only; the stitched parent record
-    // (emitted by finish_tile) carries the SLO accounting.
-    const bool slo = !rec.tiled;
-    finish_request(std::move(rec), slo);
+    finish_request(batch[i], std::move(results[i]));
   }
 }
 
-void ReceiverServer::finish_tile(Worker& self, Request& r, Image image,
-                                 int steps_done, int full_steps,
-                                 const Status& status) {
+void ReceiverServer::finish_request(Request& r, Result res) {
+  // SLO-resolution buckets (see Histogram::slo_latency_bounds for policy).
   static obs::Histogram& e2e = obs::histogram(
       "serve.e2e_seconds", obs::Histogram::slo_latency_bounds());
+  static obs::Histogram& queue_wait = obs::histogram(
+      "serve.queue_wait_seconds", obs::Histogram::slo_latency_bounds());
   static obs::Counter& completed_ctr = obs::counter("serve.completed");
   static obs::Counter& degraded_ctr = obs::counter("serve.degraded");
   static obs::Counter& internal_ctr = obs::counter("serve.internal_errors");
-  const std::shared_ptr<TileJob>& job = r.tile;
-  bool last = false;
-  {
-    std::lock_guard<std::mutex> lk(job->mu);
-    job->images[static_cast<size_t>(r.tile_index)] = std::move(image);
-    job->tile_workers[static_cast<size_t>(r.tile_index)] = self.index;
-    job->tile_steps[static_cast<size_t>(r.tile_index)] = steps_done;
-    if (!status.is_ok() && job->error.is_ok()) job->error = status;
-    last = --job->remaining == 0;
+  static obs::Counter& partials_ctr = obs::counter("serve.partials");
+  static obs::Counter& suppressed_ctr =
+      obs::counter("serve.partials_suppressed");
+  static obs::Counter& p99_violations =
+      obs::counter("serve.slo.p99_violations");
+  static obs::Counter& miss_violations =
+      obs::counter("serve.slo.miss_rate_violations");
+
+  // Stages from the record's own stamps, so they never overlap: queue wait
+  // (route -> batch), batch formation (batch -> model), model (model ->
+  // done). A request can be answered past its deadline (it expired in the
+  // queue or mid-batch): the client gets an image — degraded if the hook
+  // cut sampling short — and the SLO books a miss.
+  obs::RequestRecord& rec = r.rec;
+  rec.e2e_seconds = (rec.done_us - rec.submit_us) * 1e-6;
+  rec.queue_wait_seconds = (rec.batch_us - rec.route_us) * 1e-6;
+  rec.deadline_missed = deadline_us(rec) < rec.done_us;
+  rec.steps_done = res.steps_done;
+  rec.degraded = res.outcome == Outcome::kDegraded;
+  if (!res.status.is_ok()) rec.status = "internal";
+  res.e2e_seconds = rec.e2e_seconds;
+  const bool missed = rec.deadline_missed;
+  const bool internal_error = !res.status.is_ok();
+
+  // Tile sub-requests roll up into their stitched parent: the flight entry
+  // is all they book here.
+  const bool logical = r.tile == nullptr;
+  if (logical) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (res.outcome == Outcome::kComplete) stats_.completed++;
+      if (res.outcome == Outcome::kDegraded) stats_.degraded++;
+      if (internal_error) stats_.internal_errors++;
+      if (!internal_error) {
+        workers_[static_cast<size_t>(rec.worker)]->stats.completed++;
+      }
+      stats_.partials += r.partials;
+      stats_.partials_suppressed += r.suppressed ? 1 : 0;
+    }
+    if (res.outcome == Outcome::kComplete) completed_ctr.inc();
+    if (res.outcome == Outcome::kDegraded) degraded_ctr.inc();
+    if (internal_error) internal_ctr.inc();
+    partials_ctr.inc(r.partials);
+    suppressed_ctr.inc(r.suppressed ? 1 : 0);
+    e2e.observe(rec.e2e_seconds);
+    queue_wait.observe(rec.queue_wait_seconds);
+    // The wait happened in a queue, not on any thread: emitted
+    // retroactively under the one request's id and its executing worker.
+    obs::trace_emit("serve.queue_wait", rec.route_us,
+                    rec.batch_us - rec.route_us, request_context(rec));
+    // Degraded answers are not goodput: the client got an image, but not
+    // the quality it asked for — serve.slo.* is where that shows up.
+    slo_.record(rec.e2e_seconds, !internal_error && !missed && !rec.degraded,
+                missed, internal_error);
   }
-  if (!last) return;
+  flight_.record(rec);
+
+  // Booked first, handed on second: a client that sees its result also
+  // sees it counted in stats() and in the flight recorder.
+  if (logical) {
+    detail::push_result(r.stream, std::move(res));
+  } else {
+    finish_tile(r, std::move(res));
+  }
+  // The ring already holds this request, so a dump triggered by it shows
+  // the full recent history up to and including the offending record.
+  if (!cfg_.flight_recorder_path.empty() && (missed || internal_error)) {
+    flight_.dump_json(cfg_.flight_recorder_path,
+                      missed ? "deadline_miss" : "internal_error");
+  }
+  if (!logical || (cfg_.slo_p99_ms <= 0 && cfg_.slo_miss_rate_pct <= 0)) {
+    return;
+  }
+  // Edge-triggered threshold checks over the rolling 10s window: one
+  // counter bump + warning per excursion, not one per request while the
+  // window stays in violation.
+  const obs::SloTracker::Window w = slo_.window(10);
+  std::lock_guard<std::mutex> lk(slo_mu_);
+  if (cfg_.slo_p99_ms > 0) {
+    const bool violating = w.p99_seconds * 1000.0 > cfg_.slo_p99_ms;
+    if (violating && !p99_violating_) {
+      p99_violations.inc();
+      DCDIFF_LOG_WARN("serve", "slo_p99_violation",
+                      {{"p99_ms", w.p99_seconds * 1000.0},
+                       {"threshold_ms", cfg_.slo_p99_ms}});
+    }
+    p99_violating_ = violating;
+  }
+  if (cfg_.slo_miss_rate_pct > 0) {
+    const bool violating = w.miss_rate * 100.0 > cfg_.slo_miss_rate_pct;
+    if (violating && !miss_rate_violating_) {
+      miss_violations.inc();
+      DCDIFF_LOG_WARN("serve", "slo_miss_rate_violation",
+                      {{"miss_rate_pct", w.miss_rate * 100.0},
+                       {"threshold_pct", cfg_.slo_miss_rate_pct}});
+    }
+    miss_rate_violating_ = violating;
+  }
+}
+
+void ReceiverServer::finish_tile(Request& r, Result res) {
+  TileJob& job = *r.tile;
+  obs::RequestRecord& parent = job.parent.rec;
+  const size_t i = static_cast<size_t>(r.tile_index);
+  {
+    std::lock_guard<std::mutex> lk(job.mu);
+    // The parent's batch and model stamps are the earliest of its tiles'.
+    const bool first = job.remaining == job.images.size();
+    parent.batch_us = first ? r.rec.batch_us
+                            : std::min(parent.batch_us, r.rec.batch_us);
+    parent.model_us = first ? r.rec.model_us
+                            : std::min(parent.model_us, r.rec.model_us);
+    job.images[i] = std::move(res.image);
+    job.tile_workers[i] = r.rec.worker;
+    job.tile_steps[i] = res.steps_done;
+    if (!res.status.is_ok() && job.error.is_ok()) job.error = res.status;
+    if (--job.remaining > 0) return;
+  }
 
   // Last tile in: stitch on this worker's thread (its pool partition is
   // bound, so the blend/anchor loops run on this worker's cores too).
-  Result res;
-  res.steps_target = full_steps;
-  if (job->error.is_ok()) {
+  Result out = rejected(job.error);
+  if (job.error.is_ok()) {
     try {
       DCDIFF_TRACE_SPAN("serve.stitch");
-      res.image = stitch_tiles(job->full, job->layout, job->images);
-      res.status = Status::ok();
-      int min_steps_done = full_steps;
-      for (int s : job->tile_steps) min_steps_done = std::min(min_steps_done, s);
-      res.steps_done = min_steps_done;
-      res.outcome = min_steps_done < full_steps ? Outcome::kDegraded
-                                                : Outcome::kComplete;
-      res.tile_workers = job->tile_workers;
+      out = finished(stitch_tiles(job.parent.coeffs, job.layout, job.images),
+                     *std::min_element(job.tile_steps.begin(),
+                                       job.tile_steps.end()),
+                     full_steps_);
+      out.tile_workers = job.tile_workers;
     } catch (const std::exception& e) {
-      res = rejected(Status::internal(e.what()));
-    }
-  } else {
-    res = rejected(job->error);
-  }
-  const auto end = Clock::now();
-  res.e2e_seconds = elapsed_seconds(job->enqueued, end);
-
-  obs::RequestRecord rec;
-  rec.request_id = job->request_id;
-  rec.session_id = job->session_id;
-  rec.worker = self.index;  // the stitching worker
-  rec.routed_worker = -1;   // fanned out; per-tile records name the queues
-  rec.submit_us = job->submit_us;
-  rec.done_us = obs::trace_now_us();
-  rec.batch_size = static_cast<int>(job->layout.tiles.size());
-  rec.ddim_steps = full_steps;
-  rec.steps_done = res.steps_done;
-  rec.deadline_ms = job->deadline_ms;
-  rec.deadline_missed = job->deadline < end;
-  rec.degraded = res.outcome == Outcome::kDegraded;
-  rec.tiled = true;
-  rec.e2e_seconds = res.e2e_seconds;
-  if (!res.status.is_ok()) rec.status = "internal";
-
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (res.outcome == Outcome::kComplete) {
-      stats_.completed++;
-    } else if (res.outcome == Outcome::kDegraded) {
-      stats_.degraded++;
-    } else {
-      stats_.internal_errors++;
+      out = rejected(Status::internal(e.what()));
     }
   }
-  if (res.outcome == Outcome::kComplete) completed_ctr.inc();
-  if (res.outcome == Outcome::kDegraded) degraded_ctr.inc();
-  if (res.outcome == Outcome::kRejected) internal_ctr.inc();
-  e2e.observe(res.e2e_seconds);
-  detail::push_result(job->stream, std::move(res));
-  // Account-then-fulfil already held above; the parent is the SLO-visible
-  // record for the whole tiled request.
-  finish_request(std::move(rec), /*slo_account=*/true);
+  parent.worker = r.rec.worker;  // the stitching worker
+  parent.batch_size = static_cast<int>(job.layout.tiles.size());
+  parent.ddim_steps = full_steps_;
+  parent.done_us = obs::trace_now_us();
+  finish_request(job.parent, std::move(out));
 }
 
 void ReceiverServer::shutdown() {
@@ -847,55 +805,6 @@ ReceiverServer::Stats ReceiverServer::stats() const {
   return out;
 }
 
-void ReceiverServer::finish_request(obs::RequestRecord rec, bool slo_account) {
-  static obs::Counter& p99_violations =
-      obs::counter("serve.slo.p99_violations");
-  static obs::Counter& miss_violations =
-      obs::counter("serve.slo.miss_rate_violations");
-  const bool missed = rec.deadline_missed;
-  const bool internal_error = rec.status == "internal";
-  if (slo_account) {
-    // Degraded answers are not goodput: the client got an image, but not
-    // the quality it asked for — serve.slo.* is where that shows up.
-    slo_.record(rec.e2e_seconds,
-                rec.status == "ok" && !missed && !rec.degraded, missed,
-                internal_error);
-  }
-  flight_.record(rec);
-  // The ring already holds this request, so a dump triggered by it shows
-  // the full recent history up to and including the offending record.
-  if (!cfg_.flight_recorder_path.empty() && (missed || internal_error)) {
-    flight_.dump_json(cfg_.flight_recorder_path,
-                      missed ? "deadline_miss" : "internal_error");
-  }
-  if (cfg_.slo_p99_ms <= 0 && cfg_.slo_miss_rate_pct <= 0) return;
-  // Edge-triggered threshold checks over the rolling 10s window: one
-  // counter bump + warning per excursion, not one per request while the
-  // window stays in violation.
-  const obs::SloTracker::Window w = slo_.window(10);
-  std::lock_guard<std::mutex> lk(slo_mu_);
-  if (cfg_.slo_p99_ms > 0) {
-    const bool violating = w.p99_seconds * 1000.0 > cfg_.slo_p99_ms;
-    if (violating && !p99_violating_) {
-      p99_violations.inc();
-      DCDIFF_LOG_WARN("serve", "slo_p99_violation",
-                      {{"p99_ms", w.p99_seconds * 1000.0},
-                       {"threshold_ms", cfg_.slo_p99_ms}});
-    }
-    p99_violating_ = violating;
-  }
-  if (cfg_.slo_miss_rate_pct > 0) {
-    const bool violating = w.miss_rate * 100.0 > cfg_.slo_miss_rate_pct;
-    if (violating && !miss_rate_violating_) {
-      miss_violations.inc();
-      DCDIFF_LOG_WARN("serve", "slo_miss_rate_violation",
-                      {{"miss_rate_pct", w.miss_rate * 100.0},
-                       {"threshold_pct", cfg_.slo_miss_rate_pct}});
-    }
-    miss_rate_violating_ = violating;
-  }
-}
-
 void ReceiverServer::snapshot_loop() {
   std::unique_lock<std::mutex> lk(snap_mu_);
   for (;;) {
@@ -924,13 +833,6 @@ void ReceiverServer::refresh_slo_gauges() const {
   goodput60.set(w60.goodput);
   p99_60.set(w60.p99_seconds);
   miss60.set(w60.miss_rate);
-  // Pool pointers are immutable after construction and busy_seconds() is a
-  // relaxed atomic read, so no lock is needed here.
-  for (const auto& w : workers_) {
-    if (!w->pool) continue;
-    obs::gauge(obs::indexed("serve.worker", w->index, "pool_busy_seconds"))
-        .set(w->pool->busy_seconds());
-  }
 }
 
 std::string ReceiverServer::server_state_json() const {
@@ -971,6 +873,7 @@ std::string ReceiverServer::server_state_json() const {
       out += "],\"batches\":" + std::to_string(w.stats.batches);
       out += ",\"completed\":" + std::to_string(w.stats.completed);
       out += ",\"steals\":" + std::to_string(w.stats.steals);
+      out += ",\"pool_busy_seconds\":" + obs::json_number(pool_busy_seconds(w.pool.get()));
       out += "}";
     }
     out += "]";
@@ -1018,6 +921,9 @@ std::string ReceiverServer::stats_prometheus() const {
     });
     add_worker_family("steals_total", "counter", [](const Worker& w) {
       return std::to_string(w.stats.steals);
+    });
+    add_worker_family("pool_busy_seconds_total", "counter", [](const Worker& w) {
+      return obs::json_number(pool_busy_seconds(w.pool.get()));
     });
   }
   const obs::SloTracker::Window w10 = slo_.window(10);

@@ -73,7 +73,6 @@
 // identity through the queue.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -92,11 +91,6 @@
 #include "serve/stream.h"
 #include "serve/tiler.h"
 #include "support/status.h"
-
-namespace dcdiff::obs {
-class Counter;
-class Gauge;
-}  // namespace dcdiff::obs
 
 namespace dcdiff::serve {
 
@@ -128,9 +122,9 @@ struct ServerConfig {
   int partial_interval = 0;
 
   // --- introspection & SLOs ---
-  // > 0 starts a snapshot thread that refreshes the serve.slo.* gauges (and
-  // per-partition pool_busy_seconds) every interval and, when stats_path is
-  // set, rewrites <stats_path> (JSON) and <stats_path>.prom (Prometheus).
+  // > 0 starts a snapshot thread that refreshes the serve.slo.* gauges every
+  // interval and, when stats_path is set, rewrites <stats_path> (JSON) and
+  // <stats_path>.prom (Prometheus).
   int stats_interval_ms = 0;
   std::string stats_path;
   // Ring capacity of the per-request flight recorder (always recording).
@@ -218,8 +212,12 @@ class ReceiverServer {
   // destructor calls it.
   void shutdown();
 
+  // Exported once: as server.workers[i] in stats_json() and as the
+  // dcdiff_serve_worker_*{worker="i"} families in stats_prometheus().
   struct WorkerStats {
     uint64_t batches = 0;
+    // Logical requests this worker answered with an image (a tiled request
+    // counts on the worker that stitched it).
     uint64_t completed = 0;
     uint64_t steals = 0;  // requests this worker stole from other queues
     size_t queue_depth = 0;
@@ -273,35 +271,19 @@ class ReceiverServer {
 
  private:
   friend class Session;
-  using Clock = std::chrono::steady_clock;
+  struct TileJob;
 
-  // Shared aggregation state of one tiled submission: tile sub-requests
-  // deposit their reconstructions here; the worker that completes the last
-  // tile stitches and fulfils the parent stream.
-  struct TileJob {
-    std::mutex mu;
-    jpeg::CoeffImage full;
-    TileLayout layout;
-    std::vector<Image> images;     // per tile, crop-sized, raw
-    std::vector<int> tile_workers; // worker index that ran each tile
-    std::vector<int> tile_steps;   // DDIM steps each tile executed
-    size_t remaining = 0;
-    Status error;  // first internal error across tiles (ok = none)
-    std::shared_ptr<detail::StreamState> stream;
-    uint64_t session_id = 0;
-    uint64_t request_id = 0;  // the logical (parent) request id
-    Clock::time_point enqueued;
-    Clock::time_point deadline;
-    int deadline_ms = 0;
-    double submit_us = 0;
-  };
-
+  // One request, queued or executing. Its identity and timeline live in one
+  // place, `rec`: request/session id, deadline and the trace-clock stamps of
+  // submit -> route -> batch -> model -> done, each read once at its
+  // boundary. Everything else a finished request reports (e2e, queue wait,
+  // deadline miss, Stats, metrics, spans, SLO) is derived from it by
+  // finish_request.
   struct Request {
     jpeg::CoeffImage coeffs;
-    std::shared_ptr<detail::StreamState> stream;  // null for tile subrequests
-    Clock::time_point enqueued;
-    Clock::time_point deadline;  // Clock::time_point::max() = none
-    uint64_t session_id = 0;
+    // The client's channel; null for tile sub-requests, which deposit into
+    // their TileJob instead.
+    std::shared_ptr<detail::StreamState> stream;
     QosTier tier = QosTier::kQuality;
     DeliveryMode delivery = DeliveryMode::kFinalOnly;
     // Tiled fan-out: sub-requests share the parent TileJob. noise_x0/y0 are
@@ -311,16 +293,26 @@ class ReceiverServer {
     int tile_index = 0;
     int noise_x0 = 0;
     int noise_y0 = 0;
-    // Tracing / flight-recorder fields. request_id is process-unique and
-    // monotone in acceptance order; the us timestamps share trace_now_us()'s
-    // epoch so queue-wait spans can be emitted retroactively.
-    uint64_t request_id = 0;
-    int routed_worker = -1;  // queue the router picked
-    bool stolen = false;     // popped by a different worker than routed
-    int deadline_ms = 0;     // as requested (0 = none)
-    double submit_us = 0;    // accepted (decode done)
-    double route_us = 0;     // enqueued on routed_worker's queue
-    double batch_us = 0;     // popped into a batch
+    uint64_t partials = 0;   // progressive partials pushed to the stream
+    bool suppressed = false;  // partials skipped: the consumer had left
+    obs::RequestRecord rec;
+  };
+
+  // Shared aggregation state of one tiled submission: tile sub-requests
+  // deposit their reconstructions here; the worker that completes the last
+  // tile stitches and fulfils the parent.
+  struct TileJob {
+    std::mutex mu;
+    TileLayout layout;
+    std::vector<Image> images;     // per tile, crop-sized, raw
+    std::vector<int> tile_workers; // worker index that ran each tile
+    std::vector<int> tile_steps;   // DDIM steps each tile executed
+    size_t remaining = 0;
+    Status error;  // first internal error across tiles (ok = none)
+    // The logical request: the full coefficients, the client's stream and
+    // the parent record (routed_worker -1; its batch and model stamps are
+    // the earliest of its tiles', its done stamp follows the stitch).
+    Request parent;
   };
 
   // One serving shard: a queue, a model replica, and (workers > 1) a
@@ -338,9 +330,6 @@ class ReceiverServer {
     // Request ids of the batch currently executing on this worker (empty
     // when idle); snapshotted into stats_json()'s inflight composition.
     std::vector<uint64_t> inflight;
-    obs::Gauge* depth_gauge = nullptr;       // serve.worker.<i>.queue_depth
-    obs::Counter* batch_counter = nullptr;   // serve.worker.<i>.batches
-    obs::Counter* steal_counter = nullptr;   // serve.worker.<i>.steals
     std::thread thread;
   };
 
@@ -355,18 +344,21 @@ class ReceiverServer {
   bool pop_one_locked(Worker& self, std::vector<Request>& batch,
                       uint64_t* steals);
   void worker_loop(int index);
-  void run_batch(Worker& self, std::vector<Request>& batch, uint64_t steals,
+  void run_batch(Worker& self, std::vector<Request>& batch,
                  size_t depth_at_pop);
-  // Deposits one finished tile; when it was the last, stitches, fulfils the
-  // parent stream, and emits the parent's SLO-accounted record.
-  void finish_tile(Worker& self, Request& r, Image image, int steps_done,
-                   int full_steps, const Status& status);
-  // Finalizes one request: flight-recorder (+ SLO accounting for logical
-  // requests), auto-dump on deadline miss / internal error, SLO threshold
-  // edge checks. Tile sub-requests record flight-only (slo_account=false).
-  void finish_request(obs::RequestRecord rec, bool slo_account = true);
+  // The one booking point, for every request: derives e2e, queue wait and
+  // the deadline miss from the finished record; for a logical request (a
+  // plain request or a stitched tile parent) books Stats, the serve.*
+  // outcome counters and histograms, the queue-wait span and the SLO
+  // sample; records the flight entry — and only then hands `res` on: to
+  // the client's stream, or for a tile sub-request to finish_tile. Then the
+  // auto-dump on a deadline miss or internal error and the SLO threshold
+  // edge checks.
+  void finish_request(Request& r, Result res);
+  // Deposits one finished tile; the last one stitches and finishes the
+  // parent request.
+  void finish_tile(Request& r, Result res);
   void snapshot_loop();
-  // Refreshes serve.slo.* gauges and per-worker pool_busy_seconds.
   void refresh_slo_gauges() const;
   std::string server_state_json() const;
 

@@ -106,7 +106,7 @@ struct Result {
   Image image;
   int steps_done = 0;    // DDIM steps actually executed
   int steps_target = 0;  // the quality target the request aimed for
-  double e2e_seconds = 0;  // submit -> fulfilment wall time
+  double e2e_seconds = 0;  // submit -> done, as in the request's record
   // Tiled requests: the worker index that executed each tile (empty for
   // untiled requests). Tests assert fan-out across >= 2 workers.
   std::vector<int> tile_workers;

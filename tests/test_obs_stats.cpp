@@ -411,14 +411,8 @@ TEST_F(ObsStatsServeTest, TraceContextPropagatesAcrossStealingWorkers) {
     EXPECT_GT(steals, 0u) << "hinted skew must force the stealing path";
 
     // The flight recorder saw every request; stolen ones are flagged with
-    // the executing (not routed) worker. Records land just after the future
-    // is fulfilled, so give the workers a beat to finish the bookkeeping.
-    for (int i = 0; i < 200; ++i) {
-      if (server.flight_recorder().size() >= static_cast<size_t>(kImages)) {
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
+    // the executing (not routed) worker. A request is booked before its
+    // future is fulfilled, so every record is in by now.
     const auto records = server.flight_recorder().snapshot();
     ASSERT_EQ(records.size(), static_cast<size_t>(kImages));
     uint64_t stolen_records = 0;
@@ -484,6 +478,86 @@ TEST_F(ObsStatsServeTest, TraceContextPropagatesAcrossStealingWorkers) {
   obs::clear_trace_contexts();
   obs::set_trace_file("");
   std::filesystem::remove(trace_path);
+}
+
+// The record is the one ledger of a request: under mixed traffic (plain,
+// stolen, progressive, deadline-degraded and tiled) every record's stamps
+// are in order, its queue wait and e2e are derived from those stamps alone,
+// and the client's Result reports the same e2e as its logical record.
+TEST_F(ObsStatsServeTest, EveryRecordIsOneOrderedLedger) {
+  serve::ServerConfig cfg;
+  cfg.workers = 3;
+  cfg.max_batch = 2;
+  cfg.batch_timeout_ms = 1;
+  cfg.queue_capacity = 64;
+  cfg.min_steps = 1;
+  cfg.partial_interval = 1;
+  serve::ReceiverServer server(cfg, model_);
+  serve::Session session = server.open_session();
+  // Sequential submits from one thread: request ids follow submission
+  // order from 1, and the tiled request (last) takes the next id for its
+  // parent record.
+  std::vector<serve::ResultStream> streams;
+  for (int i = 0; i < 8; ++i) {
+    serve::ReconstructRequest req;
+    req.jfif = bitstream(i % 3);
+    req.worker_hint = 0;  // one hot queue: the other workers steal
+    if (i == 5) req.delivery = serve::DeliveryMode::kProgressive;
+    if (i == 7) req.deadline_ms = 1;  // expires behind the hot queue
+    streams.push_back(session.submit(req));
+  }
+  serve::ReconstructRequest tiled;
+  tiled.jfif = bitstream(0);
+  tiled.tile.max_tile_px = 32;
+  tiled.tile.halo_px = 16;
+  streams.push_back(session.submit(tiled));
+  std::vector<serve::Result> results;
+  for (serve::ResultStream& s : streams) {
+    results.push_back(s.wait());
+    ASSERT_TRUE(results.back().status.is_ok())
+        << results.back().status.to_string();
+  }
+  EXPECT_EQ(results[7].outcome, serve::Outcome::kDegraded);
+  EXPECT_FALSE(results.back().tile_workers.empty());
+
+  const serve::ReceiverServer::Stats stats = server.stats();
+  EXPECT_GT(stats.steals, 0u);
+  EXPECT_GT(stats.partials, 0u);
+  uint64_t worker_completed = 0;
+  for (const auto& w : stats.workers) worker_completed += w.completed;
+  EXPECT_EQ(worker_completed, stats.completed + stats.degraded);
+
+  const std::vector<obs::RequestRecord> records =
+      server.flight_recorder().snapshot();
+  ASSERT_EQ(records.size(), stats.accepted + stats.tiles);
+  std::vector<const obs::RequestRecord*> by_id(records.size() + 1, nullptr);
+  for (const obs::RequestRecord& r : records) {
+    EXPECT_LE(r.submit_us, r.route_us) << "request " << r.request_id;
+    EXPECT_LE(r.route_us, r.batch_us) << "request " << r.request_id;
+    EXPECT_LE(r.batch_us, r.model_us) << "request " << r.request_id;
+    EXPECT_LE(r.model_us, r.done_us) << "request " << r.request_id;
+    EXPECT_EQ(r.queue_wait_seconds, (r.batch_us - r.route_us) * 1e-6);
+    EXPECT_EQ(r.e2e_seconds, (r.done_us - r.submit_us) * 1e-6);
+    EXPECT_EQ(r.status, "ok");
+    ASSERT_LT(r.request_id, by_id.size());
+    by_id[r.request_id] = &r;
+  }
+  for (size_t i = 0; i < results.size(); ++i) {
+    const obs::RequestRecord* rec = by_id[i + 1];
+    ASSERT_NE(rec, nullptr) << "no record for submission " << i;
+    EXPECT_EQ(results[i].e2e_seconds, rec->e2e_seconds) << "submission " << i;
+    EXPECT_EQ(rec->degraded,
+              results[i].outcome == serve::Outcome::kDegraded);
+  }
+  EXPECT_TRUE(by_id[8]->deadline_missed);
+  const obs::RequestRecord& parent = *by_id[results.size()];
+  EXPECT_TRUE(parent.tiled);
+  EXPECT_EQ(parent.routed_worker, -1);
+  EXPECT_EQ(static_cast<size_t>(parent.batch_size),
+            results.back().tile_workers.size());
+  bool any_stolen = false;
+  for (const obs::RequestRecord& r : records) any_stolen |= r.stolen;
+  EXPECT_TRUE(any_stolen);
 }
 
 // The serving histograms must use the documented SLO bucket policy.

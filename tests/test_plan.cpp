@@ -51,6 +51,7 @@
 #include "nn/plan/builder.h"
 #include "nn/plan/cache.h"
 #include "nn/workspace.h"
+#include "obs/log.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
 
@@ -373,7 +374,9 @@ TEST(PlanPaths, EpsPredictionPlannedMatchesEager) {
 }
 
 // The plan does not capture mid-block attention: such a model falls back
-// once per size group and still equals the eager reference.
+// once per size group and still equals the eager reference. The failed
+// capture is remembered per key, so only the first call captures (and
+// warns); every call still counts its fallbacks.
 TEST(PlanPaths, MidAttentionFallsBackPerGroupAndMatchesEager) {
   core::DCDiffConfig cfg = random_init_config();
   cfg.unet.mid_attention = true;
@@ -382,15 +385,30 @@ TEST(PlanPaths, MidAttentionFallsBackPerGroupAndMatchesEager) {
   core::set_plan_enabled(false);
   const std::vector<Image> eager = model.reconstruct_batch(coeffs);
   core::set_plan_enabled(true);
-  const uint64_t fallbacks_before =
-      obs::counter("plan.eager_fallbacks").value();
-  const std::vector<Image> fallback = model.reconstruct_batch(coeffs);
-  EXPECT_EQ(obs::counter("plan.eager_fallbacks").value(),
-            fallbacks_before + 2);
-  ASSERT_EQ(fallback.size(), eager.size());
-  for (size_t i = 0; i < eager.size(); ++i) {
-    EXPECT_TRUE(same_bytes(fallback[i], eager[i])) << "image " << i;
+  int warnings = 0;
+  obs::set_log_sink([&](const std::string& line) {
+    warnings += line.find("event=build_failed") != std::string::npos;
+  });
+  for (const uint64_t expected_failures : {2u, 0u}) {
+    const uint64_t fallbacks_before =
+        obs::counter("plan.eager_fallbacks").value();
+    const uint64_t failures_before =
+        obs::counter("plan.build_failures").value();
+    warnings = 0;
+    const std::vector<Image> fallback = model.reconstruct_batch(coeffs);
+    EXPECT_EQ(obs::counter("plan.eager_fallbacks").value(),
+              fallbacks_before + 2);
+    EXPECT_EQ(obs::counter("plan.build_failures").value(),
+              failures_before + expected_failures);
+    if (obs::log_enabled(obs::LogLevel::kWarn)) {
+      EXPECT_EQ(warnings, static_cast<int>(expected_failures));
+    }
+    ASSERT_EQ(fallback.size(), eager.size());
+    for (size_t i = 0; i < eager.size(); ++i) {
+      EXPECT_TRUE(same_bytes(fallback[i], eager[i])) << "image " << i;
+    }
   }
+  obs::set_log_sink(nullptr);
 }
 
 // Batch-mates never change an image's pixels. At the paper's UNet widths

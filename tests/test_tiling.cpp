@@ -4,15 +4,15 @@
 // partition the image on MCU boundaries, crops stay in bounds, an extracted
 // tile's coefficients match the parent's. Stitching is tested two ways:
 //   * Identity: stitching exact crops of a known image reproduces that image
-//     (modulo the global postprocess both paths share) within 1e-4 — the
-//     offset reconciliation and blend machinery must be a no-op when tiles
-//     already agree.
+//     (modulo the global postprocess both paths share) exactly — the offset
+//     reconciliation and blend machinery must be a no-op when tiles already
+//     agree.
 //   * End-to-end: a 128 px image served through a 4x4 tile grid across a
 //     3-worker server lands close to the comparable untiled reconstruction.
 //     Exact equality is unattainable by construction — GroupNorm normalizes
 //     over whole-tensor statistics and the UNet's receptive field exceeds
 //     any affordable halo — so the interior/seam bounds here are calibrated
-//     empirical contracts (see DESIGN.md §14), not 1e-4 equivalence.
+//     empirical contracts (see DESIGN.md §14), not byte equality.
 //
 // Runs under the `concurrency` CTest label (3-worker fan-out test).
 #include "serve/tiler.h"
@@ -195,7 +195,7 @@ TEST_F(TilingTest, StitchingExactCropsIsIdentityModuloPostprocess) {
 
   const Image anchored = core::anchor_to_corners(x, jpeg::tilde_image(coeffs));
   const Image expected = core::project_onto_known_ac(anchored, coeffs);
-  EXPECT_LE(max_abs_diff(stitched, expected), 1e-4);
+  EXPECT_EQ(max_abs_diff(stitched, expected), 0.0);
 }
 
 // ---- edge geometry ----
@@ -263,7 +263,7 @@ TEST_F(TilingTest, StripImageYieldsOneByNGridAndStitches) {
   const Image anchored =
       core::anchor_to_corners(strip, jpeg::tilde_image(coeffs));
   const Image expected = core::project_onto_known_ac(anchored, coeffs);
-  EXPECT_LE(max_abs_diff(stitched, expected), 1e-4);
+  EXPECT_EQ(max_abs_diff(stitched, expected), 0.0);
 }
 
 // Dimensions that are neither a tile-side nor a halo multiple: the last
@@ -313,7 +313,7 @@ TEST_F(TilingTest, RaggedNonHaloMultipleDimsCoverExactly) {
   const Image anchored =
       core::anchor_to_corners(odd, jpeg::tilde_image(coeffs));
   const Image expected = core::project_onto_known_ac(anchored, coeffs);
-  EXPECT_LE(max_abs_diff(stitched, expected), 1e-4);
+  EXPECT_EQ(max_abs_diff(stitched, expected), 0.0);
 }
 
 TEST_F(TilingTest, StitchRejectsMismatchedTileCount) {
@@ -327,7 +327,7 @@ TEST_F(TilingTest, StitchRejectsMismatchedTileCount) {
 // ---- served tiled reconstruction ----
 
 // A request whose tile policy the image fits inside must take the untiled
-// bit-compat path: identical (within 1e-4) to the direct reconstruction.
+// bit-compat path: byte-identical to the direct reconstruction.
 TEST_F(TilingTest, FittingImageServesUntiledAndMatchesDirect) {
   const auto bytes = core::sender_encode(big_image()).bytes;
   ServerConfig cfg;
@@ -342,7 +342,7 @@ TEST_F(TilingTest, FittingImageServesUntiledAndMatchesDirect) {
   EXPECT_EQ(r.outcome, Outcome::kComplete);
   EXPECT_TRUE(r.tile_workers.empty());
   const Image direct = core::receiver_reconstruct(bytes, *model_);
-  EXPECT_LE(max_abs_diff(direct, r.image), 1e-4);
+  EXPECT_EQ(max_abs_diff(direct, r.image), 0.0);
   EXPECT_EQ(server.stats().tiles, 0u);
 }
 
