@@ -39,16 +39,6 @@ void BM_Fdct8x8(benchmark::State& state) {
 }
 BENCHMARK(BM_Fdct8x8);
 
-void BM_Fdct8x8Fast(benchmark::State& state) {
-  const jpeg::PixelBlock px = sample_block();
-  jpeg::CoefBlock cf;
-  for (auto _ : state) {
-    jpeg::fdct8x8_fast(px, cf);
-    benchmark::DoNotOptimize(cf);
-  }
-}
-BENCHMARK(BM_Fdct8x8Fast);
-
 void BM_Idct8x8(benchmark::State& state) {
   jpeg::CoefBlock cf;
   Rng rng(2);

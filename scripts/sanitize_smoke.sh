@@ -16,9 +16,10 @@
 # preset too.
 #
 # test_plan rides the `concurrency` label: it exercises the compiled
-# inference plan (arena offsets, fused kernels, per-replica plan caches)
-# under concurrent submits, so ASan/UBSan validate the liveness-assigned
-# arena slicing and TSan the sharded servers' per-replica plan reuse.
+# inference plan (liveness-assigned offsets into per-thread arenas, fused
+# kernels, per-replica plan caches) from two threads sharing one model's
+# plans and under concurrent submits, so ASan/UBSan validate the arena
+# slicing and its growth, and TSan that each thread runs in its own arena.
 #
 # test_gemm rides it too: its bit-exact sweep of the batched conv forward
 # and its concurrent conv calls from pool workers run the per-thread strip
@@ -36,8 +37,8 @@
 # fused conv+group-norm that normalizes its own output (out == x), so both
 # sanitizers check those buffers alone. It also covers test_diffusion and
 # test_core_pipeline, which run the one DDIM loop with both denoisers (the
-# eager UNet and the compiled UNet-step plan) and the decoder plan sharing
-# the step plan's arena lease.
+# eager UNet and the compiled UNet-step plan) and the decoder plan, which
+# runs in the same per-thread arena as the step plan.
 #
 # Both presets compile the fault-injection sites in (DCDIFF_FAULT_INJECTION),
 # so the `fault`-labelled stage runs the full scenario suites (injected

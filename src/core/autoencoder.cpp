@@ -6,38 +6,29 @@ namespace dcdiff::core {
 
 using namespace dcdiff::nn;
 
-namespace {
-int gn_groups(int channels) {
-  for (int g = 8; g > 1; --g) {
-    if (channels % g == 0) return g;
-  }
-  return 1;
-}
-}  // namespace
-
 Autoencoder::Autoencoder(const AutoencoderConfig& cfg, uint64_t seed)
     : cfg_(cfg) {
   Rng rng(seed);
   const int b = cfg.base;
   // E^DC: 3 -> b (s2) -> 2b (s2) -> z
   dc_in_ = Conv2d(3, b, 3, 2, 1, rng);
-  dc_n1_ = GroupNorm(b, gn_groups(b));
+  dc_n1_ = GroupNorm(b, norm_groups_for(b));
   dc_down_ = Conv2d(b, 2 * b, 3, 2, 1, rng);
-  dc_n2_ = GroupNorm(2 * b, gn_groups(2 * b));
+  dc_n2_ = GroupNorm(2 * b, norm_groups_for(2 * b));
   dc_out_ = Conv2d(2 * b, cfg.z_channels, 3, 1, 1, rng);
   // E^AC: 3 -> b (s2) -> 2b (s2) -> ac_channels
   ac_in_ = Conv2d(3, b, 3, 2, 1, rng);
-  ac_n1_ = GroupNorm(b, gn_groups(b));
+  ac_n1_ = GroupNorm(b, norm_groups_for(b));
   ac_down_ = Conv2d(b, 2 * b, 3, 2, 1, rng);
-  ac_n2_ = GroupNorm(2 * b, gn_groups(2 * b));
+  ac_n2_ = GroupNorm(2 * b, norm_groups_for(2 * b));
   ac_out_ = Conv2d(2 * b, cfg.ac_channels, 3, 1, 1, rng);
   // D: concat(z, ac_quarter) -> res -> up -> (+ ac_half skip) -> up -> 3
   const int cin = cfg.z_channels + cfg.ac_channels;
   dec_res_ = ResBlock(cin, 3 * b, /*temb_dim=*/0, rng);
   dec_up1_ = Conv2d(3 * b + b, 2 * b, 3, 1, 1, rng);  // + half-res AC skip
-  dec_n1_ = GroupNorm(2 * b, gn_groups(2 * b));
+  dec_n1_ = GroupNorm(2 * b, norm_groups_for(2 * b));
   dec_up2_ = Conv2d(2 * b, b, 3, 1, 1, rng);
-  dec_n2_ = GroupNorm(b, gn_groups(b));
+  dec_n2_ = GroupNorm(b, norm_groups_for(b));
   dec_out_ = Conv2d(b, 3, 3, 1, 1, rng);
 }
 

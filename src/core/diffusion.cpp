@@ -55,21 +55,12 @@ DiffusionSchedule DiffusionSchedule::linear(int T, float beta_start,
   return s;
 }
 
-namespace {
-int gn_groups(int channels) {
-  for (int g = 8; g > 1; --g) {
-    if (channels % g == 0) return g;
-  }
-  return 1;
-}
-}  // namespace
-
 ControlModule::ControlModule(const UNetConfig& cfg, uint64_t seed) {
   Rng rng(seed ^ 0xC0117701ull);
   in_ = Conv2d(3, cfg.base / 2, 3, 2, 1, rng);
-  n1_ = GroupNorm(cfg.base / 2, gn_groups(cfg.base / 2));
+  n1_ = GroupNorm(cfg.base / 2, norm_groups_for(cfg.base / 2));
   down_ = Conv2d(cfg.base / 2, cfg.base, 3, 2, 1, rng);
-  n2_ = GroupNorm(cfg.base, gn_groups(cfg.base));
+  n2_ = GroupNorm(cfg.base, norm_groups_for(cfg.base));
   proj1_ = Conv2d(cfg.base, cfg.base, 3, 1, 1, rng);
   proj2_ = Conv2d(cfg.base, 2 * cfg.base, 3, 2, 1, rng);
 }
@@ -102,10 +93,9 @@ UNet::UNet(const UNetConfig& cfg, uint64_t seed) : cfg_(cfg) {
   res_down_ = ResBlock(cfg.base, cfg.base, cfg.temb_dim, rng);
   downsample_ = Conv2d(cfg.base, cfg.base, 3, 2, 1, rng);
   res_mid1_ = ResBlock(cfg.base, 2 * cfg.base, cfg.temb_dim, rng);
-  if (cfg.mid_attention) mid_attn_ = AttnBlock(2 * cfg.base, rng);
   res_mid2_ = ResBlock(2 * cfg.base, 2 * cfg.base, cfg.temb_dim, rng);
   res_up_ = ResBlock(3 * cfg.base, cfg.base, cfg.temb_dim, rng);
-  norm_out_ = GroupNorm(cfg.base, gn_groups(cfg.base));
+  norm_out_ = GroupNorm(cfg.base, norm_groups_for(cfg.base));
   conv_out_ = Conv2d(cfg.base, cfg.z_channels, 3, 1, 1, rng);
 }
 
@@ -122,7 +112,6 @@ Tensor UNet::forward(const Tensor& z_t, const std::vector<int>& t,
   Tensor skip = res_down_(h0, temb);
   Tensor hd = downsample_(skip);
   Tensor hm = add(res_mid1_(hd, temb), ctrl.c2);
-  if (cfg_.mid_attention) hm = mid_attn_(hm);
   hm = res_mid2_(hm, temb);
   Tensor backbone = upsample_nearest2x(hm);
   // FreeU-style frequency modulation: re-weight backbone vs skip features.
@@ -136,9 +125,6 @@ plan::TensorId UNet::capture(plan::GraphBuilder& g, plan::TensorId z_t,
                              plan::TensorId temb, plan::TensorId c1,
                              plan::TensorId c2, plan::TensorId s,
                              plan::TensorId b) const {
-  if (cfg_.mid_attention) {
-    throw std::invalid_argument("UNet capture: mid_attention not supported");
-  }
   const int rows = g.shape(z_t)[0];
   const plan::TensorId st = g.silu(
       temb2_.capture(g, g.silu(temb1_.capture(g, temb))));
@@ -167,7 +153,6 @@ std::vector<Tensor> UNet::params() const {
   res_down_.collect(p);
   downsample_.collect(p);
   res_mid1_.collect(p);
-  if (cfg_.mid_attention) mid_attn_.collect(p);
   res_mid2_.collect(p);
   res_up_.collect(p);
   norm_out_.collect(p);

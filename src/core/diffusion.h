@@ -27,10 +27,6 @@ struct UNetConfig {
   int z_channels = 4;
   int base = 32;     // channel width at latent resolution
   int temb_dim = 64;
-  // Optional single-head self-attention in the mid block (the SD UNet's
-  // mid-attention). Off by default: at this latent size the conv path
-  // already sees the whole field, and disabling keeps weight caches stable.
-  bool mid_attention = false;
 };
 
 // Control module: extracts structure features from x-tilde at the two UNet
@@ -68,8 +64,7 @@ class UNet {
   // run on it once, and the projections are repeated across the rows, which
   // is the eager forward's bytes because the linear kernel is row-invariant.
   // `s`/`b` are the FreeU factors as graph tensors, or plan::kNoTensor when
-  // unmodulated. Throws std::invalid_argument when cfg.mid_attention is set
-  // (the plan does not capture attention; callers fall back to eager).
+  // unmodulated.
   nn::plan::TensorId capture(nn::plan::GraphBuilder& g, nn::plan::TensorId z_t,
                              nn::plan::TensorId temb, nn::plan::TensorId c1,
                              nn::plan::TensorId c2,
@@ -85,7 +80,6 @@ class UNet {
   nn::ResBlock res_down_;
   nn::Conv2d downsample_;
   nn::ResBlock res_mid1_, res_mid2_;
-  nn::AttnBlock mid_attn_;  // used only when cfg.mid_attention
   nn::ResBlock res_up_;
   nn::GroupNorm norm_out_;
   nn::Conv2d conv_out_;

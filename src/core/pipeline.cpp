@@ -561,8 +561,8 @@ AnytimeResult DCDiffModel::reconstruct_batch_anytime(
 
     // The UNet and the decoder run on the group's compiled plans, or on the
     // eager modules under set_plan_enabled(false) or when a plan cannot be
-    // built or its arena leased (plan.eager_fallbacks; the failure itself
-    // is logged where it happens, a remembered build failure once per key).
+    // built or the thread's arena cannot grow (plan.eager_fallbacks; the
+    // failure itself is logged where it happens).
     std::optional<GroupPlans> planned;
     if (plan_enabled()) {
       const Status st =

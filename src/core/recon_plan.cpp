@@ -1,12 +1,12 @@
 #include "core/recon_plan.h"
 
+#include <algorithm>
 #include <exception>
 #include <string>
 #include <utility>
 
 #include "nn/plan/builder.h"
 #include "obs/log.h"
-#include "obs/metrics.h"
 
 namespace dcdiff::core {
 
@@ -48,25 +48,21 @@ Status GroupPlans::open(plan::PlanCache& cache, PackCache& packs,
       packs, &decoder);
   if (!st.is_ok()) return st;
   try {
-    auto lease = cache.arena_for(
-        step->arena_floats() >= decoder->arena_floats() ? *step : *decoder);
-    // Steady state is 0: the arena pool hands back an existing buffer.
-    static obs::Gauge& allocs = obs::gauge("plan.allocs_per_forward");
-    allocs.set(lease.allocated() ? 1.0 : 0.0);
-    out->emplace(GroupPlans(std::move(step), std::move(decoder),
-                            std::move(lease), uc.temb_dim));
+    plan::reserve_thread_arena(
+        std::max(step->arena_floats(), decoder->arena_floats()));
   } catch (const std::exception& e) {
     const Status st = Status::internal(std::string("plan arena: ") + e.what());
     DCDIFF_LOG_WARN("core.plan", "arena_failed", {{"error", st.to_string()}});
     return st;
   }
+  out->emplace(GroupPlans(std::move(step), std::move(decoder), uc.temb_dim));
   return Status::ok();
 }
 
 Tensor GroupPlans::run(const plan::Plan& p,
                        const std::vector<const float*>& inputs) {
   std::vector<const float*> outs;
-  p.run(lease_.arena(), inputs, &outs);
+  p.run(inputs, &outs);
   return Tensor::from_data(
       p.output_shape(0),
       std::vector<float>(outs[0], outs[0] + p.output_numel(0)));

@@ -1,6 +1,6 @@
 // Compile-once reconstruction plans (see nn/plan/): the two networks a
-// reconstruction runs, each captured once per shape and executed out of a
-// liveness-planned arena.
+// reconstruction runs, each captured once per shape and executed in the
+// calling thread's liveness-planned arena.
 //
 // * The UNet-step plan: one denoising forward, keyed by (rows, latent
 //   h x w, fmpp). The one DDIM loop (core/diffusion.h) runs it once per
@@ -25,15 +25,15 @@
 namespace dcdiff::core {
 
 // The compiled executor of one size group: its UNet-step and decoder plans,
-// both running out of one arena lease sized for the larger of the two.
-// Planned output equals the eager modules' byte for byte.
+// both running in the calling thread's arena. Planned output equals the
+// eager modules' byte for byte.
 class GroupPlans {
  public:
   // Fetches the plans for `n` images of latent size h x w sampled on
   // n * ensemble rows from `cache` (compiling on a miss; conv weights
-  // resolve through `packs`) and leases the arena. A build or lease failure
-  // is a typed Status and leaves *out empty; the caller then runs the group
-  // eager.
+  // resolve through `packs`) and grows the calling thread's arena to the
+  // larger of the two. A build or arena failure is a typed Status and
+  // leaves *out empty; the caller then runs the group eager.
   static Status open(nn::plan::PlanCache& cache, nn::PackCache& packs,
                      const UNet& unet, const Autoencoder& ae, int n,
                      int ensemble, int h, int w, bool use_fmpp,
@@ -49,16 +49,15 @@ class GroupPlans {
 
  private:
   GroupPlans(std::shared_ptr<const nn::plan::Plan> step,
-             std::shared_ptr<const nn::plan::Plan> decoder,
-             nn::plan::PlanCache::ArenaLease lease, int temb_dim)
+             std::shared_ptr<const nn::plan::Plan> decoder, int temb_dim)
       : step_(std::move(step)), decoder_(std::move(decoder)),
-        lease_(std::move(lease)), temb_dim_(temb_dim) {}
-  // Runs `p` in the shared arena and copies its output out of it.
-  nn::Tensor run(const nn::plan::Plan& p,
-                 const std::vector<const float*>& inputs);
+        temb_dim_(temb_dim) {}
+  // Runs `p` in the thread's arena and copies its output out of it, so
+  // nothing lives in the arena between runs.
+  static nn::Tensor run(const nn::plan::Plan& p,
+                        const std::vector<const float*>& inputs);
 
   std::shared_ptr<const nn::plan::Plan> step_, decoder_;
-  nn::plan::PlanCache::ArenaLease lease_;
   int temb_dim_;
 };
 

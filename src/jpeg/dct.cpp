@@ -9,14 +9,12 @@ namespace {
 // transform is out = T * in * T^t with T = cos_table.
 struct CosTable {
   double t[kBlockSize][kBlockSize];
-  float tf[kBlockSize][kBlockSize];
   CosTable() {
     const double pi = std::acos(-1.0);
     for (int u = 0; u < kBlockSize; ++u) {
       const double cu = (u == 0) ? std::sqrt(0.5) : 1.0;
       for (int x = 0; x < kBlockSize; ++x) {
         t[u][x] = 0.5 * cu * std::cos((2 * x + 1) * u * pi / 16.0);
-        tf[u][x] = static_cast<float>(t[u][x]);
       }
     }
   }
@@ -71,48 +69,6 @@ void idct8x8(const CoefBlock& in, PixelBlock& out) {
       double acc = 0.0;
       for (int v = 0; v < kBlockSize; ++v) acc += tmp[v][x] * ct.t[v][y];
       out[y * kBlockSize + x] = static_cast<float>(acc);
-    }
-  }
-}
-
-void fdct8x8_fast(const PixelBlock& in, CoefBlock& out) {
-  const auto& ct = cos_table();
-  float tmp[kBlockSize][kBlockSize];
-  for (int y = 0; y < kBlockSize; ++y) {
-    for (int u = 0; u < kBlockSize; ++u) {
-      float acc = 0.0f;
-      for (int x = 0; x < kBlockSize; ++x) {
-        acc += in[y * kBlockSize + x] * ct.tf[u][x];
-      }
-      tmp[y][u] = acc;
-    }
-  }
-  for (int v = 0; v < kBlockSize; ++v) {
-    for (int u = 0; u < kBlockSize; ++u) {
-      float acc = 0.0f;
-      for (int y = 0; y < kBlockSize; ++y) acc += tmp[y][u] * ct.tf[v][y];
-      out[v * kBlockSize + u] = acc;
-    }
-  }
-}
-
-void idct8x8_fast(const CoefBlock& in, PixelBlock& out) {
-  const auto& ct = cos_table();
-  float tmp[kBlockSize][kBlockSize];
-  for (int v = 0; v < kBlockSize; ++v) {
-    for (int x = 0; x < kBlockSize; ++x) {
-      float acc = 0.0f;
-      for (int u = 0; u < kBlockSize; ++u) {
-        acc += in[v * kBlockSize + u] * ct.tf[u][x];
-      }
-      tmp[v][x] = acc;
-    }
-  }
-  for (int y = 0; y < kBlockSize; ++y) {
-    for (int x = 0; x < kBlockSize; ++x) {
-      float acc = 0.0f;
-      for (int v = 0; v < kBlockSize; ++v) acc += tmp[v][x] * ct.tf[v][y];
-      out[y * kBlockSize + x] = acc;
     }
   }
 }

@@ -21,10 +21,4 @@ using CoefBlock = std::array<float, kBlockSamples>;   // row-major frequency
 void fdct8x8(const PixelBlock& in, CoefBlock& out);
 void idct8x8(const CoefBlock& in, PixelBlock& out);
 
-// Single-precision fast path (same algorithm, float accumulation); used by
-// the throughput benchmarks. Max deviation from the reference is < 1e-2 for
-// inputs in [-128, 127].
-void fdct8x8_fast(const PixelBlock& in, CoefBlock& out);
-void idct8x8_fast(const CoefBlock& in, PixelBlock& out);
-
 }  // namespace dcdiff::jpeg

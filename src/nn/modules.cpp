@@ -62,16 +62,12 @@ plan::TensorId GroupNorm::capture(plan::GraphBuilder& g,
   return g.group_norm(x, gamma, beta, groups);
 }
 
-namespace {
 int norm_groups_for(int channels) {
-  // Largest divisor of `channels` that is <= 8 keeps groups well-formed for
-  // the small channel counts used here.
   for (int g = 8; g > 1; --g) {
     if (channels % g == 0) return g;
   }
   return 1;
 }
-}  // namespace
 
 ResBlock::ResBlock(int cin, int cout, int temb_dim, Rng& rng)
     : norm1(cin, norm_groups_for(cin)),
@@ -118,36 +114,6 @@ void ResBlock::collect(std::vector<Tensor>& out) const {
   conv2.collect(out);
   if (has_shortcut) shortcut.collect(out);
   if (has_temb) temb_proj.collect(out);
-}
-
-namespace {
-int attn_groups(int channels) {
-  for (int g = 8; g > 1; --g) {
-    if (channels % g == 0) return g;
-  }
-  return 1;
-}
-}  // namespace
-
-AttnBlock::AttnBlock(int channels, Rng& rng)
-    : norm(channels, attn_groups(channels)),
-      q(channels, channels, 1, 1, 0, rng),
-      k(channels, channels, 1, 1, 0, rng),
-      v(channels, channels, 1, 1, 0, rng),
-      proj(channels, channels, 1, 1, 0, rng) {}
-
-Tensor AttnBlock::operator()(const Tensor& x) const {
-  const Tensor h = norm(x);
-  const Tensor out = spatial_attention(q(h), k(h), v(h));
-  return add(x, proj(out));
-}
-
-void AttnBlock::collect(std::vector<Tensor>& out) const {
-  norm.collect(out);
-  q.collect(out);
-  k.collect(out);
-  v.collect(out);
-  proj.collect(out);
 }
 
 }  // namespace dcdiff::nn

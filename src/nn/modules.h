@@ -44,6 +44,11 @@ struct Linear {
   void collect(std::vector<Tensor>& out) const;
 };
 
+// The group count every GroupNorm here uses: the largest divisor of
+// `channels` that is <= 8, which keeps groups well-formed for the small
+// channel counts of these networks.
+int norm_groups_for(int channels);
+
 struct GroupNorm {
   Tensor gamma, beta;
   int groups = 1;
@@ -80,19 +85,6 @@ struct ResBlock {
   // injection.
   plan::TensorId capture(plan::GraphBuilder& g, plan::TensorId x,
                          plan::TensorId temb_bias) const;
-  void collect(std::vector<Tensor>& out) const;
-};
-
-// Single-head spatial self-attention block (Stable-Diffusion style):
-// GN -> 1x1 q/k/v -> attention -> 1x1 proj, residual around the whole block.
-struct AttnBlock {
-  GroupNorm norm;
-  Conv2d q, k, v, proj;
-
-  AttnBlock() = default;
-  AttnBlock(int channels, Rng& rng);
-
-  Tensor operator()(const Tensor& x) const;
   void collect(std::vector<Tensor>& out) const;
 };
 

@@ -538,7 +538,7 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b, int stride,
   const int ho = out_shape[2], wo = out_shape[3];
   const int kdim = c * kh * kw;           // GEMM reduction depth
   const int64_t npix = static_cast<int64_t>(ho) * wo;  // output pixels
-  // 1x1 stride-1 unpadded convs (attention q/k/v/proj, ResBlock shortcuts)
+  // 1x1 stride-1 unpadded convs (ResBlock shortcuts)
   // are already a plain channel-mixing GEMM: the input plane IS the patch
   // matrix, so the gradients skip the im2col / col2im copies entirely.
   const bool fast_1x1 = kh == 1 && kw == 1 && stride == 1 && pad == 0;
@@ -712,140 +712,6 @@ Tensor upsample_nearest2x(const Tensor& x) {
                          }
                        }
                      });
-}
-
-Tensor spatial_attention(const Tensor& q, const Tensor& k, const Tensor& v) {
-  check_same_shape(q.shape(), k.shape(), "spatial_attention");
-  check_same_shape(q.shape(), v.shape(), "spatial_attention");
-  if (q.ndim() != 4) throw std::invalid_argument("spatial_attention: rank");
-  const int n = q.dim(0), c = q.dim(1);
-  const int l = q.dim(2) * q.dim(3);
-  const float scale_f = 1.0f / std::sqrt(static_cast<float>(c));
-
-  // Per-sample attention weights, kept for the backward pass.
-  auto attn = std::make_shared<std::vector<float>>(
-      static_cast<size_t>(n) * l * l);
-  std::vector<float> out(q.numel());
-  const float* qv = q.value().data();
-  const float* kv = k.value().data();
-  const float* vv = v.value().data();
-  auto feat = [c, l](const float* base, int ni, int ci, int i) {
-    return base[(static_cast<size_t>(ni) * c + ci) * l + i];
-  };
-  for (int ni = 0; ni < n; ++ni) {
-    float* a = attn->data() + static_cast<size_t>(ni) * l * l;
-    for (int i = 0; i < l; ++i) {
-      float mx = -1e30f;
-      for (int j = 0; j < l; ++j) {
-        float s = 0.0f;
-        for (int ci = 0; ci < c; ++ci) {
-          s += feat(qv, ni, ci, i) * feat(kv, ni, ci, j);
-        }
-        s *= scale_f;
-        a[static_cast<size_t>(i) * l + j] = s;
-        mx = std::max(mx, s);
-      }
-      float z = 0.0f;
-      for (int j = 0; j < l; ++j) {
-        float& e = a[static_cast<size_t>(i) * l + j];
-        e = std::exp(e - mx);
-        z += e;
-      }
-      for (int j = 0; j < l; ++j) a[static_cast<size_t>(i) * l + j] /= z;
-    }
-    for (int ci = 0; ci < c; ++ci) {
-      for (int i = 0; i < l; ++i) {
-        float acc = 0.0f;
-        for (int j = 0; j < l; ++j) {
-          acc += a[static_cast<size_t>(i) * l + j] * feat(vv, ni, ci, j);
-        }
-        out[(static_cast<size_t>(ni) * c + ci) * l + i] = acc;
-      }
-    }
-  }
-  return make_result(
-      q.shape(), std::move(out), {q, k, v},
-      [q, k, v, attn, n, c, l, scale_f](TensorNode& self) {
-        const float* go = self.grad.data();
-        const float* qv2 = q.value().data();
-        const float* kv2 = k.value().data();
-        const float* vv2 = v.value().data();
-        auto feat = [c, l](const float* base, int ni, int ci, int i) {
-          return base[(static_cast<size_t>(ni) * c + ci) * l + i];
-        };
-        for (int ni = 0; ni < n; ++ni) {
-          const float* a = attn->data() + static_cast<size_t>(ni) * l * l;
-          // dA[i][j] = sum_c go[c,i] * v[c,j]
-          std::vector<float> dA(static_cast<size_t>(l) * l, 0.0f);
-          for (int i = 0; i < l; ++i) {
-            for (int j = 0; j < l; ++j) {
-              float acc = 0.0f;
-              for (int ci = 0; ci < c; ++ci) {
-                acc += feat(go, ni, ci, i) * feat(vv2, ni, ci, j);
-              }
-              dA[static_cast<size_t>(i) * l + j] = acc;
-            }
-          }
-          // Softmax backward per row: dS = A * (dA - sum_j dA*A)
-          std::vector<float> dS(static_cast<size_t>(l) * l);
-          for (int i = 0; i < l; ++i) {
-            float dot = 0.0f;
-            for (int j = 0; j < l; ++j) {
-              dot += dA[static_cast<size_t>(i) * l + j] *
-                     a[static_cast<size_t>(i) * l + j];
-            }
-            for (int j = 0; j < l; ++j) {
-              dS[static_cast<size_t>(i) * l + j] =
-                  a[static_cast<size_t>(i) * l + j] *
-                  (dA[static_cast<size_t>(i) * l + j] - dot);
-            }
-          }
-          if (q.requires_grad()) {
-            auto& g = *q.node();
-            g.ensure_grad();
-            for (int ci = 0; ci < c; ++ci) {
-              for (int i = 0; i < l; ++i) {
-                float acc = 0.0f;
-                for (int j = 0; j < l; ++j) {
-                  acc += dS[static_cast<size_t>(i) * l + j] *
-                         feat(kv2, ni, ci, j);
-                }
-                g.grad[(static_cast<size_t>(ni) * c + ci) * l + i] +=
-                    scale_f * acc;
-              }
-            }
-          }
-          if (k.requires_grad()) {
-            auto& g = *k.node();
-            g.ensure_grad();
-            for (int ci = 0; ci < c; ++ci) {
-              for (int j = 0; j < l; ++j) {
-                float acc = 0.0f;
-                for (int i = 0; i < l; ++i) {
-                  acc += dS[static_cast<size_t>(i) * l + j] *
-                         feat(qv2, ni, ci, i);
-                }
-                g.grad[(static_cast<size_t>(ni) * c + ci) * l + j] +=
-                    scale_f * acc;
-              }
-            }
-          }
-          if (v.requires_grad()) {
-            auto& g = *v.node();
-            g.ensure_grad();
-            for (int ci = 0; ci < c; ++ci) {
-              for (int j = 0; j < l; ++j) {
-                float acc = 0.0f;
-                for (int i = 0; i < l; ++i) {
-                  acc += feat(go, ni, ci, i) *
-                         a[static_cast<size_t>(i) * l + j];
-                }
-                g.grad[(static_cast<size_t>(ni) * c + ci) * l + j] += acc;
-              }
-            }
-          }
-        }
-      });
 }
 
 Tensor group_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,

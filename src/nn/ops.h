@@ -65,12 +65,6 @@ Tensor avg_pool2d(const Tensor& x, int k);       // stride == k
 Tensor global_avg_pool(const Tensor& x);         // (N,C,H,W) -> (N,C)
 Tensor upsample_nearest2x(const Tensor& x);
 
-// ----- Attention -----
-// Single-head spatial self-attention. q, k, v: (N,C,H,W); every spatial
-// position attends over all positions of its sample:
-//   A = softmax_j(q_i . k_j / sqrt(C)),  out_i = sum_j A_ij v_j
-Tensor spatial_attention(const Tensor& q, const Tensor& k, const Tensor& v);
-
 // ----- Normalization -----
 // x: (N,C,H,W) or (N,C); gamma, beta: (C). C must be divisible by groups.
 // Keeps no normalized copy of x: the backward recomputes the statistics.

@@ -3,6 +3,8 @@
 #include <chrono>
 #include <cstdio>
 #include <map>
+#include <memory>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -10,6 +12,8 @@
 #include "nn/kernels.h"
 #include "nn/packcache.h"
 #include "obs/env.h"
+#include "obs/metrics.h"
+#include "testing/fault.h"
 
 namespace dcdiff::nn::plan {
 namespace {
@@ -62,7 +66,37 @@ double now_us() {
       .count();
 }
 
+// The calling thread's arena: every intermediate of a run lives here. It
+// only grows (plan.arena_allocs counts growths), so a thread holds one
+// buffer the size of the largest plan it has run, freed when it exits.
+struct ThreadArena {
+  std::unique_ptr<float[]> data;
+  size_t floats = 0;
+};
+thread_local ThreadArena t_arena;
+
+float* thread_arena(size_t floats) {
+  static obs::Counter& growths = obs::counter("plan.arena_allocs");
+  if (floats > t_arena.floats) {
+    // Free the smaller buffer first, so a growth never holds both.
+    t_arena.data.reset();
+    t_arena.floats = 0;
+    t_arena.data = std::make_unique_for_overwrite<float[]>(floats);
+    t_arena.floats = floats;
+    growths.inc();
+  }
+  return t_arena.data.get();
+}
+
 }  // namespace
+
+void reserve_thread_arena(size_t floats) {
+  // Fault site: the arena fails to grow as an allocation would. Checked
+  // before the size test, so it fires even on a thread whose arena is
+  // already large enough.
+  if (DCDIFF_FAULT_POINT("nn.plan.arena_fail")) throw std::bad_alloc();
+  (void)thread_arena(floats);
+}
 
 Plan::Plan(Graph&& g, PackCache& packs) : graph_(std::move(g)) {
   if (graph_.outputs.empty()) {
@@ -117,12 +151,12 @@ const float* Plan::resolve(TensorId id, float* arena,
   return nullptr;
 }
 
-void Plan::run(ExecArena& arena, const std::vector<const float*>& inputs,
+void Plan::run(const std::vector<const float*>& inputs,
                std::vector<const float*>* outputs) const {
   if (static_cast<int>(inputs.size()) != graph_.num_inputs) {
     throw std::invalid_argument("plan run: input count");
   }
-  float* base = arena.data();
+  float* base = thread_arena(arena_floats_);
   std::map<std::string, std::pair<int, double>> prof;  // kind -> {count, us}
   for (size_t i = 0; i < graph_.ops.size(); ++i) {
     const Op& op = graph_.ops[i];

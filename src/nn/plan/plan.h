@@ -2,13 +2,13 @@
 // weight reference resolved (raw pointers + PackedA panels) at build time.
 //
 // A Plan is immutable after construction and holds no mutable execution
-// state, so one plan may be shared across threads; each concurrent run()
-// needs its own ExecArena (PlanCache pools them per size). A run allocates
-// nothing.
+// state, so one plan may be shared across threads. Every run executes in
+// the calling thread's arena: one buffer per thread, grown to the largest
+// plan that thread has run and reused by every later run, so a run
+// allocates nothing once its thread has run a plan of that size.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "nn/gemm.h"
@@ -20,19 +20,6 @@ class PackCache;
 }
 
 namespace dcdiff::nn::plan {
-
-// The single backing buffer every intermediate lives in.
-class ExecArena {
- public:
-  explicit ExecArena(size_t floats)
-      : data_(new float[std::max<size_t>(floats, 1)]), floats_(floats) {}
-  float* data() { return data_.get(); }
-  size_t floats() const { return floats_; }
-
- private:
-  std::unique_ptr<float[]> data_;
-  size_t floats_;
-};
 
 class Plan {
  public:
@@ -54,10 +41,11 @@ class Plan {
   size_t num_ops() const { return graph_.ops.size(); }
   const FusionStats& fusion_stats() const { return stats_; }
 
-  // Executes the graph. inputs[i] must hold input_numel(i) floats; on
-  // return (*outputs)[i] points at output i inside `arena`, valid until the
-  // arena is reused. Thread-safe given distinct arenas.
-  void run(ExecArena& arena, const std::vector<const float*>& inputs,
+  // Executes the graph in the calling thread's arena, growing it first if
+  // this plan needs more than the thread has run so far. inputs[i] must hold
+  // input_numel(i) floats; on return (*outputs)[i] points at output i
+  // inside that arena, valid until the thread's next run. Thread-safe.
+  void run(const std::vector<const float*>& inputs,
            std::vector<const float*>* outputs) const;
 
  private:
@@ -70,5 +58,12 @@ class Plan {
   // Borrowed PackCache panels, parallel to graph_.ops (null for non-conv).
   std::vector<const PackedA*> conv_panels_;
 };
+
+// Grows the calling thread's arena to at least `floats` floats, so that the
+// thread's runs of plans that size allocate nothing. Throws std::bad_alloc
+// when the allocation fails; the fault site nn.plan.arena_fail fails it on
+// every call, before the size test (core::GroupPlans::open then runs its
+// group eager).
+void reserve_thread_arena(size_t floats);
 
 }  // namespace dcdiff::nn::plan

@@ -31,11 +31,6 @@ class Rng {
     return d(engine_);
   }
 
-  // Derives an independent child generator (stable given the same key).
-  Rng fork(uint64_t key) {
-    return Rng(engine_() ^ (key * 0x9E3779B97F4A7C15ull));
-  }
-
   std::mt19937_64& engine() { return engine_; }
 
  private:

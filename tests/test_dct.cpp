@@ -74,19 +74,6 @@ TEST_P(DctRoundTrip, ParsevalEnergyPreserved) {
   EXPECT_NEAR(e_coef, e_pix, 1e-2 * std::max(1.0, e_pix));
 }
 
-TEST_P(DctRoundTrip, FastMatchesReference) {
-  Rng rng(static_cast<uint64_t>(GetParam()) + 200);
-  const PixelBlock px = random_block(rng);
-  CoefBlock ref, fast;
-  fdct8x8(px, ref);
-  fdct8x8_fast(px, fast);
-  for (int i = 0; i < kBlockSamples; ++i) EXPECT_NEAR(fast[i], ref[i], 2e-2);
-  PixelBlock iref, ifast;
-  idct8x8(ref, iref);
-  idct8x8_fast(ref, ifast);
-  for (int i = 0; i < kBlockSamples; ++i) EXPECT_NEAR(ifast[i], iref[i], 2e-2);
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, DctRoundTrip, ::testing::Range(0, 16));
 
 TEST(Dct, Linearity) {

@@ -215,30 +215,6 @@ TEST_F(UNetFixture, DdimRejectsBadStepCount) {
                std::invalid_argument);
 }
 
-TEST(UNetAttention, MidAttentionVariantWorks) {
-  UNetConfig cfg{4, 16, 32};
-  cfg.mid_attention = true;
-  UNet unet(cfg, 13);
-  ControlModule control(cfg, 13);
-  Rng rng(14);
-  const Tensor z = randn({1, 4, 8, 8}, rng);
-  const auto ctrl = control.forward(randn({1, 3, 32, 32}, rng));
-  const Tensor out = unet.forward(z, {5}, ctrl);
-  EXPECT_EQ(out.shape(), z.shape());
-  // Attention adds parameters over the plain variant.
-  UNetConfig plain_cfg{4, 16, 32};
-  UNet plain(plain_cfg, 13);
-  EXPECT_GT(unet.params().size(), plain.params().size());
-  // And gradients reach the attention weights.
-  nn::Tensor loss = nn::mean(unet.forward(z, {5}, ctrl));
-  loss.backward();
-  double g = 0;
-  for (auto& p : unet.params()) {
-    for (float v : p.grad()) g += std::abs(v);
-  }
-  EXPECT_GT(g, 0.0);
-}
-
 TEST_F(UNetFixture, GradientsReachAllParameters) {
   Rng rng(9);
   const Tensor z = randn({1, 4, 8, 8}, rng);

@@ -51,12 +51,14 @@ TEST(Serialize, HeterogeneousModuleList) {
   Conv2d conv(2, 4, 3, 1, 1, rng);
   GroupNorm gn(4, 2);
   Linear fc(4, 2, rng);
-  AttnBlock attn(4, rng);
+  // 4 -> 6 channels with a timestep input: norms, convs, the 1x1
+  // shortcut and the embedding projection.
+  ResBlock res(4, 6, 3, rng);
   std::vector<Tensor> params;
   conv.collect(params);
   gn.collect(params);
   fc.collect(params);
-  attn.collect(params);
+  res.collect(params);
   const std::string path = ::testing::TempDir() + "/hetero.bin";
   save_params(params, path);
 
@@ -64,12 +66,12 @@ TEST(Serialize, HeterogeneousModuleList) {
   Conv2d conv2(2, 4, 3, 1, 1, rng2);
   GroupNorm gn2(4, 2);
   Linear fc2(4, 2, rng2);
-  AttnBlock attn2(4, rng2);
+  ResBlock res2(4, 6, 3, rng2);
   std::vector<Tensor> params2;
   conv2.collect(params2);
   gn2.collect(params2);
   fc2.collect(params2);
-  attn2.collect(params2);
+  res2.collect(params2);
   ASSERT_TRUE(load_params(params2, path));
   for (size_t i = 0; i < params.size(); ++i) {
     for (size_t j = 0; j < params[i].numel(); ++j) {

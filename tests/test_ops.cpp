@@ -242,35 +242,6 @@ TEST(OpsGrad, ConcatSliceReshape) {
   check_gradient(a, [&] { return sum(reshape(a, {2, 4})); });
 }
 
-TEST(OpsForward, SpatialAttentionUniformKeysAverageValues) {
-  // With q = k = 0 the attention weights are uniform: output = mean of v.
-  Tensor q = Tensor::zeros({1, 2, 2, 2});
-  Tensor k = Tensor::zeros({1, 2, 2, 2});
-  Tensor v = Tensor::from_data({1, 2, 2, 2},
-                               {1, 2, 3, 4, 10, 20, 30, 40});
-  const Tensor out = spatial_attention(q, k, v);
-  for (int i = 0; i < 4; ++i) EXPECT_NEAR(out.value()[i], 2.5f, 1e-5);
-  for (int i = 4; i < 8; ++i) EXPECT_NEAR(out.value()[i], 25.0f, 1e-4);
-}
-
-TEST(OpsForward, SpatialAttentionShapeChecks) {
-  Tensor a = Tensor::zeros({1, 2, 2, 2});
-  Tensor b = Tensor::zeros({1, 3, 2, 2});
-  EXPECT_THROW(spatial_attention(a, b, a), std::invalid_argument);
-}
-
-TEST(OpsGrad, SpatialAttention) {
-  Rng rng(20);
-  Tensor q = random_tensor({1, 2, 2, 2}, rng, 0.5f);
-  Tensor k = random_tensor({1, 2, 2, 2}, rng, 0.5f);
-  Tensor v = random_tensor({1, 2, 2, 2}, rng);
-  Tensor t = random_tensor({1, 2, 2, 2}, rng);
-  auto loss = [&] { return mse_loss(spatial_attention(q, k, v), t); };
-  check_gradient(q, loss, 1e-2f, 5e-2f);
-  check_gradient(k, loss, 1e-2f, 5e-2f);
-  check_gradient(v, loss, 1e-2f, 5e-2f);
-}
-
 TEST(OpsGrad, BroadcastHelpers) {
   Rng rng(19);
   Tensor x = random_tensor({2, 3, 2, 2}, rng);

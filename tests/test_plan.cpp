@@ -7,9 +7,7 @@
 //     reconstruct_batch() and reconstruct_batch_anytime(), hooked or not,
 //     for x0- and eps-predicting models (both executors call the
 //     nn/kernels.h kernels and the same PackCache panels).
-//   * Hooked traffic (partials, early stops) runs planned, and a model the
-//     plan cannot capture (mid-block attention) falls back to eager once
-//     per size group with the same bytes.
+//   * Hooked traffic (partials, early stops) runs planned.
 //   * An image's pixels do not depend on its batch-mates: reconstruct(x)
 //     equals row 0 of reconstruct_batch({x, ...}) byte for byte at the
 //     paper's UNet widths, planned and eager.
@@ -18,15 +16,17 @@
 //   * set_plan_enabled(false) selects the eager reference: the plan layer is
 //     never consulted.
 //   * Steady state allocates nothing: after warmup, repeated planned
-//     forwards grow neither the plan arena pool nor the thread workspace.
+//     forwards, of two sizes and with partials, grow neither the thread's
+//     plan arena nor its workspace.
 //   * Plan build failures surface as a typed Status, never an exception; a
 //     conv weight that still requires grad is such a failure.
 //   * Each of the 11 op kinds and each fused form runs the eager op's
 //     kernel: a one-op plan equals the eager op chain byte for byte.
-//   * Plans borrow the model's PackCache panels (one per conv weight), and
-//     the arena pool holds only sizes that cached plans use.
-//   * Replica-sharded serving works with per-replica plans (this suite runs
-//     under the `concurrency` CTest label; a TSan build exercises it).
+//   * Plans borrow the model's PackCache panels (one per conv weight).
+//   * Each thread runs plans in its own arena: two threads sharing one
+//     model's plans, and replica-sharded serving, give the serial bytes
+//     (this suite runs under the `concurrency` CTest label; a TSan build
+//     exercises it).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,9 +37,9 @@
 #include <functional>
 #include <future>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -51,7 +51,6 @@
 #include "nn/plan/builder.h"
 #include "nn/plan/cache.h"
 #include "nn/workspace.h"
-#include "obs/log.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
 
@@ -373,44 +372,6 @@ TEST(PlanPaths, EpsPredictionPlannedMatchesEager) {
   }
 }
 
-// The plan does not capture mid-block attention: such a model falls back
-// once per size group and still equals the eager reference. The failed
-// capture is remembered per key, so only the first call captures (and
-// warns); every call still counts its fallbacks.
-TEST(PlanPaths, MidAttentionFallsBackPerGroupAndMatchesEager) {
-  core::DCDiffConfig cfg = random_init_config();
-  cfg.unet.mid_attention = true;
-  const core::DCDiffModel model(cfg);
-  const std::vector<jpeg::CoeffImage> coeffs = two_sizes();
-  core::set_plan_enabled(false);
-  const std::vector<Image> eager = model.reconstruct_batch(coeffs);
-  core::set_plan_enabled(true);
-  int warnings = 0;
-  obs::set_log_sink([&](const std::string& line) {
-    warnings += line.find("event=build_failed") != std::string::npos;
-  });
-  for (const uint64_t expected_failures : {2u, 0u}) {
-    const uint64_t fallbacks_before =
-        obs::counter("plan.eager_fallbacks").value();
-    const uint64_t failures_before =
-        obs::counter("plan.build_failures").value();
-    warnings = 0;
-    const std::vector<Image> fallback = model.reconstruct_batch(coeffs);
-    EXPECT_EQ(obs::counter("plan.eager_fallbacks").value(),
-              fallbacks_before + 2);
-    EXPECT_EQ(obs::counter("plan.build_failures").value(),
-              failures_before + expected_failures);
-    if (obs::log_enabled(obs::LogLevel::kWarn)) {
-      EXPECT_EQ(warnings, static_cast<int>(expected_failures));
-    }
-    ASSERT_EQ(fallback.size(), eager.size());
-    for (size_t i = 0; i < eager.size(); ++i) {
-      EXPECT_TRUE(same_bytes(fallback[i], eager[i])) << "image " << i;
-    }
-  }
-  obs::set_log_sink(nullptr);
-}
-
 // Batch-mates never change an image's pixels. At the paper's UNet widths
 // (base 32, temb 64) the timestep-embedding linears have 2 rows for one
 // image and 8 for four (ensemble 2), which straddles the GEMM's small
@@ -474,20 +435,40 @@ TEST_F(PlanTest, DisabledPlanPathIsNeverConsulted) {
 
 // ---- steady-state allocation behaviour ----
 
+// The UNet-step and decoder plans of every size group share the calling
+// thread's one arena: once it has grown to the largest plan, reconstructs
+// of either size, plain or emitting a partial at every step, allocate
+// neither arena nor workspace.
 TEST_F(PlanTest, SteadyStatePlannedForwardAllocatesNothing) {
-  const jpeg::CoeffImage coeffs = jpeg::decode_jfif(bitstream(0));
+  using Action = core::AnytimeControl::Action;
+  const std::vector<jpeg::CoeffImage> coeffs = two_sizes();
+  const std::vector<core::AnytimeItem> items = {{&coeffs[0], 0, 0},
+                                                {&coeffs[1], 0, 0}};
+  core::AnytimeControl hooked;
+  hooked.on_step = [](int done, int total) {
+    return done < total ? Action::kEmitPartial : Action::kContinue;
+  };
+  int partials = 0;
+  hooked.on_partial = [&](int, Image, int, double) { ++partials; };
+  const auto forwards = [&] {
+    (void)model_->reconstruct(coeffs[0]);
+    (void)model_->reconstruct_batch(coeffs);
+    (void)model_->reconstruct_batch_anytime(items, {}, hooked);
+  };
   core::set_plan_enabled(true);
-  // Warm up: plan compile, arena-pool seeding, workspace growth.
-  (void)model_->reconstruct(coeffs);
-  (void)model_->reconstruct(coeffs);
+  // Warm up: plan compiles, arena and workspace growth.
+  forwards();
+  forwards();
 
   const uint64_t arena_allocs_before =
       obs::counter("plan.arena_allocs").value();
+  const uint64_t fallbacks_before =
+      obs::counter("plan.eager_fallbacks").value();
   const size_t ws_blocks_before = nn::Workspace::total_blocks_allocated();
-  for (int i = 0; i < 3; ++i) {
-    (void)model_->reconstruct(coeffs);
-    EXPECT_EQ(obs::gauge("plan.allocs_per_forward").value(), 0.0);
-  }
+  partials = 0;
+  for (int i = 0; i < 3; ++i) forwards();
+  EXPECT_GT(partials, 0);
+  EXPECT_EQ(obs::counter("plan.eager_fallbacks").value(), fallbacks_before);
   EXPECT_EQ(obs::counter("plan.arena_allocs").value(), arena_allocs_before);
   EXPECT_EQ(nn::Workspace::total_blocks_allocated(), ws_blocks_before);
   EXPECT_GT(obs::gauge("plan.arena_bytes").value(), 0.0);
@@ -702,57 +683,14 @@ TEST(PlanCacheTest, EveryOpMatchesEager) {
         packs, &plan);
     ASSERT_TRUE(st.is_ok()) << st.to_string();
     EXPECT_EQ(plan->num_ops(), 1u);  // one op, or one fully fused chain
-    auto lease = cache.arena_for(*plan);
     std::vector<const float*> outs;
-    plan->run(lease.arena(), ptrs, &outs);
+    plan->run(ptrs, &outs);
     const Tensor want = c.eager(inputs);
     ASSERT_EQ(plan->output_shape(0), want.shape());
     EXPECT_EQ(std::memcmp(outs[0], want.value().data(),
                           want.numel() * sizeof(float)),
               0);
   }
-}
-
-// ---- the arena pool follows the plan cache ----
-
-// Evicting a plan frees its idle arenas, and an arena released after its
-// plan left the cache is freed rather than pooled: a rebuilt plan has to
-// allocate again.
-TEST(PlanCacheTest, EvictedPlanLeavesNoPooledArena) {
-  nn::plan::PlanCache cache;
-  nn::PackCache packs;
-  obs::Counter& allocs = obs::counter("plan.arena_allocs");
-  std::shared_ptr<const nn::plan::Plan> plan;
-  // Plan i is a silu over 16 * (i + 1) floats: one arena size per plan.
-  const auto build = [&](int i) {
-    const Status st = cache.get_or_build(
-        "p" + std::to_string(i),
-        [i](nn::plan::GraphBuilder& g) {
-          g.mark_output(g.silu(g.input({1, 16 * (i + 1)})));
-        },
-        packs, &plan);
-    ASSERT_TRUE(st.is_ok()) << st.to_string();
-  };
-  build(0);
-  const std::shared_ptr<const nn::plan::Plan> first = plan;
-  {
-    auto a = cache.arena_for(*first);
-    auto b = cache.arena_for(*first);
-  }  // two arenas of plan 0's size pooled
-  std::optional<nn::plan::PlanCache::ArenaLease> held;
-  held.emplace(cache.arena_for(*first));
-  EXPECT_FALSE(held->allocated());
-  for (int i = 1; i <= static_cast<int>(nn::plan::PlanCache::kMaxPlans);
-       ++i) {
-    build(i);  // the last build evicts plan 0
-  }
-  held.reset();  // released after its plan left the cache
-
-  build(0);
-  const uint64_t before = allocs.value();
-  auto lease = cache.arena_for(*plan);
-  EXPECT_TRUE(lease.allocated());
-  EXPECT_EQ(allocs.value(), before + 1);
 }
 
 // ---- one set of weight panels per model ----
@@ -797,6 +735,53 @@ TEST(PlanPanels, PlansBorrowOnePanelPerConvWeight) {
   (void)replica->reconstruct(coeffs);
   EXPECT_EQ(builds.value(), builds_before + 2);
   EXPECT_EQ(misses.value(), before);
+}
+
+// ---- one arena per thread ----
+
+// Two threads run one model's plans at once, each on a batch mixing two
+// sizes (in opposite orders), so each thread grows its own arena to the
+// larger size's plans. Every image equals the serial result byte for byte,
+// and nothing falls back to eager.
+TEST_F(PlanTest, ConcurrentThreadsRunPlansInTheirOwnArenas) {
+  const std::vector<jpeg::CoeffImage> coeffs = two_sizes();
+  const std::vector<std::vector<jpeg::CoeffImage>> batches = {
+      coeffs, {coeffs[1], coeffs[0]}};
+  core::set_plan_enabled(true);
+  std::vector<std::vector<Image>> serial;
+  for (const auto& batch : batches) {
+    serial.push_back(model_->reconstruct_batch(batch));
+  }
+
+  const uint64_t growths_before = obs::counter("plan.arena_allocs").value();
+  const uint64_t fallbacks_before =
+      obs::counter("plan.eager_fallbacks").value();
+  constexpr int kRounds = 2;
+  std::vector<std::vector<std::vector<Image>>> got(batches.size());
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < batches.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        got[t].push_back(model_->reconstruct_batch(batches[t]));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  // A new thread starts with an empty arena, so each grew at least once.
+  EXPECT_GE(obs::counter("plan.arena_allocs").value() - growths_before,
+            batches.size());
+  EXPECT_EQ(obs::counter("plan.eager_fallbacks").value(), fallbacks_before);
+  for (size_t t = 0; t < batches.size(); ++t) {
+    ASSERT_EQ(got[t].size(), static_cast<size_t>(kRounds));
+    for (size_t r = 0; r < got[t].size(); ++r) {
+      ASSERT_EQ(got[t][r].size(), serial[t].size());
+      for (size_t i = 0; i < serial[t].size(); ++i) {
+        EXPECT_TRUE(same_bytes(got[t][r][i], serial[t][i]))
+            << "thread " << t << " round " << r << " image " << i;
+      }
+    }
+  }
 }
 
 // ---- replica-sharded serving through per-replica plans ----
