@@ -3,9 +3,13 @@
 # (tests/golden/weights/*.bin, fixed seeds), and requires
 #   * byte-identical output PPMs across the two processes, and
 #   * the reported PSNR to match tests/golden/quickstart_psnr.txt to 1e-6.
+# A third run starts from an empty weight cache, so quickstart trains all
+# three components, and requires
+#   * each trained weight file to equal its golden file byte for byte.
 #
 # This pins down full-pipeline determinism (decode -> diffusion sampling ->
-# PPM bytes) against kernel or RNG drift that the 2-decimal quickstart table
+# PPM bytes) and training determinism (stage 1, stage 2 and FMPP's truncated
+# DDIM loop) against kernel or RNG drift that the 2-decimal quickstart table
 # would never show.
 #
 # Invoked as:
@@ -31,16 +35,17 @@ endif()
 set(weights_dir "${GOLDEN_DIR}/weights")
 set(golden_file "${GOLDEN_DIR}/quickstart_psnr.txt")
 
-# Runs quickstart in ${WORK_DIR}/${run} on the golden weights; sets
-# psnr_${run} from the machine-readable "quickstart_golden psnr=..." line.
-function(run_quickstart run)
+# Runs quickstart in ${WORK_DIR}/${run} with its weight cache in
+# `cache_dir` (trained on a miss); sets psnr_${run} from the
+# machine-readable "quickstart_golden psnr=..." line.
+function(run_quickstart run cache_dir)
   set(dir "${WORK_DIR}/${run}")
   file(REMOVE_RECURSE "${dir}")
   file(MAKE_DIRECTORY "${dir}")
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E env
             "DCDIFF_QUICKSTART_FAST=1"
-            "DCDIFF_CACHE_DIR=${weights_dir}"
+            "DCDIFF_CACHE_DIR=${cache_dir}"
             "DCDIFF_LOG_LEVEL=warn"
             --unset=DCDIFF_TRACE_FILE
             --unset=DCDIFF_METRICS_FILE
@@ -88,7 +93,7 @@ endfunction()
 if("$ENV{GOLDEN_REGEN}")
   file(REMOVE_RECURSE "${weights_dir}")
   file(MAKE_DIRECTORY "${weights_dir}")
-  run_quickstart(regen)
+  run_quickstart(regen "${weights_dir}")
   file(WRITE "${golden_file}" "${psnr_regen}\n")
   message(STATUS "regenerated golden: psnr=${psnr_regen}, "
                  "weights in ${weights_dir} — commit tests/golden/")
@@ -104,8 +109,8 @@ if(NOT golden_weights)
           "no golden weights in ${weights_dir} (run with GOLDEN_REGEN=1)")
 endif()
 
-run_quickstart(run1)
-run_quickstart(run2)
+run_quickstart(run1 "${weights_dir}")
+run_quickstart(run2 "${weights_dir}")
 
 # Separate processes must produce byte-identical images.
 foreach(ppm quickstart_dcdiff.ppm quickstart_original.ppm)
@@ -136,6 +141,30 @@ endif()
 if(diff_nano GREATER 1000)
   message(FATAL_ERROR "PSNR drifted from golden: got ${psnr_run1}, "
                       "want ${golden_value} (|diff| = ${diff_nano} nano-dB)")
+endif()
+
+# Training from a cold cache reproduces the golden weights byte for byte.
+set(cold_cache "${WORK_DIR}/cold_weights")
+file(REMOVE_RECURSE "${cold_cache}")
+file(MAKE_DIRECTORY "${cold_cache}")
+run_quickstart(cold "${cold_cache}")
+foreach(golden IN LISTS golden_weights)
+  get_filename_component(name "${golden}" NAME)
+  if(NOT EXISTS "${cold_cache}/${name}")
+    message(FATAL_ERROR "cold-cache run wrote no ${name}")
+  endif()
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            "${golden}" "${cold_cache}/${name}"
+    RESULT_VARIABLE same)
+  if(NOT same EQUAL 0)
+    message(FATAL_ERROR "trained ${name} differs from the golden weights: "
+                        "training is not bit-reproducible")
+  endif()
+endforeach()
+if(NOT psnr_cold STREQUAL psnr_run1)
+  message(FATAL_ERROR "PSNR on freshly trained weights differs: "
+                      "${psnr_cold} vs ${psnr_run1}")
 endif()
 
 message(STATUS "golden regression OK: psnr=${psnr_run1} "

@@ -17,9 +17,10 @@
 #
 # test_plan rides the `concurrency` label: it exercises the compiled
 # inference plan (liveness-assigned offsets into per-thread arenas, fused
-# kernels, per-replica plan caches) from two threads sharing one model's
-# plans and under concurrent submits, so ASan/UBSan validate the arena
-# slicing and its growth, and TSan that each thread runs in its own arena.
+# kernels, one plan cache shared by every serving worker) from two threads
+# sharing one model's plans and under concurrent submits, so ASan/UBSan
+# validate the arena slicing and its growth, and TSan that each thread runs
+# in its own arena and that workers share one cache and its plans safely.
 #
 # test_gemm rides it too: its bit-exact sweep of the batched conv forward
 # and its concurrent conv calls from pool workers run the per-thread strip

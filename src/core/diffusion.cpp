@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "nn/kernels.h"
 #include "nn/plan/builder.h"
@@ -53,6 +54,18 @@ DiffusionSchedule DiffusionSchedule::linear(int T, float beta_start,
         static_cast<float>(std::sqrt(std::max(0.0f, 1.0f - sab * sab)));
   }
   return s;
+}
+
+std::vector<int> DiffusionSchedule::ddim_timesteps(int steps) const {
+  if (steps < 1 || steps > T) {
+    throw std::invalid_argument("ddim: bad step count");
+  }
+  std::vector<int> ts(static_cast<size_t>(steps));
+  for (int i = 0; i < steps; ++i) {
+    ts[static_cast<size_t>(i)] = static_cast<int>(
+        static_cast<int64_t>(T - 1) * i / std::max(1, steps - 1));
+  }
+  return ts;
 }
 
 ControlModule::ControlModule(const UNetConfig& cfg, uint64_t seed) {
@@ -125,11 +138,10 @@ plan::TensorId UNet::capture(plan::GraphBuilder& g, plan::TensorId z_t,
                              plan::TensorId temb, plan::TensorId c1,
                              plan::TensorId c2, plan::TensorId s,
                              plan::TensorId b) const {
-  const int rows = g.shape(z_t)[0];
   const plan::TensorId st = g.silu(
       temb2_.capture(g, g.silu(temb1_.capture(g, temb))));
   const auto temb_bias = [&](const ResBlock& rb) {
-    return g.repeat_batch(rb.temb_proj.capture(g, st), rows);
+    return rb.temb_proj.capture(g, st);
   };
   const plan::TensorId h0 = g.add(conv_in_.capture(g, z_t), c1);
   const plan::TensorId skip = res_down_.capture(g, h0, temb_bias(res_down_));
@@ -137,11 +149,10 @@ plan::TensorId UNet::capture(plan::GraphBuilder& g, plan::TensorId z_t,
   plan::TensorId hm =
       g.add(res_mid1_.capture(g, hd, temb_bias(res_mid1_)), c2);
   hm = res_mid2_.capture(g, hm, temb_bias(res_mid2_));
-  plan::TensorId backbone = g.upsample2x(hm);
-  if (s >= 0) backbone = g.mul_per_sample(backbone, s);
-  const plan::TensorId skip_mod = b >= 0 ? g.mul_per_sample(skip, b) : skip;
+  const plan::TensorId backbone = g.mul_per_sample(g.upsample2x(hm), s);
   const plan::TensorId hu = res_up_.capture(
-      g, g.concat_channels(skip_mod, backbone), temb_bias(res_up_));
+      g, g.concat_channels(g.mul_per_sample(skip, b), backbone),
+      temb_bias(res_up_));
   return conv_out_.capture(g, g.silu(norm_out_.capture(g, hu)));
 }
 
@@ -161,64 +172,65 @@ std::vector<Tensor> UNet::params() const {
 }
 
 namespace {
-bool all_equal(const std::vector<int>& t) {
-  for (size_t i = 1; i < t.size(); ++i) {
-    if (t[i] != t[0]) return false;
-  }
-  return true;
+
+// The (rows) tensor of f(t[i]), one schedule scalar per row.
+template <typename F>
+Tensor per_row(const std::vector<int>& t, F f) {
+  std::vector<float> v(t.size());
+  for (size_t i = 0; i < t.size(); ++i) v[i] = f(static_cast<size_t>(t[i]));
+  return Tensor::from_data({static_cast<int>(t.size())}, std::move(v));
 }
+
 }  // namespace
+
+Tensor q_sample(const Tensor& z0, const Tensor& eps,
+                const DiffusionSchedule& sched, const std::vector<int>& t) {
+  const Tensor sab = per_row(t, [&](size_t ti) { return sched.sqrt_ab[ti]; });
+  const Tensor s1m =
+      per_row(t, [&](size_t ti) { return sched.sqrt_one_m_ab[ti]; });
+  return add(mul_per_sample(z0, sab), mul_per_sample(eps, s1m));
+}
 
 Tensor predict_z0(const Tensor& z_t, const Tensor& eps,
                   const DiffusionSchedule& sched, const std::vector<int>& t) {
-  const int n = z_t.dim(0);
-  // Uniform-timestep fast path (every DDIM sampler step): the per-sample
-  // scale collapses to a scalar, so no scale vectors or (N) tensors are
-  // allocated inside the sampling loop.
-  if (!t.empty() && all_equal(t)) {
-    // Guard the zero-terminal-SNR endpoint (sqrt_ab == 0 at t = T-1).
-    const float sab =
-        std::max(1e-4f, sched.sqrt_ab[static_cast<size_t>(t[0])]);
-    return sub(scale(z_t, 1.0f / sab),
-               scale(eps, sched.sqrt_one_m_ab[static_cast<size_t>(t[0])] / sab));
-  }
-  std::vector<float> inv_sab(static_cast<size_t>(n));
-  std::vector<float> ratio(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const int ti = t[static_cast<size_t>(i)];
-    const float sab = std::max(1e-4f, sched.sqrt_ab[static_cast<size_t>(ti)]);
-    inv_sab[static_cast<size_t>(i)] = 1.0f / sab;
-    ratio[static_cast<size_t>(i)] =
-        sched.sqrt_one_m_ab[static_cast<size_t>(ti)] / sab;
-  }
-  const Tensor a = mul_per_sample(z_t, Tensor::from_data({n}, inv_sab));
-  const Tensor e = mul_per_sample(eps, Tensor::from_data({n}, ratio));
-  return sub(a, e);
+  // Guard the zero-terminal-SNR endpoint (sqrt_ab == 0 at t = T-1).
+  const auto sab = [&](size_t ti) {
+    return std::max(1e-4f, sched.sqrt_ab[ti]);
+  };
+  const Tensor inv_sab = per_row(t, [&](size_t ti) { return 1.0f / sab(ti); });
+  const Tensor ratio = per_row(
+      t, [&](size_t ti) { return sched.sqrt_one_m_ab[ti] / sab(ti); });
+  return sub(mul_per_sample(z_t, inv_sab), mul_per_sample(eps, ratio));
 }
 
 Tensor eps_from_z0(const Tensor& z_t, const Tensor& z0,
                    const DiffusionSchedule& sched, const std::vector<int>& t) {
-  const int n = z_t.dim(0);
-  // Uniform-timestep fast path; see predict_z0.
-  if (!t.empty() && all_equal(t)) {
-    const float s1m =
-        std::max(1e-4f, sched.sqrt_one_m_ab[static_cast<size_t>(t[0])]);
-    return sub(scale(z_t, 1.0f / s1m),
-               scale(z0, sched.sqrt_ab[static_cast<size_t>(t[0])] / s1m));
-  }
-  std::vector<float> inv_s1m(static_cast<size_t>(n));
-  std::vector<float> ratio(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const int ti = t[static_cast<size_t>(i)];
-    const float s1m = std::max(1e-4f,
-                               sched.sqrt_one_m_ab[static_cast<size_t>(ti)]);
-    inv_s1m[static_cast<size_t>(i)] = 1.0f / s1m;
-    ratio[static_cast<size_t>(i)] =
-        sched.sqrt_ab[static_cast<size_t>(ti)] / s1m;
-  }
-  const Tensor a = mul_per_sample(z_t, Tensor::from_data({n}, inv_s1m));
-  const Tensor b = mul_per_sample(z0, Tensor::from_data({n}, ratio));
-  return sub(a, b);
+  const auto s1m = [&](size_t ti) {
+    return std::max(1e-4f, sched.sqrt_one_m_ab[ti]);
+  };
+  const Tensor inv_s1m = per_row(t, [&](size_t ti) { return 1.0f / s1m(ti); });
+  const Tensor ratio =
+      per_row(t, [&](size_t ti) { return sched.sqrt_ab[ti] / s1m(ti); });
+  return sub(mul_per_sample(z_t, inv_s1m), mul_per_sample(z0, ratio));
+}
+
+Tensor ddim_z0(const Tensor& z_t, const Tensor& pred,
+               const DiffusionSchedule& sched, const std::vector<int>& t,
+               Prediction prediction) {
+  Tensor z0 =
+      prediction == Prediction::kEps ? predict_z0(z_t, pred, sched, t) : pred;
+  // Latents are tanh-bounded by the DC encoder; clamp the estimate.
+  k_clamp(z0.value().data(), z0.value().data(), z0.numel(), -1.2f, 1.2f);
+  return z0;
+}
+
+Tensor ddim_update(const Tensor& z_t, const Tensor& pred, const Tensor& z0,
+                   const DiffusionSchedule& sched, const std::vector<int>& t,
+                   const std::vector<int>& t_prev, Prediction prediction) {
+  const Tensor eps = prediction == Prediction::kEps
+                         ? pred
+                         : eps_from_z0(z_t, z0, sched, t);
+  return q_sample(z0, eps, sched, t_prev);
 }
 
 Tensor ddim_sample(const DdimDenoiser& denoise, const DiffusionSchedule& sched,
@@ -226,56 +238,33 @@ Tensor ddim_sample(const DdimDenoiser& denoise, const DiffusionSchedule& sched,
                    const DdimCheckpointFn& on_checkpoint) {
   NoGradGuard no_grad;
   DCDIFF_TRACE_SPAN("ddim_sample");
-  const int n = noise.dim(0);
-  if (steps < 1 || steps > sched.T) {
-    throw std::invalid_argument("ddim_sample: bad step count");
-  }
-  // Evenly spaced timestep subsequence (descending).
-  std::vector<int> ts(static_cast<size_t>(steps));
-  for (int i = 0; i < steps; ++i) {
-    ts[static_cast<size_t>(i)] =
-        static_cast<int>(static_cast<int64_t>(sched.T - 1) * i / std::max(1, steps - 1));
-  }
-  Tensor z = noise;
+  const std::vector<int> ts = sched.ddim_timesteps(steps);
+  const size_t rows = static_cast<size_t>(noise.dim(0));
   static obs::Histogram& step_lat = obs::histogram("core.ddim.step_seconds");
   static obs::Counter& step_count = obs::counter("core.ddim.steps");
   // Latent rows sharing this sampling pass (images x ensemble members): the
   // serving engine's microbatching shows up here as rows > 1.
   static obs::Histogram& rows_hist = obs::histogram(
       "core.ddim.batch_rows", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
-  rows_hist.observe(static_cast<double>(n));
-  // Reused across steps; only the (uniform) timestep value changes.
-  std::vector<int> tvec(static_cast<size_t>(n));
-  for (int k = steps - 1; k >= 0; --k) {
+  rows_hist.observe(static_cast<double>(rows));
+  Tensor z = noise;
+  // steps >= 1, so the loop returns at k == 0 at the latest.
+  for (int k = steps - 1;; --k) {
     DCDIFF_TRACE_SPAN("ddim_step");
     obs::ScopedLatency step_timer(step_lat);
     step_count.inc();
-    const int t = ts[static_cast<size_t>(k)];
-    std::fill(tvec.begin(), tvec.end(), t);
+    // Every row of this chain is at the same step.
+    const std::vector<int> t(rows, ts[static_cast<size_t>(k)]);
     const Tensor pred = denoise(z, t);
-    Tensor z0, eps;
-    if (prediction == Prediction::kEps) {
-      eps = pred;
-      z0 = predict_z0(z, eps, sched, tvec);
-    } else {
-      z0 = pred;
-    }
-    // Latents are tanh-bounded by the DC encoder; clamp the estimate.
-    k_clamp(z0.value().data(), z0.value().data(), z0.numel(), -1.2f, 1.2f);
+    const Tensor z0 = ddim_z0(z, pred, sched, t, prediction);
     // The clamped z0 is a valid decodable checkpoint; let the caller look at
     // it (and possibly stop) before the state update touches anything.
-    if (on_checkpoint && !on_checkpoint(z0, steps - k)) return z0;
-    if (k == 0) {
-      z = z0;
-      break;
+    if ((on_checkpoint && !on_checkpoint(z0, steps - k)) || k == 0) {
+      return z0;
     }
-    if (prediction == Prediction::kX0) eps = eps_from_z0(z, z0, sched, tvec);
-    const int t_prev = ts[static_cast<size_t>(k - 1)];
-    const float sab = sched.sqrt_ab[static_cast<size_t>(t_prev)];
-    const float s1m = sched.sqrt_one_m_ab[static_cast<size_t>(t_prev)];
-    z = add(scale(z0, sab), scale(eps, s1m));
+    const std::vector<int> t_prev(rows, ts[static_cast<size_t>(k - 1)]);
+    z = ddim_update(z, pred, z0, sched, t, t_prev, prediction);
   }
-  return z;
 }
 
 Tensor ddim_sample_checkpointed(const UNet& unet,
@@ -285,11 +274,9 @@ Tensor ddim_sample_checkpointed(const UNet& unet,
                                 const Tensor& s, const Tensor& b,
                                 Prediction prediction,
                                 const DdimCheckpointFn& on_checkpoint) {
-  std::vector<int> tvec(static_cast<size_t>(noise.dim(0)));
   return ddim_sample(
-      [&](const Tensor& z, int t) {
-        std::fill(tvec.begin(), tvec.end(), t);
-        return unet.forward(z, tvec, ctrl, s, b);
+      [&](const Tensor& z, const std::vector<int>& t) {
+        return unet.forward(z, t, ctrl, s, b);
       },
       sched, noise, steps, prediction, on_checkpoint);
 }

@@ -2,6 +2,12 @@
 // prediction UNet with its ControlNet-style control module (structure
 // conditioning on x-tilde), and a DDIM sampler with FreeU-style frequency
 // modulation (per-sample backbone/skip scale factors s and b).
+//
+// Every latent row carries its own timestep: the UNet, its step plan
+// (core/recon_plan.h) and the DDIM formulas below take one timestep per
+// row. The sampler, stage-2 training (forward noising at a random t per
+// sample) and FMPP's truncated DDIM loop all use these formulas, so the
+// schedule is read only here.
 #pragma once
 
 #include <functional>
@@ -21,6 +27,11 @@ struct DiffusionSchedule {
 
   static DiffusionSchedule linear(int T, float beta_start = 1e-4f,
                                   float beta_end = 2e-2f);
+
+  // The `steps` evenly spaced timesteps of a DDIM chain, ascending from 0
+  // to T-1 (a chain visits them from the back). Throws
+  // std::invalid_argument unless 1 <= steps <= T.
+  std::vector<int> ddim_timesteps(int steps) const;
 };
 
 struct UNetConfig {
@@ -58,18 +69,15 @@ class UNet {
                      const ControlModule::Features& ctrl,
                      const nn::Tensor& s = nn::Tensor(),
                      const nn::Tensor& b = nn::Tensor()) const;
-  // Records one denoising forward of the rows `z_t` into a plan graph, all
-  // rows at one timestep. `temb` is that step's sinusoidal embedding, a
-  // single (1, temb_dim) row: the embedding MLP and each block's projection
-  // run on it once, and the projections are repeated across the rows, which
-  // is the eager forward's bytes because the linear kernel is row-invariant.
-  // `s`/`b` are the FreeU factors as graph tensors, or plan::kNoTensor when
-  // unmodulated.
+  // Records forward() of the rows `z_t` into a plan graph. `temb` is the
+  // rows' sinusoidal timestep embedding (rows, temb_dim), so the embedding
+  // MLP and each block's projection run per row as in forward(). `s`/`b`
+  // are the rows' FreeU factors, always present: ones give the unmodulated
+  // forward's bytes, since x * 1 is x.
   nn::plan::TensorId capture(nn::plan::GraphBuilder& g, nn::plan::TensorId z_t,
                              nn::plan::TensorId temb, nn::plan::TensorId c1,
-                             nn::plan::TensorId c2,
-                             nn::plan::TensorId s = nn::plan::kNoTensor,
-                             nn::plan::TensorId b = nn::plan::kNoTensor) const;
+                             nn::plan::TensorId c2, nn::plan::TensorId s,
+                             nn::plan::TensorId b) const;
   std::vector<nn::Tensor> params() const;
   const UNetConfig& config() const { return cfg_; }
 
@@ -103,15 +111,16 @@ using DdimCheckpointFn = std::function<bool(const nn::Tensor& z0,
                                             int steps_done)>;
 
 // One network forward of the sampler: the prediction for the latent rows
-// `z_t`, every row at timestep `t`.
-using DdimDenoiser = std::function<nn::Tensor(const nn::Tensor& z_t, int t)>;
+// `z_t`, row i at timestep t[i].
+using DdimDenoiser = std::function<nn::Tensor(const nn::Tensor& z_t,
+                                              const std::vector<int>& t)>;
 
 // DDIM sampling (eta = 0) of a z0 latent: the one sampler loop, whichever
 // executor runs the network. `steps` evenly-spaced timesteps; `noise` is the
 // initial z_T (shape (N, z_channels, h, w)); `denoise` is the UNet forward,
-// eager or planned (core/recon_plan.h). The DDIM arithmetic between the
-// forwards runs eager. Runs under NoGradGuard. `on_checkpoint` may be empty
-// (a plain full-length run).
+// eager or planned (core/recon_plan.h). Each step is ddim_z0 and
+// ddim_update below, run eager between the forwards. Runs under
+// NoGradGuard. `on_checkpoint` may be empty (a plain full-length run).
 nn::Tensor ddim_sample(const DdimDenoiser& denoise,
                        const DiffusionSchedule& sched, const nn::Tensor& noise,
                        int steps, Prediction prediction,
@@ -127,8 +136,17 @@ nn::Tensor ddim_sample_checkpointed(const UNet& unet,
                                     Prediction prediction,
                                     const DdimCheckpointFn& on_checkpoint);
 
-// Recovers z0 from (z_t, predicted eps) at timestep t:
-//   z0 = (z_t - sqrt(1-ab_t) eps) / sqrt(ab_t)     (per-sample t)
+// The DDIM formulas, each row at its own timestep t[i] (t.size() == rows).
+
+// Forward noising q(z_t | z0) with the noise `eps` given:
+//   z_t = sqrt(ab_t) z0 + sqrt(1-ab_t) eps
+// With eps the network's noise estimate and t the previous timestep of a
+// chain, this is also the eta = 0 DDIM update. Differentiable.
+nn::Tensor q_sample(const nn::Tensor& z0, const nn::Tensor& eps,
+                    const DiffusionSchedule& sched, const std::vector<int>& t);
+
+// Recovers z0 from (z_t, predicted eps):
+//   z0 = (z_t - sqrt(1-ab_t) eps) / sqrt(ab_t)
 // Differentiable; used by the stage-2 MLD projection.
 nn::Tensor predict_z0(const nn::Tensor& z_t, const nn::Tensor& eps,
                       const DiffusionSchedule& sched,
@@ -139,5 +157,21 @@ nn::Tensor predict_z0(const nn::Tensor& z_t, const nn::Tensor& eps,
 nn::Tensor eps_from_z0(const nn::Tensor& z_t, const nn::Tensor& z0,
                        const DiffusionSchedule& sched,
                        const std::vector<int>& t);
+
+// The sampler's z0 estimate from the network prediction `pred` for the
+// rows z_t: pred itself (kX0) or predict_z0 (kEps), clamped to the
+// tanh-bounded latent range [-1.2, 1.2]. The clamp writes in place (into
+// `pred` for kX0), so this is for no-grad sampling loops.
+nn::Tensor ddim_z0(const nn::Tensor& z_t, const nn::Tensor& pred,
+                   const DiffusionSchedule& sched, const std::vector<int>& t,
+                   Prediction prediction);
+
+// One eta = 0 DDIM step of the rows z_t from timesteps t to t_prev, given
+// the prediction and its clamped z0 (ddim_z0): q_sample(z0, eps, t_prev),
+// with eps the prediction (kEps) or eps_from_z0 (kX0).
+nn::Tensor ddim_update(const nn::Tensor& z_t, const nn::Tensor& pred,
+                       const nn::Tensor& z0, const DiffusionSchedule& sched,
+                       const std::vector<int>& t,
+                       const std::vector<int>& t_prev, Prediction prediction);
 
 }  // namespace dcdiff::core

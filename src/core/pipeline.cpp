@@ -18,7 +18,6 @@
 #include "data/datasets.h"
 #include "jpeg/dcdrop.h"
 #include "nn/cache.h"
-#include "nn/kernels.h"
 #include "nn/optim.h"
 #include "nn/packcache.h"
 #include "nn/serialize.h"
@@ -94,8 +93,8 @@ DCDiffModel::DCDiffModel(const DCDiffModel& src, ReplicaTag)
       unet_(src.unet_),
       fmpp_(src.fmpp_),
       packs_(src.packs_),
-      // Plans are per replica: each serving worker compiles its own (the
-      // weights and panels inside them stay shared via the components).
+      // A replica starts with an empty plan cache of its own (the weights
+      // and panels its plans use stay shared via the components).
       plans_(std::make_shared<nn::plan::PlanCache>()) {}
 
 std::shared_ptr<const DCDiffModel> DCDiffModel::replicate(
@@ -280,21 +279,10 @@ void DCDiffModel::train_stage2() {
       z0 = ae_->encode_dc(x0);
       acfeat = ae_->encode_ac(tilde);
     }
-    const int n = z0.dim(0);
-    std::vector<int> t(static_cast<size_t>(n));
-    std::vector<float> sab(static_cast<size_t>(n)),
-        s1m(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      t[static_cast<size_t>(i)] = rng.uniform_int(0, sched_.T - 1);
-      sab[static_cast<size_t>(i)] =
-          sched_.sqrt_ab[static_cast<size_t>(t[static_cast<size_t>(i)])];
-      s1m[static_cast<size_t>(i)] = sched_.sqrt_one_m_ab[static_cast<size_t>(
-          t[static_cast<size_t>(i)])];
-    }
+    std::vector<int> t(static_cast<size_t>(z0.dim(0)));
+    for (int& ti : t) ti = rng.uniform_int(0, sched_.T - 1);
     const Tensor eps = randn_like_shape(z0.shape(), rng);
-    const Tensor z_t =
-        add(mul_per_sample(z0, Tensor::from_data({n}, sab)),
-            mul_per_sample(eps, Tensor::from_data({n}, s1m)));
+    const Tensor z_t = q_sample(z0, eps, sched_, t);
 
     const ControlModule::Features ctrl = control_->forward(tilde);
     const Tensor pred = unet_->forward(z_t, t, ctrl);
@@ -355,34 +343,25 @@ void DCDiffModel::train_fmpp() {
     // DDIM down to the final step without a tape, final step with gradients
     // flowing through the modulation factors (truncated backprop; the full
     // chain is CPU-infeasible -- see DESIGN.md).
-    std::vector<int> ts(static_cast<size_t>(steps));
-    for (int i = 0; i < steps; ++i) {
-      ts[static_cast<size_t>(i)] = static_cast<int>(
-          static_cast<int64_t>(sched_.T - 1) * i / std::max(1, steps - 1));
-    }
+    const std::vector<int> ts = sched_.ddim_timesteps(steps);
     Tensor z = randn_like_shape(
         {1, cfg_.unet.z_channels, cfg_.image_size / 4, cfg_.image_size / 4},
         rng);
-    const bool x0_mode = cfg_.prediction == Prediction::kX0;
     {
       NoGradGuard no_grad;
       for (int k = steps - 1; k >= 1; --k) {
-        const std::vector<int> tvec(1, ts[static_cast<size_t>(k)]);
-        const Tensor pred = unet_->forward(z, tvec, ctrl, f.s, f.b);
-        Tensor z0 = x0_mode ? pred : predict_z0(z, pred, sched_, tvec);
-        k_clamp(z0.value().data(), z0.value().data(), z0.numel(), -1.2f, 1.2f);
-        const Tensor eps =
-            x0_mode ? eps_from_z0(z, z0, sched_, tvec) : pred;
-        const int t_prev = ts[static_cast<size_t>(k - 1)];
-        z = add(scale(z0, sched_.sqrt_ab[static_cast<size_t>(t_prev)]),
-                scale(eps,
-                      sched_.sqrt_one_m_ab[static_cast<size_t>(t_prev)]));
+        const std::vector<int> t(1, ts[static_cast<size_t>(k)]);
+        const Tensor pred = unet_->forward(z, t, ctrl, f.s, f.b);
+        const Tensor z0 = ddim_z0(z, pred, sched_, t, cfg_.prediction);
+        const std::vector<int> t_prev(1, ts[static_cast<size_t>(k - 1)]);
+        z = ddim_update(z, pred, z0, sched_, t, t_prev, cfg_.prediction);
       }
     }
     const std::vector<int> t0(1, ts[0]);
     const Tensor pred = unet_->forward(z, t0, ctrl, f.s, f.b);
-    const Tensor z0_pred =
-        x0_mode ? pred : predict_z0(z, pred, sched_, t0);
+    const Tensor z0_pred = cfg_.prediction == Prediction::kX0
+                               ? pred
+                               : predict_z0(z, pred, sched_, t0);
     const Tensor xhat = ae_->decode(z0_pred, acfeat);
     Tensor loss = mse_loss(xhat, s.x0);
     opt.zero_grad();
@@ -540,7 +519,8 @@ AnytimeResult DCDiffModel::reconstruct_batch_anytime(
     };
 
     // Conditioning runs once per image (batch n); sampling runs on the
-    // n * ensemble noise rows.
+    // n * ensemble noise rows, each with its FreeU factors s/b (ones when
+    // FMPP is off).
     ControlModule::Features cond;
     ACFeatures acfeat;
     Tensor s, b;
@@ -552,6 +532,10 @@ AnytimeResult DCDiffModel::reconstruct_batch_anytime(
         const FMPP::Factors f = fmpp_->forward(tilde_b);
         s = repeat_batch(f.s, ensemble);
         b = repeat_batch(f.b, ensemble);
+      } else {
+        s = b = Tensor::from_data(
+            {n * ensemble},
+            std::vector<float>(static_cast<size_t>(n * ensemble), 1.0f));
       }
       if (ensemble > 1) {
         cond.c1 = repeat_batch(cond.c1, ensemble);
@@ -567,13 +551,13 @@ AnytimeResult DCDiffModel::reconstruct_batch_anytime(
     if (plan_enabled()) {
       const Status st =
           GroupPlans::open(*plans_, *packs_, *unet_, *ae_, n, ensemble,
-                           ph / 4, pw / 4, opts.use_fmpp, &planned);
+                           ph / 4, pw / 4, &planned);
       if (!st.is_ok()) fallbacks_c.inc();
     }
-    const DdimDenoiser denoise = [&](const Tensor& z, int t) {
-      if (planned) return planned->denoise(z, t, cond, s, b);
-      return unet_->forward(
-          z, std::vector<int>(static_cast<size_t>(z.dim(0)), t), cond, s, b);
+    const DdimDenoiser denoise = [&](const Tensor& z,
+                                     const std::vector<int>& t) {
+      return planned ? planned->denoise(z, t, cond, s, b)
+                     : unet_->forward(z, t, cond, s, b);
     };
     const auto decode = [&](const Tensor& z0_b) {
       DCDIFF_TRACE_SPAN("decode");
@@ -811,16 +795,6 @@ std::shared_ptr<const DCDiffModel> ModelPool::get(const DCDiffConfig& cfg) {
 
 std::shared_ptr<const DCDiffModel> ModelPool::default_instance() {
   return get(DCDiffConfig{});
-}
-
-std::vector<std::shared_ptr<const DCDiffModel>> ModelPool::replicas(
-    const DCDiffConfig& cfg, int n) {
-  if (n <= 0) throw std::invalid_argument("ModelPool::replicas: n must be > 0");
-  std::vector<std::shared_ptr<const DCDiffModel>> out;
-  out.reserve(static_cast<size_t>(n));
-  out.push_back(get(cfg));
-  for (int i = 1; i < n; ++i) out.push_back(DCDiffModel::replicate(out[0]));
-  return out;
 }
 
 size_t ModelPool::size() const {

@@ -141,16 +141,17 @@ class DCDiffModel {
 
   const DCDiffConfig& config() const { return cfg_; }
 
-  // --- replicas (multi-worker serving) ---
+  // --- replicas ---
   // An inference replica of a trained model: an independent DCDiffModel
   // handle whose components — and therefore every weight tensor and the
-  // PackedA weight-panel cache — are shared read-only with `src`.
-  // Construction is O(1): nothing is copied, re-loaded, or re-packed.
-  // Replicas exist so each serving worker can hold its own model identity
-  // (pinned to its own partitioned thread pool) while the weights stay
-  // resident exactly once per process. `src` must already be trained
-  // (train_or_load done); calling any train_* method on a replica is
-  // invalid and throws.
+  // PackedA weight-panel cache — are shared read-only with `src`, with an
+  // empty plan cache of its own. Construction is O(1): nothing is copied,
+  // re-loaded, or re-packed. Serving does not need replicas (every worker
+  // runs the one model: plans are immutable and run in the calling
+  // thread's arena); a replica is the trained model with a cold plan
+  // cache, e.g. for timing plan compilation.
+  // `src` must already be trained (train_or_load done); calling any train_*
+  // method on a replica is invalid and throws.
   static std::shared_ptr<const DCDiffModel> replicate(
       const std::shared_ptr<const DCDiffModel>& src);
   bool is_replica() const { return replica_; }
@@ -241,10 +242,9 @@ class DCDiffModel {
   // bound thread-locally for the duration of each inference call (see
   // nn/packcache.h). Replaced when training starts.
   std::shared_ptr<nn::PackCache> packs_;
-  // Compiled UNet-step and decoder plans (core/recon_plan.h). Fresh per
-  // replica (each serving worker compiles and owns its plans; the weights
-  // and PackedA panels they reference stay shared through
-  // ae_/unet_/.../packs_).
+  // Compiled UNet-step and decoder plans (core/recon_plan.h), shared by
+  // every thread that runs this model. Fresh per replica (the weights and
+  // PackedA panels they reference stay shared through ae_/unet_/.../packs_).
   std::shared_ptr<nn::plan::PlanCache> plans_;
 };
 
@@ -281,8 +281,8 @@ Status try_receiver_reconstruct(
 // concurrent get() calls for the same tag train/load once (other callers
 // block until the weights are ready); calls for different tags proceed
 // independently. Entries live for the process lifetime, so repeated lookups
-// (ablation benches cycling through variants, serve workers resolving their
-// model) never re-load weights.
+// (ablation benches cycling through variants, servers resolving their model)
+// never re-load weights.
 class ModelPool {
  public:
   static ModelPool& instance();
@@ -295,13 +295,6 @@ class ModelPool {
 
   // The default-config model (the former shared_model() global).
   std::shared_ptr<const DCDiffModel> default_instance();
-
-  // `n` serving replicas of the pooled model for `cfg`: element 0 is the
-  // pooled instance itself, the rest are DCDiffModel::replicate handles
-  // sharing its weights and PackedA panels. Replicas are created fresh per
-  // call (they are O(1)); only element 0 is pool-resident.
-  std::vector<std::shared_ptr<const DCDiffModel>> replicas(
-      const DCDiffConfig& cfg, int n);
 
   // Number of resident models (tests / introspection).
   size_t size() const;

@@ -14,24 +14,21 @@ using namespace dcdiff::nn;
 
 Status GroupPlans::open(plan::PlanCache& cache, PackCache& packs,
                         const UNet& unet, const Autoencoder& ae, int n,
-                        int ensemble, int h, int w, bool use_fmpp,
+                        int ensemble, int h, int w,
                         std::optional<GroupPlans>* out) {
   const UNetConfig& uc = unet.config();
   const int rows = n * ensemble;
   const std::string hw = std::to_string(h) + "x" + std::to_string(w);
   std::shared_ptr<const plan::Plan> step, decoder;
   Status st = cache.get_or_build(
-      "unet_r" + std::to_string(rows) + "_" + hw + (use_fmpp ? "_fmpp" : ""),
+      "unet_r" + std::to_string(rows) + "_" + hw,
       [&](plan::GraphBuilder& g) {
         const plan::TensorId z = g.input({rows, uc.z_channels, h, w});
-        const plan::TensorId temb = g.input({1, uc.temb_dim});
+        const plan::TensorId temb = g.input({rows, uc.temb_dim});
         const plan::TensorId c1 = g.input({rows, uc.base, h, w});
         const plan::TensorId c2 = g.input({rows, 2 * uc.base, h / 2, w / 2});
-        plan::TensorId s = plan::kNoTensor, b = plan::kNoTensor;
-        if (use_fmpp) {
-          s = g.input({rows});
-          b = g.input({rows});
-        }
+        const plan::TensorId s = g.input({rows});
+        const plan::TensorId b = g.input({rows});
         g.mark_output(unet.capture(g, z, temb, c1, c2, s, b));
       },
       packs, &step);
@@ -68,18 +65,13 @@ Tensor GroupPlans::run(const plan::Plan& p,
       std::vector<float>(outs[0], outs[0] + p.output_numel(0)));
 }
 
-Tensor GroupPlans::denoise(const Tensor& z_t, int t,
+Tensor GroupPlans::denoise(const Tensor& z_t, const std::vector<int>& t,
                            const ControlModule::Features& ctrl,
                            const Tensor& s, const Tensor& b) {
-  const Tensor temb = timestep_embedding({t}, temb_dim_);
-  std::vector<const float*> in = {z_t.value().data(), temb.value().data(),
-                                  ctrl.c1.value().data(),
-                                  ctrl.c2.value().data()};
-  if (s.defined()) {
-    in.push_back(s.value().data());
-    in.push_back(b.value().data());
-  }
-  return run(*step_, in);
+  const Tensor temb = timestep_embedding(t, temb_dim_);
+  return run(*step_, {z_t.value().data(), temb.value().data(),
+                      ctrl.c1.value().data(), ctrl.c2.value().data(),
+                      s.value().data(), b.value().data()});
 }
 
 Tensor GroupPlans::decode(const Tensor& z0, const ACFeatures& ac) {

@@ -3,7 +3,10 @@
 // calling thread's liveness-planned arena.
 //
 // * The UNet-step plan: one denoising forward, keyed by (rows, latent
-//   h x w, fmpp). The one DDIM loop (core/diffusion.h) runs it once per
+//   h x w). It takes what UNet::forward takes: each row's timestep (as its
+//   sinusoidal embedding) and FreeU factors (ones when FMPP is off), so
+//   rows at different steps can share a run and requests with and without
+//   FMPP share plans. The one DDIM loop (core/diffusion.h) runs it once per
 //   step, so no plan key holds the step count, the ensemble size or the
 //   prediction kind, and a caller may watch or stop the chain between
 //   steps.
@@ -36,12 +39,12 @@ class GroupPlans {
   // leaves *out empty; the caller then runs the group eager.
   static Status open(nn::plan::PlanCache& cache, nn::PackCache& packs,
                      const UNet& unet, const Autoencoder& ae, int n,
-                     int ensemble, int h, int w, bool use_fmpp,
+                     int ensemble, int h, int w,
                      std::optional<GroupPlans>* out);
 
-  // UNet::forward of the rows `z_t` at timestep `t`; s/b are defined iff
-  // the group was opened with use_fmpp.
-  nn::Tensor denoise(const nn::Tensor& z_t, int t,
+  // UNet::forward of the rows `z_t`, row i at timestep t[i]; s/b are the
+  // rows' FreeU factors and must be defined (ones for s = b = 1).
+  nn::Tensor denoise(const nn::Tensor& z_t, const std::vector<int>& t,
                      const ControlModule::Features& ctrl, const nn::Tensor& s,
                      const nn::Tensor& b);
   // Autoencoder::decode of the n latents `z0`.

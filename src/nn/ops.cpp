@@ -196,52 +196,6 @@ Tensor tanh_op(const Tensor& a) {
 
 // ---------- Broadcast helpers ----------
 
-Tensor add_bias(const Tensor& x, const Tensor& bias) {
-  if (bias.ndim() != 1) throw std::invalid_argument("add_bias: bias not 1-D");
-  const int c_dim = x.ndim() >= 2 ? x.dim(1) : -1;
-  if (c_dim != bias.dim(0)) {
-    throw std::invalid_argument("add_bias: channel mismatch");
-  }
-  const size_t inner = x.numel() / (static_cast<size_t>(x.dim(0)) *
-                                    static_cast<size_t>(c_dim));
-  std::vector<float> out(x.numel());
-  const auto& xv = x.value();
-  const auto& bv = bias.value();
-  const size_t per_sample = static_cast<size_t>(c_dim) * inner;
-  for (size_t i = 0; i < out.size(); ++i) {
-    const size_t c = (i % per_sample) / inner;
-    out[i] = xv[i] + bv[c];
-  }
-  return make_result(
-      x.shape(), std::move(out), {x, bias},
-      [x, bias, c_dim, inner, per_sample](TensorNode& self) {
-        if (wants_grad(x)) accumulate(*x.node(), self.grad);
-        if (wants_grad(bias)) {
-          auto& g = *bias.node();
-          g.ensure_grad();
-          const int64_t batch =
-              static_cast<int64_t>(self.grad.size() / per_sample);
-          const float* sd = self.grad.data();
-          float* gd = g.grad.data();
-          // Channel-parallel: each range owns disjoint bias entries.
-          const int64_t grain = std::max<int64_t>(
-              1, kEwGrain / std::max<int64_t>(1, batch *
-                                                     static_cast<int64_t>(inner)));
-          parallel_for_ranges(c_dim, grain, [&](int64_t c0, int64_t c1) {
-            for (int64_t ch = c0; ch < c1; ++ch) {
-              float acc = 0.0f;
-              for (int64_t ni = 0; ni < batch; ++ni) {
-                const float* row = sd + static_cast<size_t>(ni) * per_sample +
-                                   static_cast<size_t>(ch) * inner;
-                for (size_t i = 0; i < inner; ++i) acc += row[i];
-              }
-              gd[ch] += acc;
-            }
-          });
-        }
-      });
-}
-
 Tensor mul_per_sample(const Tensor& x, const Tensor& s) {
   mul_per_sample_shape(x.shape(), s.shape());
   const size_t per = x.numel() / static_cast<size_t>(x.dim(0));

@@ -30,8 +30,6 @@ Tensor sigmoid(const Tensor& a);
 Tensor tanh_op(const Tensor& a);
 
 // ----- Broadcast helpers -----
-// x: (N,C,H,W) or (N,C); bias: (C). Adds bias per channel.
-Tensor add_bias(const Tensor& x, const Tensor& bias);
 // x: any shape with leading batch dim N; s: (N). Multiplies sample n by s[n].
 Tensor mul_per_sample(const Tensor& x, const Tensor& s);
 // x: (N,C,H,W); b: (N,C). Adds b[n][c] to every spatial element.

@@ -5,9 +5,9 @@
 // (nn::PackedA). For a frozen inference model that packing is repeated,
 // deterministic work: the same weight node is re-packed for every DDIM step
 // of every request. A PackCache memoizes the panels per weight node, so each
-// weight is packed exactly once per process — and because model replicas
-// (core::DCDiffModel::replicate) share weight nodes, N replica workers share
-// one set of panels instead of re-packing per replica.
+// weight is packed exactly once per process: every serving worker runs one
+// model, and model replicas (core::DCDiffModel::replicate) share its weight
+// nodes and its cache, so all of them read one set of panels.
 //
 // Safety contract: entries are immutable after construction and keyed by
 // TensorNode identity, so a cache hit is only sound while the node's value

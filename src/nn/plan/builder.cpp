@@ -105,11 +105,4 @@ TensorId GraphBuilder::upsample2x(TensorId x) {
               upsample2x_shape(shape(x)));
 }
 
-TensorId GraphBuilder::repeat_batch(TensorId x, int k) {
-  Shape out = repeat_batch_shape(shape(x), k);
-  if (k == 1) return x;
-  return emit({.kind = OpKind::kRepeatBatch, .in = {x}, .i0 = k},
-              std::move(out));
-}
-
 }  // namespace dcdiff::nn::plan

@@ -40,7 +40,6 @@ class GraphBuilder {
   TensorId mul_per_sample(TensorId x, TensorId s);
   TensorId concat_channels(TensorId a, TensorId b);
   TensorId upsample2x(TensorId x);
-  TensorId repeat_batch(TensorId x, int k);
 
  private:
   TensorId add_tensor(std::vector<int> shape, Storage storage, int index);

@@ -1,6 +1,7 @@
-// PlanCache: per-replica registry of compiled plans keyed by shape/config
-// string. It holds plans only; a plan runs in the calling thread's arena
-// (nn/plan/plan.h).
+// PlanCache: a model's registry of compiled plans keyed by shape string,
+// shared by every thread that runs the model (every serving worker). It
+// holds plans only; a plan is immutable and runs in the calling thread's
+// arena (nn/plan/plan.h).
 //
 // Build failures surface as a typed Status — never an exception escaping
 // into a serving worker: kInvalidArgument when the capture or compile

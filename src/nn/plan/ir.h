@@ -41,7 +41,9 @@ struct TensorInfo {
   size_t offset = 0;
 };
 
-// The ops of the UNet step and the stage-1 decoder.
+// The 10 ops of the UNet step and the stage-1 decoder. Per-row data (the
+// timestep embedding, the FreeU factors) enters as graph inputs with one
+// row per sample, so no op repeats rows.
 enum class OpKind : uint8_t {
   kConv2d,         // in: x, w[, b][, gamma, beta when fused_gn]; i0=stride,
                    // i1=pad, i2=has_bias; fused_gn: i3=groups, f0=eps
@@ -54,7 +56,6 @@ enum class OpKind : uint8_t {
   kMulPerSample,   // in: x, s (N)
   kConcatChannels,
   kUpsample2x,
-  kRepeatBatch,    // i0=k; [s0 x k, s1 x k, ...]
 };
 
 // Elementwise epilogue applied in-place to an op's output (fusion only).

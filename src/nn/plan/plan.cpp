@@ -48,7 +48,6 @@ const char* kind_name(OpKind k) {
     case OpKind::kMulPerSample: return "mul_per_sample";
     case OpKind::kConcatChannels: return "concat";
     case OpKind::kUpsample2x: return "upsample2x";
-    case OpKind::kRepeatBatch: return "repeat_batch";
   }
   return "?";
 }
@@ -118,13 +117,6 @@ Plan::Plan(Graph&& g, PackCache& packs) : graph_(std::move(g)) {
     // replicas; the cache's keep_alive pins the weight node.
     conv_panels_[i] = &packs.get(w, w.dim(0), w.dim(1) * w.dim(2) * w.dim(3));
   }
-}
-
-size_t Plan::input_numel(int i) const {
-  for (const TensorInfo& t : graph_.tensors) {
-    if (t.storage == Storage::kInput && t.index == i) return t.numel;
-  }
-  throw std::out_of_range("plan: input index");
 }
 
 const std::vector<int>& Plan::output_shape(int i) const {
@@ -226,10 +218,6 @@ void Plan::run(const std::vector<const float*>& inputs,
       }
       case OpKind::kUpsample2x:
         k_upsample2x(a, out, xs[0], xs[1], xs[2], xs[3]);
-        break;
-      case OpKind::kRepeatBatch:
-        k_repeat_batch(a, out, xs[0], op.i0,
-                       ot.numel / static_cast<size_t>(ot.shape[0]));
         break;
     }
     apply_post_inplace(op.post, out, ot.numel);

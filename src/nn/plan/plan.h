@@ -33,9 +33,6 @@ class Plan {
   Plan(Graph&& g, PackCache& packs);
 
   size_t arena_floats() const { return arena_floats_; }
-  int num_inputs() const { return graph_.num_inputs; }
-  size_t input_numel(int i) const;
-  int num_outputs() const { return static_cast<int>(graph_.outputs.size()); }
   const std::vector<int>& output_shape(int i) const;
   size_t output_numel(int i) const;
   size_t num_ops() const { return graph_.ops.size(); }
@@ -43,8 +40,9 @@ class Plan {
 
   // Executes the graph in the calling thread's arena, growing it first if
   // this plan needs more than the thread has run so far. inputs[i] must hold
-  // input_numel(i) floats; on return (*outputs)[i] points at output i
-  // inside that arena, valid until the thread's next run. Thread-safe.
+  // the floats of the shape its GraphBuilder::input call gave; on return
+  // (*outputs)[i] points at output i inside that arena, valid until the
+  // thread's next run. Thread-safe.
   void run(const std::vector<const float*>& inputs,
            std::vector<const float*>* outputs) const;
 

@@ -19,8 +19,8 @@
 // same budget before it waits for the workers on a condvar.
 //
 // Partitioning: the process-wide pool (`instance()`) serves single-tenant
-// workloads. Multi-tenant callers (the serving engine's replica workers)
-// instead carve the machine into independent pools via `partition_pools` and
+// workloads. Multi-tenant callers (the serving engine's workers) instead
+// carve the machine into independent pools via `partition_pools` and
 // bind one to each tenant thread with `PoolBinding`: every `parallel_for`
 // issued from that thread (however deep in the model) then runs on the
 // tenant's own disjoint worker set instead of contending for the global

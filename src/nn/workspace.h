@@ -50,8 +50,6 @@ class Workspace {
   size_t bytes_in_use() const { return in_use_; }
   // Bytes of backing capacity (this thread).
   size_t bytes_reserved() const { return reserved_; }
-  // Backing blocks this thread's arena has allocated over its lifetime.
-  size_t blocks_allocated() const { return blocks_.size(); }
 
   // Process-wide count of backing-block heap allocations, summed over all
   // thread arenas ever grown (also the `nn.workspace.block_allocs` counter).

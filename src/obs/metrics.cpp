@@ -65,6 +65,29 @@ void update_max(std::atomic<uint64_t>& bits, double v) {
 
 }  // namespace
 
+double bucket_percentile(const std::vector<double>& bounds,
+                         const std::vector<uint64_t>& counts, double p,
+                         double min, double max) {
+  double n = 0.0;
+  for (const uint64_t c : counts) n += static_cast<double>(c);
+  if (n == 0.0) return 0.0;
+  const double target = std::clamp(p, 0.0, 1.0) * n;
+  double cum = 0.0;
+  double value = max;
+  for (size_t i = 0; i < counts.size(); ++i) {
+    const double c = static_cast<double>(counts[i]);
+    if (c > 0 && cum + c >= target) {
+      const double lo = i == 0 ? 0.0 : bounds[i - 1];
+      const double hi = i < bounds.size() ? bounds[i] : max;
+      value = lo + (hi - lo) * (target - cum) / c;
+      break;
+    }
+    cum += c;
+  }
+  // min > max only while a concurrent first observation is half recorded.
+  return min <= max ? std::clamp(value, min, max) : value;
+}
+
 Histogram::Histogram(std::vector<double> upper_bounds)
     : bounds_(std::move(upper_bounds)),
       min_bits_(std::bit_cast<uint64_t>(
@@ -128,23 +151,11 @@ double Histogram::max() const {
 }
 
 double Histogram::percentile(double p) const {
-  const uint64_t n = count();
-  if (n == 0) return 0.0;
-  p = std::clamp(p, 0.0, 1.0);
-  const double target = p * static_cast<double>(n);
-  double cum = 0.0;
-  for (size_t i = 0; i <= bounds_.size(); ++i) {
-    const double c =
-        static_cast<double>(buckets_[i].load(std::memory_order_relaxed));
-    if (cum + c >= target && c > 0) {
-      const double lo = i == 0 ? 0.0 : bounds_[i - 1];
-      const double hi = i < bounds_.size() ? bounds_[i] : max();
-      const double frac = c > 0 ? (target - cum) / c : 0.0;
-      return lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
-    }
-    cum += c;
+  std::vector<uint64_t> counts(bounds_.size() + 1);
+  for (size_t i = 0; i < counts.size(); ++i) {
+    counts[i] = buckets_[i].load(std::memory_order_relaxed);
   }
-  return max();
+  return bucket_percentile(bounds_, counts, p, min(), max());
 }
 
 void Histogram::reset() {

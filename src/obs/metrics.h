@@ -48,9 +48,19 @@ class Gauge {
   std::atomic<uint64_t> bits_{0x0ull};  // pack(0.0) == 0
 };
 
+// The p-quantile (p in [0, 1]) of samples counted into the buckets of
+// `bounds`: counts[i] holds the samples below bounds[i] and at or above the
+// bound before it, and counts.back() is the overflow bucket. Interpolates
+// linearly inside the bucket holding the p * n-th sample, clamped to the
+// samples' observed [min, max], so a quantile never lies outside the
+// samples. 0 when there are none.
+double bucket_percentile(const std::vector<double>& bounds,
+                         const std::vector<uint64_t>& counts, double p,
+                         double min, double max);
+
 // Fixed upper-bound buckets plus an overflow bucket. Observations are
-// lock-free (relaxed atomics); percentile estimates interpolate linearly
-// inside the winning bucket.
+// lock-free (relaxed atomics); percentile estimates are bucket_percentile
+// over the buckets, min and max.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> upper_bounds);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <mutex>
 #include <vector>
 
@@ -71,11 +72,13 @@ std::string stats_prometheus(const std::string& extra) {
 
 namespace {
 
-// One second of outcomes. Latencies bucket into slo_latency_bounds so a
-// window p99 can be interpolated exactly like Histogram::percentile.
+// One second of outcomes. Latencies bucket into slo_latency_bounds, and
+// the slot keeps their min and max, so a window p99 is bucket_percentile
+// exactly as Histogram::percentile reads it.
 struct Slot {
   int64_t second = -1;  // slot owner (seconds since tracker construction)
   uint64_t completed = 0, ok = 0, missed = 0, errors = 0;
+  double min_latency = std::numeric_limits<double>::infinity();
   double max_latency = 0;
   std::vector<uint64_t> buckets;  // bounds.size() + 1
 };
@@ -100,6 +103,7 @@ struct SloTracker::Impl {
     if (s.second != second) {
       s.second = second;
       s.completed = s.ok = s.missed = s.errors = 0;
+      s.min_latency = std::numeric_limits<double>::infinity();
       s.max_latency = 0;
       std::fill(s.buckets.begin(), s.buckets.end(), 0);
     }
@@ -131,6 +135,7 @@ void SloTracker::record(double e2e_seconds, bool ok, bool deadline_missed,
   if (ok) s.ok++;
   if (deadline_missed) s.missed++;
   if (error) s.errors++;
+  s.min_latency = std::min(s.min_latency, e2e_seconds);
   s.max_latency = std::max(s.max_latency, e2e_seconds);
   const size_t idx = static_cast<size_t>(
       std::upper_bound(impl_->bounds.begin(), impl_->bounds.end(),
@@ -145,6 +150,7 @@ SloTracker::Window SloTracker::window(int seconds) const {
   w.seconds = std::clamp(seconds, 1, impl_->max_window);
   const int64_t now = impl_->now_second();
   std::vector<uint64_t> merged(impl_->bounds.size() + 1, 0);
+  double min_latency = std::numeric_limits<double>::infinity();
   double max_latency = 0;
   for (const Slot& s : impl_->slots) {
     if (s.second < 0 || s.second > now || s.second <= now - w.seconds) {
@@ -154,6 +160,7 @@ SloTracker::Window SloTracker::window(int seconds) const {
     w.ok += s.ok;
     w.deadline_missed += s.missed;
     w.errors += s.errors;
+    min_latency = std::min(min_latency, s.min_latency);
     max_latency = std::max(max_latency, s.max_latency);
     for (size_t i = 0; i < merged.size(); ++i) merged[i] += s.buckets[i];
   }
@@ -162,24 +169,8 @@ SloTracker::Window SloTracker::window(int seconds) const {
                     ? 0.0
                     : static_cast<double>(w.deadline_missed) /
                           static_cast<double>(w.completed);
-  // Interpolated p99 over the merged buckets (same scheme as Histogram).
-  if (w.completed > 0) {
-    const double target = 0.99 * static_cast<double>(w.completed);
-    double cum = 0;
-    for (size_t i = 0; i < merged.size(); ++i) {
-      const double c = static_cast<double>(merged[i]);
-      if (cum + c >= target && c > 0) {
-        const double lo = i == 0 ? 0.0 : impl_->bounds[i - 1];
-        const double hi =
-            i < impl_->bounds.size() ? impl_->bounds[i] : max_latency;
-        const double frac = (target - cum) / c;
-        w.p99_seconds = lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
-        break;
-      }
-      cum += c;
-    }
-    if (w.p99_seconds == 0 && cum > 0) w.p99_seconds = max_latency;
-  }
+  w.p99_seconds = bucket_percentile(impl_->bounds, merged, 0.99, min_latency,
+                                    max_latency);
   return w;
 }
 

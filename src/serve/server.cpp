@@ -160,7 +160,6 @@ ReceiverServer::ReceiverServer(const ServerConfig& cfg,
   for (int i = 0; i < cfg_.workers; ++i) {
     auto w = std::make_unique<Worker>();
     w->index = i;
-    w->model = i == 0 ? model_ : core::DCDiffModel::replicate(model_);
     if (!pools.empty()) w->pool = std::move(pools[static_cast<size_t>(i)]);
     workers_.push_back(std::move(w));
   }
@@ -183,8 +182,8 @@ Session ReceiverServer::open_session() {
   return Session(this, id);
 }
 
-const core::DCDiffModel& ReceiverServer::worker_model(int i) const {
-  return *workers_.at(static_cast<size_t>(i))->model;
+const core::DCDiffModel& ReceiverServer::worker_model(int) const {
+  return *model_;
 }
 
 void ReceiverServer::note_session_submit(uint64_t session_id) {
@@ -452,7 +451,7 @@ void ReceiverServer::run_batch(Worker& self, std::vector<Request>& batch,
   // Fault site: stall this worker with the batch already claimed (busy is
   // set, the requests are out of every queue). Sleeping here pushes the
   // batch toward its deadlines and leaves siblings to absorb the backlog —
-  // the "one slow replica" failure mode.
+  // the "one slow worker" failure mode.
   double stall_ms = 0;
   if (DCDIFF_FAULT_POINT_P("serve.worker.stall", &stall_ms)) {
     std::this_thread::sleep_for(
@@ -579,7 +578,7 @@ void ReceiverServer::run_batch(Worker& self, std::vector<Request>& batch,
         };
       }
       core::AnytimeResult res =
-          self.model->reconstruct_batch_anytime(items, opts, ctrl);
+          model_->reconstruct_batch_anytime(items, opts, ctrl);
       for (size_t k = 0; k < group.size(); ++k) {
         results[pos(group[k])] = finished(std::move(res.images[k]),
                                           res.steps_done[k], full_steps_);
@@ -597,7 +596,7 @@ void ReceiverServer::run_batch(Worker& self, std::vector<Request>& batch,
                     {"seconds", (done_us - model_us) * 1e-6}});
   const int ensemble = cfg_.recon.ensemble > 0
                            ? cfg_.recon.ensemble
-                           : self.model->config().sample_ensemble;
+                           : model_->config().sample_ensemble;
   for (size_t i = 0; i < batch.size(); ++i) {
     obs::RequestRecord& rec = batch[i].rec;
     rec.model_us = model_us;

@@ -13,14 +13,15 @@
 //   Session::submit(ReconstructRequest)
 //        |  decode (Status, non-throwing); oversized images tile here
 //        v
-//   least-loaded router ──> per-worker queue 0 ──> worker 0 (replica 0, pool 0)
-//                      ──> per-worker queue 1 ──> worker 1 (replica 1, pool 1)
-//                      ──> per-worker queue 2 ──> worker 2 (replica 2, pool 2)
+//   least-loaded router ──> per-worker queue 0 ──> worker 0 (pool 0)
+//                      ──> per-worker queue 1 ──> worker 1 (pool 1)
+//                      ──> per-worker queue 2 ──> worker 2 (pool 2)
 //                            (work stealing when a worker's queue runs dry)
 //
-// * Replica sharding: each worker owns an inference replica of the model
-//   (DCDiffModel::replicate) — weights and PackedA panels are shared
-//   read-only, so N workers cost one model's memory.
+// * One model: every worker runs the server's one DCDiffModel. Its
+//   weights, PackedA panels and compiled plans are immutable while it
+//   serves, and a plan runs in the calling thread's arena, so N workers
+//   cost one model's memory and compile each plan once.
 // * Partitioned compute: with workers > 1 each worker binds its own
 //   nn::ThreadPool partition (disjoint CPU ranges when pin_cpus is set), so
 //   the model's nested parallel loops never contend across workers.
@@ -98,7 +99,7 @@ struct ServerConfig {
   int max_batch = 4;         // requests fused into one reconstruct_batch
   int batch_timeout_ms = 2;  // wait for more requests after the first pop
   int queue_capacity = 64;   // pending requests beyond this are rejected
-  int workers = 1;           // batching worker threads (one replica each)
+  int workers = 1;           // batching worker threads (one shared model)
   // Compute threads split across the workers' pool partitions; 0 = hardware
   // concurrency. Ignored with workers == 1 unless set explicitly (a single
   // worker then still gets a private partition of this size).
@@ -195,8 +196,7 @@ class ReceiverServer {
  public:
   // model == nullptr resolves ModelPool::instance().default_instance()
   // (trained or loaded on first use — pass an explicit pooled model to
-  // avoid that cost at construction). With workers > 1 the remaining
-  // workers get O(1) DCDiffModel::replicate handles of that model.
+  // avoid that cost at construction). Every worker runs this one model.
   explicit ReceiverServer(
       const ServerConfig& cfg = ServerConfig{},
       std::shared_ptr<const core::DCDiffModel> model = nullptr);
@@ -265,8 +265,7 @@ class ReceiverServer {
 
   const ServerConfig& config() const { return cfg_; }
   const core::DCDiffModel& model() const { return *model_; }
-  // The model instance worker `i` runs batches on (tests verify replica
-  // identity/sharing). Index 0 is model(); the rest are replicas.
+  // The model worker `i` runs batches on: model(), for every worker.
   const core::DCDiffModel& worker_model(int i) const;
 
  private:
@@ -315,15 +314,13 @@ class ReceiverServer {
     Request parent;
   };
 
-  // One serving shard: a queue, a model replica, and (workers > 1) a
-  // private thread-pool partition. All mutable state is guarded by the
-  // server-wide mu_ — operations on it are queue pushes/pops, cheap against
-  // model time, and one lock keeps routing + stealing + shutdown-drain
-  // trivially race-free.
+  // One serving shard: a queue and (workers > 1) a private thread-pool
+  // partition. All mutable state is guarded by the server-wide mu_ —
+  // operations on it are queue pushes/pops, cheap against model time, and
+  // one lock keeps routing + stealing + shutdown-drain trivially race-free.
   struct Worker {
     std::deque<Request> queue;
     bool busy = false;  // between popping a batch and fulfilling it
-    std::shared_ptr<const core::DCDiffModel> model;
     std::unique_ptr<nn::ThreadPool> pool;  // null: use the global pool
     WorkerStats stats;
     int index = 0;

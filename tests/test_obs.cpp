@@ -70,6 +70,19 @@ TEST(Metrics, HistogramPercentiles) {
   EXPECT_LE(h.percentile(0.9), h.percentile(0.999));
 }
 
+// A percentile lies within the samples: interpolating toward a bucket's
+// edge must not report 100 samples of 12 ms as p50 15 ms and p99 19.9 ms.
+TEST(Metrics, PercentilesStayWithinObservedRange) {
+  Histogram h(Histogram::slo_latency_bounds());
+  for (int i = 0; i < 100; ++i) h.observe(0.012);
+  EXPECT_DOUBLE_EQ(h.percentile(0.50), 0.012);
+  EXPECT_DOUBLE_EQ(h.percentile(0.99), 0.012);
+  // Two clusters: each percentile stays within [min, max].
+  for (int i = 0; i < 100; ++i) h.observe(0.3);
+  EXPECT_GE(h.percentile(0.01), 0.012);
+  EXPECT_LE(h.percentile(0.999), 0.3);
+}
+
 TEST(Metrics, EmptyHistogramIsZero) {
   Histogram h({1.0});
   EXPECT_EQ(h.count(), 0u);

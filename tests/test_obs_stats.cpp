@@ -161,6 +161,15 @@ TEST(SloTracker, WindowAggregatesOutcomes) {
   EXPECT_LE(w.p99_seconds, 1.0);
 }
 
+// The window p99 lies within the samples: 100 requests of 12 ms read p99
+// 12 ms, not the 19.9 ms that interpolating toward the (10, 20] ms bucket's
+// upper edge gives, which would trip a 15 ms p99 SLO.
+TEST(SloTracker, P99StaysWithinObservedRange) {
+  obs::SloTracker slo(60);
+  for (int i = 0; i < 100; ++i) slo.record(0.012, true, false, false);
+  EXPECT_DOUBLE_EQ(slo.window(10).p99_seconds, 0.012);
+}
+
 TEST(SloTracker, WindowsJsonValidates) {
   obs::SloTracker slo(60);
   slo.record(0.010, true, false, false);

@@ -20,11 +20,15 @@
 //     plan arena nor its workspace.
 //   * Plan build failures surface as a typed Status, never an exception; a
 //     conv weight that still requires grad is such a failure.
-//   * Each of the 11 op kinds and each fused form runs the eager op's
+//   * Each of the 10 op kinds and each fused form runs the eager op's
 //     kernel: a one-op plan equals the eager op chain byte for byte.
+//   * The UNet-step plan takes what UNet::forward takes: rows at different
+//     timesteps in one run, with or without FreeU modulation, equal the
+//     eager forward byte for byte.
 //   * Plans borrow the model's PackCache panels (one per conv weight).
 //   * Each thread runs plans in its own arena: two threads sharing one
-//     model's plans, and replica-sharded serving, give the serial bytes
+//     model's plans, and a 3-worker server on one model, give the serial
+//     bytes
 //     (this suite runs under the `concurrency` CTest label; a TSan build
 //     exercises it).
 #include <gtest/gtest.h>
@@ -37,12 +41,14 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/pipeline.h"
+#include "core/recon_plan.h"
 #include "core/tensor_image.h"
 #include "data/datasets.h"
 #include "jpeg/codec.h"
@@ -208,8 +214,9 @@ TEST_F(PlanTest, HookFreeAnytimeRunsPlannedAndEqualsBatch) {
   }
 }
 
-// Coordinate-seeded noise is plan input 1 like the sequential stream, so
-// tiles run planned: a hook-free call with per-item origins compiles a plan
+// Coordinate-seeded noise is plan input 0 like the sequential stream, so
+// tiles run planned: a hook-free call with per-item origins runs the plans
+// (FMPP off is s = b = 1, so it shares them with FMPP-on calls of its size)
 // and matches the eager reference byte for byte.
 TEST_F(PlanTest, CoordinateNoiseRunsPlannedAndMatchesEager) {
   std::vector<jpeg::CoeffImage> coeffs;
@@ -227,12 +234,16 @@ TEST_F(PlanTest, CoordinateNoiseRunsPlannedAndMatchesEager) {
       model_->reconstruct_batch_anytime(items, opts, core::AnytimeControl{});
 
   core::set_plan_enabled(true);
-  const uint64_t builds_before = obs::counter("plan.builds").value();
+  const auto lookups = [] {
+    return obs::counter("plan.builds").value() +
+           obs::counter("plan.cache_hits").value();
+  };
+  const uint64_t lookups_before = lookups();
   const uint64_t fallbacks_before =
       obs::counter("plan.eager_fallbacks").value();
   const core::AnytimeResult planned =
       model_->reconstruct_batch_anytime(items, opts, core::AnytimeControl{});
-  EXPECT_GT(obs::counter("plan.builds").value(), builds_before);
+  EXPECT_GT(lookups(), lookups_before);
   EXPECT_EQ(obs::counter("plan.eager_fallbacks").value(), fallbacks_before);
   ASSERT_EQ(planned.images.size(), eager.images.size());
   for (size_t i = 0; i < eager.images.size(); ++i) {
@@ -370,6 +381,51 @@ TEST(PlanPaths, EpsPredictionPlannedMatchesEager) {
   for (size_t i = 0; i < eager.size(); ++i) {
     EXPECT_TRUE(same_bytes(planned[i], eager[i])) << "image " << i;
   }
+}
+
+// The UNet-step plan takes what UNet::forward takes: one timestep and one
+// pair of FreeU factors per row. Rows at four different timesteps in one
+// run equal the eager forward byte for byte, modulated and with unit
+// factors, which equal the unmodulated forward (FMPP off). Paper widths,
+// random init.
+TEST(PlanPaths, StepPlanRowsAtDifferentTimestepsMatchEager) {
+  const core::DCDiffConfig cfg;
+  const core::DCDiffModel model(cfg);
+  const core::UNetConfig& uc = cfg.unet;
+  constexpr int kImages = 2, kEnsemble = 2, kRows = kImages * kEnsemble;
+  constexpr int h = 8, w = 8;
+  nn::plan::PlanCache cache;
+  nn::PackCache packs;
+  std::optional<core::GroupPlans> plans;
+  const Status st =
+      core::GroupPlans::open(cache, packs, model.unet(), model.autoencoder(),
+                             kImages, kEnsemble, h, w, &plans);
+  ASSERT_TRUE(st.is_ok()) << st.to_string();
+  ASSERT_TRUE(plans.has_value());
+
+  Rng rng(23);
+  const auto random = [&](std::vector<int> shape) {
+    std::vector<float> v(nn::shape_numel(shape));
+    for (float& x : v) x = rng.normal();
+    return nn::Tensor::from_data(std::move(shape), std::move(v));
+  };
+  const nn::Tensor z = random({kRows, uc.z_channels, h, w});
+  core::ControlModule::Features ctrl;
+  ctrl.c1 = random({kRows, uc.base, h, w});
+  ctrl.c2 = random({kRows, 2 * uc.base, h / 2, w / 2});
+  const std::vector<int> t = {0, 37, 61, cfg.diffusion_T - 1};
+  const nn::Tensor s = nn::Tensor::from_data({kRows}, {1.2f, 0.9f, 1.1f, 1.0f});
+  const nn::Tensor b = nn::Tensor::from_data({kRows}, {0.8f, 1.0f, 0.7f, 1.3f});
+  const nn::Tensor ones = nn::Tensor::from_data({kRows}, {1, 1, 1, 1});
+  const auto same = [](const nn::Tensor& x, const nn::Tensor& y) {
+    return x.shape() == y.shape() &&
+           std::memcmp(x.value().data(), y.value().data(),
+                       x.numel() * sizeof(float)) == 0;
+  };
+  EXPECT_TRUE(same(plans->denoise(z, t, ctrl, s, b),
+                   model.unet().forward(z, t, ctrl, s, b)));
+  EXPECT_TRUE(same(plans->denoise(z, t, ctrl, ones, ones),
+                   model.unet().forward(z, t, ctrl)));
 }
 
 // Batch-mates never change an image's pixels. At the paper's UNet widths
@@ -605,9 +661,6 @@ TEST(PlanCacheTest, EveryOpMatchesEager) {
       {"upsample2x", {x4},
        [](GraphBuilder& g, const Ids& in) { return g.upsample2x(in[0]); },
        [](const Ts& in) { return nn::upsample_nearest2x(in[0]); }},
-      {"repeat_batch", {x4},
-       [](GraphBuilder& g, const Ids& in) { return g.repeat_batch(in[0], 3); },
-       [](const Ts& in) { return core::repeat_batch(in[0], 3); }},
       // Fused forms: conv + group norm [+ activation].
       {"conv2d+group_norm", {{2, 4, 6, 6}},
        [&](GraphBuilder& g, const Ids& in) {
@@ -784,7 +837,7 @@ TEST_F(PlanTest, ConcurrentThreadsRunPlansInTheirOwnArenas) {
   }
 }
 
-// ---- replica-sharded serving through per-replica plans ----
+// ---- multi-worker serving through the one model's plans ----
 
 TEST_F(PlanTest, ShardedServerMatchesSingleWorkerWithPlans) {
   core::set_plan_enabled(true);

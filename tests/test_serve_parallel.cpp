@@ -1,12 +1,12 @@
-// Tests for multi-worker (replica-sharded) serving: N workers, each with its
-// own model replica, per-worker queue, and thread-pool partition.
+// Tests for multi-worker serving: N workers running the server's one model,
+// each with its own queue and thread-pool partition, and for model replicas.
 //
 // The load-bearing properties:
 //   * Results served through any number of workers are numerically identical
-//     to the single-worker path (replicas share frozen weights; sampling is
-//     seeded per request, not per worker).
-//   * Replicas genuinely share state: same component instances, O(1)
-//     construction, training refused.
+//     to the single-worker path (every worker runs the one frozen model;
+//     sampling is seeded per request, not per worker).
+//   * Every worker runs the server's model; replicas genuinely share state:
+//     same component instances, O(1) construction, training refused.
 //   * Work stealing keeps workers busy when routing is skewed
 //     (ReconstructRequest::worker_hint constructs the skew
 //     deterministically).
@@ -140,18 +140,6 @@ TEST_F(ServeParallelTest, ReplicaRefusesTraining) {
   EXPECT_THROW(mutable_rep.train_stage2(), std::logic_error);
   EXPECT_THROW(mutable_rep.train_fmpp(), std::logic_error);
   EXPECT_THROW(mutable_rep.train_or_load(), std::logic_error);
-}
-
-TEST_F(ServeParallelTest, ModelPoolReplicasSharePooledInstance) {
-  const auto reps = core::ModelPool::instance().replicas(tiny_config(), 3);
-  ASSERT_EQ(reps.size(), 3u);
-  EXPECT_EQ(reps[0].get(), model_.get());  // element 0 is the pooled model
-  for (size_t i = 1; i < reps.size(); ++i) {
-    EXPECT_TRUE(reps[i]->is_replica());
-    EXPECT_EQ(&reps[i]->autoencoder(), &model_->autoencoder());
-  }
-  EXPECT_THROW(core::ModelPool::instance().replicas(tiny_config(), 0),
-               std::invalid_argument);
 }
 
 // ---- sharded serving: equivalence with the single-worker path ----
@@ -304,15 +292,15 @@ TEST_F(ServeParallelTest, ShutdownDrainsEveryWorkerQueue) {
   EXPECT_EQ(server.stats().completed, static_cast<uint64_t>(kImages));
 }
 
-// ---- worker-local models and partitions ----
+// ---- one shared model, worker-local partitions ----
 
+// Plans are immutable and run in the calling thread's arena, so every
+// worker runs the server's one model (and its one plan cache).
 TEST_F(ServeParallelTest, WorkersRunOnSharedWeightReplicas) {
   ReceiverServer server(sharded_config(3), model_);
-  EXPECT_FALSE(server.worker_model(0).is_replica());
-  EXPECT_EQ(&server.worker_model(0), model_.get());
-  for (int i = 1; i < 3; ++i) {
-    EXPECT_TRUE(server.worker_model(i).is_replica());
-    EXPECT_EQ(&server.worker_model(i).autoencoder(), &model_->autoencoder());
+  EXPECT_EQ(&server.model(), model_.get());
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(&server.worker_model(i), model_.get()) << "worker " << i;
   }
 }
 
