@@ -34,12 +34,13 @@
 #
 # The `nn` label covers the tensor, op, module, loss, GEMM and plan suites:
 # every eager forward and the plan executor run the raw-pointer kernels of
-# src/nn/kernels.h, including the in-place activation epilogues and the
-# fused conv+group-norm that normalizes its own output (out == x), so both
-# sanitizers check those buffers alone. It also covers test_diffusion and
-# test_core_pipeline, which run the one DDIM loop with both denoisers (the
-# eager UNet and the compiled UNet-step plan) and the decoder plan, which
-# runs in the same per-thread arena as the step plan.
+# src/nn/kernels.h, including the activations a producing kernel applies to
+# each range its parallel task wrote (conv strips, group-norm slices, linear
+# rows) and the fused conv+group-norm that normalizes its own output
+# (out == x), so both sanitizers check those buffers alone. It also covers
+# test_diffusion and test_core_pipeline, which run the one DDIM loop with
+# both denoisers (the eager UNet and the compiled UNet-step plan) and the
+# decoder plan, which runs in the same per-thread arena as the step plan.
 #
 # Both presets compile the fault-injection sites in (DCDIFF_FAULT_INJECTION),
 # so the `fault`-labelled stage runs the full scenario suites (injected

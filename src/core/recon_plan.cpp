@@ -35,11 +35,11 @@ Status GroupPlans::open(plan::PlanCache& cache, PackCache& packs,
   if (!st.is_ok()) return st;
   const AutoencoderConfig& ac = ae.config();
   st = cache.get_or_build(
-      "decoder_n" + std::to_string(n) + "_" + hw,
+      "decoder_" + hw,
       [&](plan::GraphBuilder& g) {
-        const plan::TensorId z = g.input({n, ac.z_channels, h, w});
-        const plan::TensorId quarter = g.input({n, ac.ac_channels, h, w});
-        const plan::TensorId half = g.input({n, ac.base, 2 * h, 2 * w});
+        const plan::TensorId z = g.input({1, ac.z_channels, h, w});
+        const plan::TensorId quarter = g.input({1, ac.ac_channels, h, w});
+        const plan::TensorId half = g.input({1, ac.base, 2 * h, 2 * w});
         g.mark_output(ae.capture_decode(g, z, quarter, half));
       },
       packs, &decoder);
@@ -56,27 +56,45 @@ Status GroupPlans::open(plan::PlanCache& cache, PackCache& packs,
   return Status::ok();
 }
 
-Tensor GroupPlans::run(const plan::Plan& p,
-                       const std::vector<const float*>& inputs) {
+namespace {
+
+// Runs `p` in the thread's arena and copies its output to `dst` at once, so
+// nothing lives in the arena between runs.
+void run_into(const plan::Plan& p, const std::vector<const float*>& inputs,
+              float* dst) {
   std::vector<const float*> outs;
   p.run(inputs, &outs);
-  return Tensor::from_data(
-      p.output_shape(0),
-      std::vector<float>(outs[0], outs[0] + p.output_numel(0)));
+  std::copy_n(outs[0], p.output_numel(0), dst);
 }
+
+}  // namespace
 
 Tensor GroupPlans::denoise(const Tensor& z_t, const std::vector<int>& t,
                            const ControlModule::Features& ctrl,
                            const Tensor& s, const Tensor& b) {
   const Tensor temb = timestep_embedding(t, temb_dim_);
-  return run(*step_, {z_t.value().data(), temb.value().data(),
-                      ctrl.c1.value().data(), ctrl.c2.value().data(),
-                      s.value().data(), b.value().data()});
+  std::vector<float> out(step_->output_numel(0));
+  run_into(*step_,
+           {z_t.value().data(), temb.value().data(), ctrl.c1.value().data(),
+            ctrl.c2.value().data(), s.value().data(), b.value().data()},
+           out.data());
+  return Tensor::from_data(step_->output_shape(0), std::move(out));
 }
 
 Tensor GroupPlans::decode(const Tensor& z0, const ACFeatures& ac) {
-  return run(*decoder_, {z0.value().data(), ac.quarter.value().data(),
-                         ac.half.value().data()});
+  const size_t n = static_cast<size_t>(z0.dim(0));
+  const size_t per = decoder_->output_numel(0);
+  std::vector<float> out(n * per);
+  for (size_t i = 0; i < n; ++i) {
+    run_into(*decoder_,
+             {z0.value().data() + i * (z0.numel() / n),
+              ac.quarter.value().data() + i * (ac.quarter.numel() / n),
+              ac.half.value().data() + i * (ac.half.numel() / n)},
+             out.data() + i * per);
+  }
+  std::vector<int> shape = decoder_->output_shape(0);
+  shape[0] = static_cast<int>(n);
+  return Tensor::from_data(std::move(shape), std::move(out));
 }
 
 }  // namespace dcdiff::core

@@ -10,7 +10,11 @@
 //   step, so no plan key holds the step count, the ensemble size or the
 //   prediction kind, and a caller may watch or stop the chain between
 //   steps.
-// * The decoder plan: the stage-1 decoder, keyed by (n, latent h x w).
+// * The decoder plan: the stage-1 decoder on one image, keyed by latent
+//   h x w alone. GroupPlans::decode runs it once per image of the group;
+//   every kernel is row-invariant, so that equals the batched eager decode
+//   byte for byte, a group of any size reuses the one plan, and the
+//   thread's arena is sized by the step plan.
 //
 // The conditioner (control module, AC encoder, FMPP) runs once per call and
 // is the cheapest stage, so it has no plan (DESIGN.md §13).
@@ -34,9 +38,10 @@ class GroupPlans {
  public:
   // Fetches the plans for `n` images of latent size h x w sampled on
   // n * ensemble rows from `cache` (compiling on a miss; conv weights
-  // resolve through `packs`) and grows the calling thread's arena to the
-  // larger of the two. A build or arena failure is a typed Status and
-  // leaves *out empty; the caller then runs the group eager.
+  // resolve through `packs`): the step plan for the rows and the one-image
+  // decoder plan. Grows the calling thread's arena to the larger of the
+  // two. A build or arena failure is a typed Status and leaves *out empty;
+  // the caller then runs the group eager.
   static Status open(nn::plan::PlanCache& cache, nn::PackCache& packs,
                      const UNet& unet, const Autoencoder& ae, int n,
                      int ensemble, int h, int w,
@@ -47,7 +52,7 @@ class GroupPlans {
   nn::Tensor denoise(const nn::Tensor& z_t, const std::vector<int>& t,
                      const ControlModule::Features& ctrl, const nn::Tensor& s,
                      const nn::Tensor& b);
-  // Autoencoder::decode of the n latents `z0`.
+  // Autoencoder::decode of the n latents `z0`, one image per decoder run.
   nn::Tensor decode(const nn::Tensor& z0, const ACFeatures& ac);
 
  private:
@@ -55,10 +60,6 @@ class GroupPlans {
              std::shared_ptr<const nn::plan::Plan> decoder, int temb_dim)
       : step_(std::move(step)), decoder_(std::move(decoder)),
         temb_dim_(temb_dim) {}
-  // Runs `p` in the thread's arena and copies its output out of it, so
-  // nothing lives in the arena between runs.
-  static nn::Tensor run(const nn::plan::Plan& p,
-                        const std::vector<const float*>& inputs);
 
   std::shared_ptr<const nn::plan::Plan> step_, decoder_;
   int temb_dim_;

@@ -29,6 +29,10 @@ constexpr int64_t NC = 480;  // multiple of NR
 constexpr int64_t kSmallProblem = 1 << 12;
 // Target MACs per dispatched range when spreading micro-tiles over workers.
 constexpr int64_t kGrainMacs = 1 << 17;
+// What one element of a fused activation costs in MACs: kActGrain
+// activations take about as long as kGrainMacs MACs (one expf against
+// ~128 FMAs).
+constexpr int64_t kActMacs = kGrainMacs / kActGrain;
 
 std::atomic<int> g_naive_override{-1};  // -1 = follow env, 0/1 = forced
 
@@ -383,7 +387,8 @@ void PackedA::run(int64_t n, const float* b, int64_t ldb, float beta, float* c,
 
 void PackedA::conv2d_forward(const float* x, int n, int c, int h, int w,
                              int kh, int kw, int stride, int pad, int ho,
-                             int wo, const float* bias, float* out) const {
+                             int wo, const float* bias, float* out,
+                             Act act) const {
   if (static_cast<int64_t>(c) * kh * kw != k_) {
     throw std::invalid_argument("PackedA::conv2d_forward: c*kh*kw != k");
   }
@@ -405,18 +410,28 @@ void PackedA::conv2d_forward(const float* x, int n, int c, int h, int w,
       gemm(trans_a_, false, m_, npix, k_, a_, lda_, col, npix, 0.0f,
            out + ni * out_plane, npix);
     }
-    if (bias) {
-      for (int64_t r = 0; r < n * m_; ++r) {
-        const float b = bias[r % m_];
-        float* crow = out + r * npix;
-        for (int64_t j = 0; j < npix; ++j) crow[j] += b;
-      }
+    if (bias || act != Act::kNone) {
+      parallel_for_ranges(
+          n * m_, std::max<int64_t>(1, ew_grain(act) / npix),
+          [&](int64_t r0, int64_t r1) {
+            for (int64_t r = r0; r < r1; ++r) {
+              float* crow = out + r * npix;
+              if (bias) {
+                const float b = bias[r % m_];
+                for (int64_t j = 0; j < npix; ++j) crow[j] += b;
+              }
+              act_inplace(act, crow, static_cast<size_t>(npix));
+            }
+          });
     }
     return;
   }
   const int64_t row_panels = (m_ + MR - 1) / MR;
   const int64_t strips = (npix + NR - 1) / NR;
-  const int64_t grain = std::max<int64_t>(1, kGrainMacs / (m_ * k_ * NR));
+  // A strip costs m_ * NR * k_ MACs, plus m_ * NR activations when fused.
+  const int64_t strip_macs =
+      m_ * NR * (k_ + (act == Act::kNone ? 0 : kActMacs));
+  const int64_t grain = std::max<int64_t>(1, kGrainMacs / strip_macs);
   parallel_for_ranges(n * strips, grain, [&](int64_t t0, int64_t t1) {
     Workspace::Scope scope;
     float* bp = Workspace::tls().floats(static_cast<size_t>(k_ * NR));
@@ -438,10 +453,13 @@ void PackedA::conv2d_forward(const float* x, int n, int c, int h, int w,
                        nr, pc == 0 ? 0.0f : 1.0f);
         }
       }
-      if (bias) {
+      if (bias || act != Act::kNone) {
         for (int64_t i = 0; i < m_; ++i) {
           float* crow = cs + i * npix;
-          for (int64_t j = 0; j < nr; ++j) crow[j] += bias[i];
+          if (bias) {
+            for (int64_t j = 0; j < nr; ++j) crow[j] += bias[i];
+          }
+          act_inplace(act, crow, static_cast<size_t>(nr));
         }
       }
     }

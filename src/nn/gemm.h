@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "nn/kernels.h"
+
 namespace dcdiff::nn {
 
 // C (m x n, row-major, leading dimension ldc) = A_op * B_op + beta * C.
@@ -85,17 +87,20 @@ class PackedA {
 
   // Batched conv2d forward with A_op holding the flattened (F, C, kH, kW)
   // weights (m = F, k = c*kh*kw; throws std::invalid_argument otherwise):
-  // out (n, m, ho, wo) = conv2d(x (n, c, h, w), stride, zero pad) + bias
-  // (bias[m], skipped when null). Bit-equal to im2col + run(beta = 0) per
-  // image followed by a separate bias pass, with one dispatch for the whole
-  // batch: tasks are (image, 16-column output strip) pairs, each packing
-  // its B strip straight from x into Workspace scratch, running every
-  // weight row-panel over it K-block by K-block, and adding the bias last.
-  // Problems run() would route to the naive loop keep that route: im2col
-  // into Workspace scratch and gemm(), image by image.
+  // out (n, m, ho, wo) = act(conv2d(x (n, c, h, w), stride, zero pad) +
+  // bias) (bias[m], skipped when null). Bit-equal to im2col + run(beta = 0)
+  // per image followed by a separate bias pass and the standalone
+  // activation kernel, with one dispatch for the whole batch: tasks are
+  // (image, 16-column output strip) pairs, each packing its B strip
+  // straight from x into Workspace scratch, running every weight row-panel
+  // over it K-block by K-block, then adding the bias and applying `act` to
+  // the strip it wrote. Problems run() would route to the naive loop keep
+  // that route: im2col into Workspace scratch and gemm(), image by image,
+  // then one parallel bias + `act` pass over the output rows.
   void conv2d_forward(const float* x, int n, int c, int h, int w, int kh,
                       int kw, int stride, int pad, int ho, int wo,
-                      const float* bias, float* out) const;
+                      const float* bias, float* out,
+                      Act act = Act::kNone) const;
 
  private:
   int64_t m_ = 0;

@@ -32,6 +32,22 @@ double lat_hiding_sum(const float* p, size_t n) {
   return (a0 + a1) + (a2 + a3);
 }
 
+// The per-element expressions of the activations. The standalone kernels
+// and act_inplace (a producer's fused epilogue) both apply these, so a
+// fused activation has the standalone kernel's bits.
+inline float silu_of(float a) { return a / (1.0f + std::exp(-a)); }
+inline float sigmoid_of(float a) { return 1.0f / (1.0f + std::exp(-a)); }
+inline float tanh_of(float a) { return std::tanh(a); }
+
+// out[i] = f(a[i]) on the pool, in ranges of at least kActGrain elements.
+template <class F>
+void activation(const float* a, float* out, size_t n, F f) {
+  parallel_for_ranges(static_cast<int64_t>(n), kActGrain,
+                      [&](int64_t i0, int64_t i1) {
+                        for (int64_t i = i0; i < i1; ++i) out[i] = f(a[i]);
+                      });
+}
+
 double lat_hiding_sumsq(const float* p, size_t n, double mu) {
   double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
   size_t i = 0;
@@ -168,8 +184,21 @@ Shape ensemble_mean_shape(const Shape& x, int n, int e) {
 
 // ---------- Kernels ----------
 
+void act_inplace(Act act, float* p, size_t n) {
+  switch (act) {
+    case Act::kNone:
+      break;
+    case Act::kSiLU:
+      for (size_t i = 0; i < n; ++i) p[i] = silu_of(p[i]);
+      break;
+    case Act::kTanh:
+      for (size_t i = 0; i < n; ++i) p[i] = tanh_of(p[i]);
+      break;
+  }
+}
+
 void k_silu(const float* a, float* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = a[i] / (1.0f + std::exp(-a[i]));
+  activation(a, out, n, [](float v) { return silu_of(v); });
 }
 
 void k_relu(const float* a, float* out, size_t n) {
@@ -177,11 +206,11 @@ void k_relu(const float* a, float* out, size_t n) {
 }
 
 void k_tanh(const float* a, float* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = std::tanh(a[i]);
+  activation(a, out, n, [](float v) { return tanh_of(v); });
 }
 
 void k_sigmoid(const float* a, float* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = 1.0f / (1.0f + std::exp(-a[i]));
+  activation(a, out, n, [](float v) { return sigmoid_of(v); });
 }
 
 void k_clamp(const float* a, float* out, size_t n, float lo, float hi) {
@@ -234,16 +263,19 @@ void k_slice_channels(const float* a, float* out, int n, size_t stride_in,
 }
 
 void k_linear(const float* x, int n, int k, int m, const float* w,
-              const float* bias, float* out) {
+              const float* bias, float* out, Act act) {
   gemm_rows(/*trans_a=*/false, /*trans_b=*/true, n, m, k, x, k, w, k, 0.0f,
             out, m);
-  if (bias) {
+  if (bias || act != Act::kNone) {
     parallel_for_ranges(
-        n, std::max<int64_t>(1, kEwGrain / std::max(1, m)),
+        n, std::max<int64_t>(1, ew_grain(act) / std::max(1, m)),
         [&](int64_t i0, int64_t i1) {
           for (int64_t i = i0; i < i1; ++i) {
             float* orow = out + i * m;
-            for (int j = 0; j < m; ++j) orow[j] += bias[j];
+            if (bias) {
+              for (int j = 0; j < m; ++j) orow[j] += bias[j];
+            }
+            act_inplace(act, orow, static_cast<size_t>(m));
           }
         });
   }
@@ -258,12 +290,12 @@ GroupStats group_stats(const float* p, size_t n, float eps) {
 
 void k_group_norm(const float* x, const float* gamma, const float* beta,
                   float* out, int n, int c, int groups, size_t inner,
-                  float eps) {
+                  float eps, Act act) {
   const int cpg = c / groups;
   const size_t gsize = static_cast<size_t>(cpg) * inner;
   parallel_for_ranges(
       static_cast<int64_t>(n) * groups,
-      std::max<int64_t>(1, kEwGrain / std::max<int64_t>(1, gsize)),
+      std::max<int64_t>(1, ew_grain(act) / std::max<int64_t>(1, gsize)),
       [&](int64_t t0, int64_t t1) {
         for (int64_t t = t0; t < t1; ++t) {
           const int gi = static_cast<int>(t % groups);
@@ -282,6 +314,7 @@ void k_group_norm(const float* x, const float* gamma, const float* beta,
               op[i] = ga * ((xp[i] - st.mu) * st.istd) + b;
             }
           }
+          act_inplace(act, out + base, gsize);
         }
       });
 }

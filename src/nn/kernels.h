@@ -9,7 +9,12 @@
 // is no second loop to drift. Kernels take `out` as a separate buffer; the
 // elementwise ones and k_group_norm also accept `out == input` (each
 // element is read before its slot is written), which is how the plan's
-// fused epilogues and the DDIM clamp run in place.
+// fused conv + group norm and the DDIM clamp run in place.
+//
+// The plan's fused activations are not a second pass: the producing kernel
+// (k_group_norm, k_linear, PackedA::conv2d_forward) takes an Act and applies
+// it inside the parallel task that wrote each range, with the standalone
+// activation kernel's per-element expression (act_inplace).
 #pragma once
 
 #include <cstddef>
@@ -20,9 +25,31 @@
 
 namespace dcdiff::nn {
 
-// Minimum elements per dispatched range for memory-bound elementwise loops:
-// below this the pool's wakeup cost exceeds the loop itself.
+// Minimum elements per dispatched range for memory-bound elementwise loops
+// (about 1 ns each): below this the pool's hand-off costs more than the loop
+// itself.
 inline constexpr int64_t kEwGrain = 1 << 13;
+// Minimum elements per dispatched range for a loop that runs an activation
+// (k_silu, k_sigmoid, k_tanh, their backward passes, and an activation fused
+// into its producer). One expf or tanhf costs about 5 ns, so 1024 elements
+// are about 5 us of work; at kEwGrain the UNet's 4K and 8K-float tensors
+// would never split.
+inline constexpr int64_t kActGrain = 1 << 10;
+
+// An activation a producing kernel applies to its own output (the plan's
+// fused epilogue): kSiLU is k_silu's per-element expression, kTanh
+// k_tanh's.
+enum class Act : uint8_t { kNone, kSiLU, kTanh };
+
+// Minimum elements per dispatched range for an elementwise loop that also
+// applies `act`.
+inline int64_t ew_grain(Act act) {
+  return act == Act::kNone ? kEwGrain : kActGrain;
+}
+
+// Applies `act` in place to p[0, n) on the calling thread: the body a
+// producing kernel runs on each range its parallel task has just written.
+void act_inplace(Act act, float* p, size_t n);
 
 // ----- Shape rules -----
 // Each validates its op's operands (std::invalid_argument naming the op) and
@@ -58,6 +85,7 @@ Shape repeat_batch_shape(const Shape& x, int k);
 Shape ensemble_mean_shape(const Shape& x, int n, int e);
 
 // ----- Kernels -----
+// The activations run on the pool in ranges of at least kActGrain elements.
 void k_silu(const float* a, float* out, size_t n);
 void k_relu(const float* a, float* out, size_t n);
 void k_tanh(const float* a, float* out, size_t n);
@@ -79,10 +107,11 @@ void k_concat_channels(const float* a, const float* b, float* out, int n,
 void k_slice_channels(const float* a, float* out, int n, size_t stride_in,
                       size_t stride_out, size_t skip);
 
-// out (n,m) = x (n,k) * w^T + bias, through nn::gemm_rows, so each row's
-// bits are independent of n.
+// out (n,m) = act(x (n,k) * w^T + bias), through nn::gemm_rows, so each
+// row's bits are independent of n; bias and `act` run row by row in one
+// parallel pass.
 void k_linear(const float* x, int n, int k, int m, const float* w,
-              const float* bias, float* out);
+              const float* bias, float* out, Act act = Act::kNone);
 
 // Normalization statistics of one (sample, group) slice of `n` elements,
 // xhat = (x - mu) * istd: the mean and the squared deviations are summed in
@@ -95,10 +124,12 @@ struct GroupStats {
 };
 GroupStats group_stats(const float* p, size_t n, float eps);
 
-// Group norm of x (n,c,inner...), parallel over (sample, group) pairs.
+// act(group norm of x (n,c,inner...)), parallel over (sample, group)
+// pairs: each pair's task normalizes its slice, applies the affine, then
+// `act`.
 void k_group_norm(const float* x, const float* gamma, const float* beta,
                   float* out, int n, int c, int groups, size_t inner,
-                  float eps);
+                  float eps, Act act = Act::kNone);
 
 void k_avg_pool2d(const float* x, float* out, int n, int c, int h, int w,
                   int k);

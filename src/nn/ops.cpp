@@ -155,10 +155,17 @@ Tensor sigmoid(const Tensor& a) {
                        if (!wants_grad(a)) return;
                        auto& g = *a.node();
                        g.ensure_grad();
-                       for (size_t i = 0; i < self.grad.size(); ++i) {
-                         const float y = self.value[i];
-                         g.grad[i] += self.grad[i] * y * (1.0f - y);
-                       }
+                       float* gd = g.grad.data();
+                       const float* sd = self.grad.data();
+                       const float* yv = self.value.data();
+                       parallel_for_ranges(
+                           static_cast<int64_t>(self.grad.size()), kActGrain,
+                           [&](int64_t i0, int64_t i1) {
+                             for (int64_t i = i0; i < i1; ++i) {
+                               const float y = yv[i];
+                               gd[i] += sd[i] * y * (1.0f - y);
+                             }
+                           });
                      });
 }
 
@@ -170,12 +177,19 @@ Tensor silu(const Tensor& a) {
                        if (!wants_grad(a)) return;
                        auto& g = *a.node();
                        g.ensure_grad();
-                       const auto& av2 = a.value();
-                       for (size_t i = 0; i < self.grad.size(); ++i) {
-                         const float s = 1.0f / (1.0f + std::exp(-av2[i]));
-                         g.grad[i] +=
-                             self.grad[i] * (s * (1.0f + av2[i] * (1.0f - s)));
-                       }
+                       float* gd = g.grad.data();
+                       const float* sd = self.grad.data();
+                       const float* av2 = a.value().data();
+                       parallel_for_ranges(
+                           static_cast<int64_t>(self.grad.size()), kActGrain,
+                           [&](int64_t i0, int64_t i1) {
+                             for (int64_t i = i0; i < i1; ++i) {
+                               const float s =
+                                   1.0f / (1.0f + std::exp(-av2[i]));
+                               gd[i] +=
+                                   sd[i] * (s * (1.0f + av2[i] * (1.0f - s)));
+                             }
+                           });
                      });
 }
 
@@ -187,10 +201,17 @@ Tensor tanh_op(const Tensor& a) {
                        if (!wants_grad(a)) return;
                        auto& g = *a.node();
                        g.ensure_grad();
-                       for (size_t i = 0; i < self.grad.size(); ++i) {
-                         const float y = self.value[i];
-                         g.grad[i] += self.grad[i] * (1.0f - y * y);
-                       }
+                       float* gd = g.grad.data();
+                       const float* sd = self.grad.data();
+                       const float* yv = self.value.data();
+                       parallel_for_ranges(
+                           static_cast<int64_t>(self.grad.size()), kActGrain,
+                           [&](int64_t i0, int64_t i1) {
+                             for (int64_t i = i0; i < i1; ++i) {
+                               const float y = yv[i];
+                               gd[i] += sd[i] * (1.0f - y * y);
+                             }
+                           });
                      });
 }
 

@@ -10,15 +10,18 @@
 //
 // Every op executes the nn/kernels.h kernel its eager op in nn/ops.cpp
 // runs, group-norm reduction included, and every conv the PackCache panels
-// the eager conv2d uses. Fusion only merges memory passes: an epilogue runs
-// its standalone kernel in place over the producer's output, never
-// reassociated math. So planned == eager byte for byte, which the tests
-// assert exactly.
+// the eager conv2d uses. Fusion only merges memory passes: a fused
+// group norm is k_group_norm run in place over the conv's output, and a
+// fused activation is applied by the producing kernel inside the parallel
+// task that wrote each range, with the standalone activation's per-element
+// expression; never reassociated math. So planned == eager byte for byte,
+// which the tests assert exactly.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "nn/kernels.h"
 #include "nn/plan/fwd.h"
 #include "nn/tensor.h"
 
@@ -58,13 +61,12 @@ enum class OpKind : uint8_t {
   kUpsample2x,
 };
 
-// Elementwise epilogue applied in-place to an op's output (fusion only).
-enum class PostOp : uint8_t { kNone, kSiLU, kTanh };
-
 struct Op {
   OpKind kind;
-  PostOp post = PostOp::kNone;
-  bool fused_gn = false;  // kConv2d only: group-norm epilogue before `post`
+  // Fusion only (kConv2d, kGroupNorm, kLinear): the activation the kernel
+  // applies to its own output.
+  Act act = Act::kNone;
+  bool fused_gn = false;  // kConv2d only: group-norm epilogue before `act`
   std::vector<TensorId> in;
   TensorId out = kNoTensor;
   int i0 = 0, i1 = 0, i2 = 0, i3 = 0;

@@ -11,10 +11,10 @@ bool is_activation(OpKind k) {
   return k == OpKind::kSiLU || k == OpKind::kTanh;
 }
 
-PostOp to_post(OpKind k) {
-  return k == OpKind::kSiLU ? PostOp::kSiLU
-         : k == OpKind::kTanh ? PostOp::kTanh
-                              : PostOp::kNone;
+Act to_act(OpKind k) {
+  return k == OpKind::kSiLU ? Act::kSiLU
+         : k == OpKind::kTanh ? Act::kTanh
+                              : Act::kNone;
 }
 
 }  // namespace
@@ -55,7 +55,7 @@ FusionStats fuse_graph(Graph* g) {
     if (removed[i]) continue;
     Op op = g->ops[i];
     if (op.kind == OpKind::kConv2d && !op.fused_gn &&
-        op.post == PostOp::kNone && absorbable(op.out)) {
+        op.act == Act::kNone && absorbable(op.out)) {
       const size_t j = static_cast<size_t>(consumer[static_cast<size_t>(op.out)]);
       const Op& next = g->ops[j];
       if (next.kind == OpKind::kGroupNorm) {
@@ -68,7 +68,7 @@ FusionStats fuse_graph(Graph* g) {
         removed[j] = 1;
         ++stats.conv_gn;
       } else if (is_activation(next.kind)) {
-        op.post = to_post(next.kind);
+        op.act = to_act(next.kind);
         op.out = next.out;
         removed[j] = 1;
         ++stats.conv_act;
@@ -76,11 +76,11 @@ FusionStats fuse_graph(Graph* g) {
     }
     if ((op.kind == OpKind::kConv2d || op.kind == OpKind::kGroupNorm ||
          op.kind == OpKind::kLinear) &&
-        op.post == PostOp::kNone && absorbable(op.out)) {
+        op.act == Act::kNone && absorbable(op.out)) {
       const size_t j = static_cast<size_t>(consumer[static_cast<size_t>(op.out)]);
       const Op& next = g->ops[j];
       if (is_activation(next.kind)) {
-        op.post = to_post(next.kind);
+        op.act = to_act(next.kind);
         op.out = next.out;
         removed[j] = 1;
         if (op.kind == OpKind::kConv2d) {

@@ -22,9 +22,10 @@ struct FusionStats {
 // group_norm -> activation, linear -> activation (SiLU or tanh). The merged
 // op writes the chain's final tensor; skipped intermediates are left
 // dangling (no producer, no consumer) and take no arena space. Fusion never
-// reassociates
-// arithmetic — epilogues run as in-place passes over the written output —
-// so fused execution stays bit-identical to eager.
+// reassociates arithmetic — a fused group norm runs in place over the conv's
+// output, and a fused activation is applied by the producing kernel to each
+// range it wrote, with the standalone kernel's expression — so fused
+// execution stays bit-identical to eager.
 FusionStats fuse_graph(Graph* g);
 
 // Assigns every live kArena tensor an offset into one shared arena via

@@ -26,16 +26,6 @@ size_t inner_of(const std::vector<int>& shape) {
   return inner;
 }
 
-// A fused activation epilogue, run in place over the op's written output
-// with the standalone activation's own kernel.
-void apply_post_inplace(PostOp post, float* p, size_t n) {
-  switch (post) {
-    case PostOp::kNone: break;
-    case PostOp::kSiLU: k_silu(p, p, n); break;
-    case PostOp::kTanh: k_tanh(p, p, n); break;
-  }
-}
-
 const char* kind_name(OpKind k) {
   switch (k) {
     case OpKind::kConv2d: return "conv2d";
@@ -164,16 +154,17 @@ void Plan::run(const std::vector<const float*>& inputs,
         const TensorInfo& wt = graph_.tensors[static_cast<size_t>(op.in[1])];
         const float* bias =
             op.i2 ? resolve(op.in[2], base, inputs) : nullptr;
-        conv_panels_[i]->conv2d_forward(a, xs[0], xs[1], xs[2], xs[3],
-                                        wt.shape[2], wt.shape[3], op.i0,
-                                        op.i1, ot.shape[2], ot.shape[3], bias,
-                                        out);
+        // The activation belongs to the last kernel that writes `out`.
+        conv_panels_[i]->conv2d_forward(
+            a, xs[0], xs[1], xs[2], xs[3], wt.shape[2], wt.shape[3], op.i0,
+            op.i1, ot.shape[2], ot.shape[3], bias, out,
+            op.fused_gn ? Act::kNone : op.act);
         if (op.fused_gn) {
           const size_t nin = op.in.size();
           const float* gamma = resolve(op.in[nin - 2], base, inputs);
           const float* beta = resolve(op.in[nin - 1], base, inputs);
           k_group_norm(out, gamma, beta, out, ot.shape[0], ot.shape[1],
-                       op.i3, inner_of(ot.shape), op.f0);
+                       op.i3, inner_of(ot.shape), op.f0, op.act);
         }
         break;
       }
@@ -181,14 +172,14 @@ void Plan::run(const std::vector<const float*>& inputs,
         const float* w = resolve(op.in[1], base, inputs);
         const float* bias =
             op.i2 ? resolve(op.in[2], base, inputs) : nullptr;
-        k_linear(a, xs[0], xs[1], ot.shape[1], w, bias, out);
+        k_linear(a, xs[0], xs[1], ot.shape[1], w, bias, out, op.act);
         break;
       }
       case OpKind::kGroupNorm: {
         const float* gamma = resolve(op.in[1], base, inputs);
         const float* beta = resolve(op.in[2], base, inputs);
         k_group_norm(a, gamma, beta, out, ot.shape[0], ot.shape[1], op.i0,
-                     inner_of(ot.shape), op.f0);
+                     inner_of(ot.shape), op.f0, op.act);
         break;
       }
       case OpKind::kSiLU:
@@ -220,7 +211,6 @@ void Plan::run(const std::vector<const float*>& inputs,
         k_upsample2x(a, out, xs[0], xs[1], xs[2], xs[3]);
         break;
     }
-    apply_post_inplace(op.post, out, ot.numel);
     if (profile_enabled()) {
       auto& slot = prof[kind_name(op.kind)];
       slot.first++;

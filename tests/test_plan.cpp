@@ -21,7 +21,13 @@
 //   * Plan build failures surface as a typed Status, never an exception; a
 //     conv weight that still requires grad is such a failure.
 //   * Each of the 10 op kinds and each fused form runs the eager op's
-//     kernel: a one-op plan equals the eager op chain byte for byte.
+//     kernel: a one-op plan equals the eager op chain byte for byte, also
+//     when the kernel splits its work (the fused activation included) over
+//     the ranges of a 2-thread pool, and each activation kernel equals a
+//     serial loop of its expression.
+//   * The decoder plan holds one image and runs once per image: a size's
+//     first single-image call builds it, and a later 3-image call of that
+//     size reuses it and equals the eager batched decode byte for byte.
 //   * The UNet-step plan takes what UNet::forward takes: rows at different
 //     timesteps in one run, with or without FreeU modulation, equal the
 //     eager forward byte for byte.
@@ -52,10 +58,12 @@
 #include "core/tensor_image.h"
 #include "data/datasets.h"
 #include "jpeg/codec.h"
+#include "nn/kernels.h"
 #include "nn/modules.h"
 #include "nn/packcache.h"
 #include "nn/plan/builder.h"
 #include "nn/plan/cache.h"
+#include "nn/threadpool.h"
 #include "nn/workspace.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
@@ -344,6 +352,35 @@ TEST_F(PlanTest, StepCountsShareOnePlan) {
   }
 }
 
+// The decoder plan is keyed by size alone and runs once per image: a
+// single-image call builds the step plan and the decoder, a 3-image call of
+// that size builds only its step plan, and its images equal the eager
+// batched decode byte for byte.
+TEST_F(PlanTest, DecoderPlanIsSharedAcrossImageCounts) {
+  // 56 px: a size no other test of this model compiles.
+  std::vector<jpeg::CoeffImage> coeffs;
+  for (int i = 0; i < 3; ++i) {
+    coeffs.push_back(jpeg::decode_jfif(bitstream(i, 56)));
+  }
+  core::set_plan_enabled(true);
+  const uint64_t fallbacks_before =
+      obs::counter("plan.eager_fallbacks").value();
+  uint64_t builds_before = obs::counter("plan.builds").value();
+  (void)model_->reconstruct_batch({coeffs[0]});
+  EXPECT_EQ(obs::counter("plan.builds").value() - builds_before, 2u);
+  builds_before = obs::counter("plan.builds").value();
+  const std::vector<Image> planned = model_->reconstruct_batch(coeffs);
+  EXPECT_EQ(obs::counter("plan.builds").value() - builds_before, 1u);
+  EXPECT_EQ(obs::counter("plan.eager_fallbacks").value(), fallbacks_before);
+
+  core::set_plan_enabled(false);
+  const std::vector<Image> eager = model_->reconstruct_batch(coeffs);
+  ASSERT_EQ(planned.size(), eager.size());
+  for (size_t i = 0; i < eager.size(); ++i) {
+    EXPECT_TRUE(same_bytes(planned[i], eager[i])) << "image " << i;
+  }
+}
+
 // ---- paths a whole-model capture never covered ----
 
 std::vector<jpeg::CoeffImage> two_sizes() {
@@ -592,12 +629,18 @@ nn::Tensor random_tensor(std::vector<int> shape, Rng& rng) {
   return nn::Tensor::from_data(std::move(shape), std::move(v));
 }
 
+// Every case runs on a 2-thread pool. The "split" cases are fused
+// activations at shapes where the producing kernel splits its work,
+// activation included, over both threads' ranges (their outputs hold more
+// than two activation grains); the other shapes never split a range.
 TEST(PlanCacheTest, EveryOpMatchesEager) {
   using nn::Tensor;
   using nn::plan::GraphBuilder;
   using nn::plan::TensorId;
   using Ids = std::vector<TensorId>;
   using Ts = std::vector<Tensor>;
+  nn::ThreadPool pool(2);
+  nn::PoolBinding bind(&pool);
   Rng rng(17);
   // Frozen parameters: conv (8,4,3,3), group norm over 8 channels in 4
   // groups, linear (6,5).
@@ -608,12 +651,26 @@ TEST(PlanCacheTest, EveryOpMatchesEager) {
   const Tensor lw = random_tensor({6, 5}, rng);
   const Tensor lb = random_tensor({6}, rng);
   const std::vector<int> x4 = {2, 3, 4, 5};
+  // Split shapes, their parameters drawn from their own generator. Conv
+  // (8,4,3,3) on (2,4,16,16): 32 output strips on the blocked GEMM route. A
+  // 1x1 conv from one channel on (2,1,16,32): 4096 MACs per image, the
+  // small-problem route with its own bias pass. Group norm on (4,8,8,12): 16
+  // slices of 192 floats, one range at the elementwise grain. Linear (64,16)
+  // on 48 rows: 1024 MACs per row, the small-problem GEMM, so only the
+  // bias + activation pass splits.
+  Rng split_rng(29);
+  const Tensor pw = random_tensor({8, 1, 1, 1}, split_rng);
+  const Tensor lw64 = random_tensor({64, 16}, split_rng);
+  const Tensor lb64 = random_tensor({64}, split_rng);
+  const std::vector<int> conv_split = {2, 4, 16, 16};
+  const std::vector<int> gn_split = {4, 8, 8, 12};
 
   struct Case {
     std::string name;
     std::vector<std::vector<int>> inputs;  // one graph input per shape
     std::function<TensorId(GraphBuilder&, const Ids&)> planned;
     std::function<Tensor(const Ts&)> eager;
+    bool split = false;
   };
   std::vector<Case> cases = {
       {"conv2d", {{2, 4, 6, 6}},
@@ -705,6 +762,7 @@ TEST(PlanCacheTest, EveryOpMatchesEager) {
          [&](const Ts& in) {
            return act.eager(nn::group_norm(in[0], gamma, beta, 4));
          }});
+
     cases.push_back(
         {std::string("linear+") + act.name, {{3, 5}},
          [&](GraphBuilder& g, const Ids& in) {
@@ -712,9 +770,56 @@ TEST(PlanCacheTest, EveryOpMatchesEager) {
          },
          [&](const Ts& in) { return act.eager(nn::linear(in[0], lw, lb)); }});
   }
+  // The fused forms again at the split shapes.
+  cases.push_back(
+      {"conv2d+group_norm+silu split", {conv_split},
+       [&](GraphBuilder& g, const Ids& in) {
+         return g.silu(
+             g.group_norm(g.conv2d(in[0], cw, cb, 1, 1), gamma, beta, 4));
+       },
+       [&](const Ts& in) {
+         return nn::silu(nn::group_norm(nn::conv2d(in[0], cw, cb, 1, 1),
+                                        gamma, beta, 4));
+       },
+       true});
+  cases.push_back(
+      {"conv2d_1x1+silu split", {{2, 1, 16, 32}},
+       [&](GraphBuilder& g, const Ids& in) {
+         return g.silu(g.conv2d(in[0], pw, cb, 1, 0));
+       },
+       [&](const Ts& in) { return nn::silu(nn::conv2d(in[0], pw, cb, 1, 0)); },
+       true});
+  cases.push_back(
+      {"linear+silu split", {{48, 16}},
+       [&](GraphBuilder& g, const Ids& in) {
+         return g.silu(g.linear(in[0], lw64, lb64));
+       },
+       [&](const Ts& in) { return nn::silu(nn::linear(in[0], lw64, lb64)); },
+       true});
+  for (const Act& act : acts) {
+    cases.push_back(
+        {std::string("conv2d+") + act.name + " split", {conv_split},
+         [&](GraphBuilder& g, const Ids& in) {
+           return (g.*act.planned)(g.conv2d(in[0], cw, cb, 1, 1));
+         },
+         [&](const Ts& in) {
+           return act.eager(nn::conv2d(in[0], cw, cb, 1, 1));
+         },
+         true});
+    cases.push_back(
+        {std::string("group_norm+") + act.name + " split", {gn_split},
+         [&](GraphBuilder& g, const Ids& in) {
+           return (g.*act.planned)(g.group_norm(in[0], gamma, beta, 4));
+         },
+         [&](const Ts& in) {
+           return act.eager(nn::group_norm(in[0], gamma, beta, 4));
+         },
+         true});
+  }
 
   nn::plan::PlanCache cache;
   nn::PackCache packs;
+  obs::Counter& tasks = obs::counter("nn.threadpool.tasks");
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     Ts inputs;
@@ -736,13 +841,52 @@ TEST(PlanCacheTest, EveryOpMatchesEager) {
         packs, &plan);
     ASSERT_TRUE(st.is_ok()) << st.to_string();
     EXPECT_EQ(plan->num_ops(), 1u);  // one op, or one fully fused chain
+    const uint64_t tasks_before = tasks.value();
     std::vector<const float*> outs;
     plan->run(ptrs, &outs);
+    if (c.split) {
+      EXPECT_GT(plan->output_numel(0), static_cast<size_t>(2 * nn::kActGrain));
+      EXPECT_GT(tasks.value(), tasks_before);  // the second thread ran a range
+    }
     const Tensor want = c.eager(inputs);
     ASSERT_EQ(plan->output_shape(0), want.shape());
     EXPECT_EQ(std::memcmp(outs[0], want.value().data(),
                           want.numel() * sizeof(float)),
               0);
+  }
+}
+
+// The standalone activation kernels split into ranges of kActGrain elements
+// on the pool; at sizes on both sides of one and two grains, on a 2-thread
+// pool, each equals a serial loop of its expression byte for byte.
+TEST(PlanCacheTest, ActivationKernelsSplitAcrossRangesMatchSerialLoop) {
+  nn::ThreadPool pool(2);
+  nn::PoolBinding bind(&pool);
+  struct Kernel {
+    const char* name;
+    void (*run)(const float*, float*, size_t);
+    float (*serial)(float);
+  };
+  const Kernel kernels[] = {
+      {"silu", &nn::k_silu,
+       [](float a) { return a / (1.0f + std::exp(-a)); }},
+      {"tanh", &nn::k_tanh, [](float a) { return std::tanh(a); }},
+      {"sigmoid", &nn::k_sigmoid,
+       [](float a) { return 1.0f / (1.0f + std::exp(-a)); }},
+  };
+  constexpr size_t g = nn::kActGrain;
+  Rng rng(31);
+  for (const size_t n : {g - 1, g, g + 1, 2 * g - 1, 2 * g, 2 * g + 1,
+                         5 * g + 3}) {
+    std::vector<float> a(n);
+    for (float& v : a) v = rng.uniform(-6.0f, 6.0f);
+    for (const Kernel& k : kernels) {
+      SCOPED_TRACE(std::string(k.name) + " n=" + std::to_string(n));
+      std::vector<float> got(n), want(n);
+      k.run(a.data(), got.data(), n);
+      for (size_t i = 0; i < n; ++i) want[i] = k.serial(a[i]);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(float)), 0);
+    }
   }
 }
 
