@@ -8,6 +8,8 @@
 // accumulated across all benchmark iterations.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "baselines/dc_recovery.h"
 #include "bench_util.h"
 #include "data/datasets.h"
@@ -267,6 +269,30 @@ void BM_GroupNormSiLU(benchmark::State& state) {
 BENCHMARK(BM_GroupNormSiLU)
     ->ArgNames({"c", "silu"})
     ->ArgsProduct({{32, 96}, {0, 1}})
+    ->UseRealTime();
+
+// The pool's hand-off cost: one parallel_for_ranges of `threads` ranges,
+// each spinning `spin_us` microseconds, on a ThreadPool(threads). spin_us:0
+// is an empty dispatch; with spin_us:10 the wall time over 10 us is what
+// starting the other ranges and joining them costs. Wall time per
+// dispatch.
+void BM_PoolHandoff(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
+  const auto spin = std::chrono::microseconds(state.range(1));
+  nn::ThreadPool pool(threads);
+  nn::PoolBinding bind(&pool);
+  for (auto _ : state) {
+    nn::parallel_for_ranges(threads, 1, [&](int64_t, int64_t) {
+      const auto end = std::chrono::steady_clock::now() + spin;
+      while (std::chrono::steady_clock::now() < end) {
+      }
+    });
+  }
+}
+BENCHMARK(BM_PoolHandoff)
+    ->ArgNames({"threads", "spin_us"})
+    ->ArgsProduct({{2, 4}, {0, 10}})
+    ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 
 }  // namespace

@@ -13,6 +13,10 @@
 //     non-ok Status (never a crash, never a silent drop);
 //   * the server's own accounting balances: accepted ==
 //     completed + degraded + rejected-after-accept;
+//   * every kComplete untiled final is byte-identical to reconstruct(x)
+//     of its bitstream with the request's options (compared as a digest of
+//     the image's float bytes, references computed fault-free up front),
+//     whichever requests joined or left the running batch around it;
 //   * every accepted request and every tile was booked exactly once: the
 //     flight recorder's lifetime count is accepted + tiles, and each
 //     record's stamps run submit <= route <= batch <= model <= done;
@@ -43,6 +47,7 @@
 #include "core/pipeline.h"
 #include "data/datasets.h"
 #include "image/image.h"
+#include "jpeg/codec.h"
 #include "obs/metrics.h"
 #include "obs/reqtrace.h"
 #include "serve/server.h"
@@ -113,11 +118,26 @@ struct RunOutcome {
   std::string violation;
 };
 
+// FNV-1a over an image's float bytes: equal digests mean equal pixels, bit
+// for bit.
+uint64_t digest(const Image& img) {
+  uint64_t h = 1469598103934665603ull;
+  for (int c = 0; c < img.channels(); ++c) {
+    const auto* b = reinterpret_cast<const unsigned char*>(img.plane(c).data());
+    for (size_t i = 0; i < img.plane(c).size() * sizeof(float); ++i) {
+      h = (h ^ b[i]) * 1099511628211ull;
+    }
+  }
+  return h;
+}
+
 // One soak cell: fresh server under `plan_text`, mixed workload, invariant
-// sweep. `bitstreams` are pre-encoded so encode cost is out of the loop.
+// sweep. `bitstreams` are pre-encoded so encode cost is out of the loop;
+// `references` are the digests of reconstruct() of each.
 RunOutcome run_cell(const std::string& plan_text, int requests,
                     const std::shared_ptr<const core::DCDiffModel>& model,
-                    const std::vector<std::vector<uint8_t>>& bitstreams) {
+                    const std::vector<std::vector<uint8_t>>& bitstreams,
+                    const std::vector<uint64_t>& references) {
   RunOutcome out;
   const auto fail = [&](std::string why) {
     out.ok = false;
@@ -144,6 +164,7 @@ RunOutcome run_cell(const std::string& plan_text, int requests,
     serve::Session session = server.open_session();
 
     std::vector<serve::ResultStream> streams;
+    std::vector<int> sources;  // request index of each kept stream
     uint64_t submitted = 0;
     for (int i = 0; i < requests; ++i) {
       serve::ReconstructRequest req;
@@ -163,6 +184,7 @@ RunOutcome run_cell(const std::string& plan_text, int requests,
       // still account it below.
       if (i % 4 == 3) continue;
       streams.push_back(std::move(s));
+      sources.push_back(i);
     }
 
     for (size_t i = 0; i < streams.size(); ++i) {
@@ -200,6 +222,13 @@ RunOutcome run_cell(const std::string& plan_text, int requests,
         }
         if (r.steps_done < cfg.min_steps) {
           fail("stream " + std::to_string(i) + ": served below min_steps");
+        }
+        const int src = sources[i];
+        if (r.outcome == serve::Outcome::kComplete && r.tile_workers.empty() &&
+            digest(r.image) != references[static_cast<size_t>(src) %
+                                          references.size()]) {
+          fail("stream " + std::to_string(i) + ": complete image differs "
+               "from reconstruct() of its bitstream");
         }
       }
       if (!out.ok) return out;
@@ -274,6 +303,16 @@ int main(int argc, char** argv) {
             .bytes);
   }
 
+  // The byte references, computed fault-free: an empty plan also keeps a
+  // DCDIFF_FAULT_PLAN from auto-installing during them.
+  testing::install_plan(testing::FaultPlan{});
+  std::vector<uint64_t> references;
+  for (const auto& bytes : bitstreams) {
+    references.push_back(
+        digest(model->reconstruct(jpeg::decode_jfif(bytes))));
+  }
+  testing::clear_plan();
+
   const auto t0 = std::chrono::steady_clock::now();
   const auto elapsed_s = [&] {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -291,7 +330,8 @@ int main(int argc, char** argv) {
       }
       const uint64_t seed = 1000 + static_cast<uint64_t>(s) * 7919;
       const std::string plan_text = plan_for(tmpl, seed);
-      const RunOutcome out = run_cell(plan_text, requests, model, bitstreams);
+      const RunOutcome out =
+          run_cell(plan_text, requests, model, bitstreams, references);
       fires += testing::total_fires();
       if (!out.ok) {
         std::fprintf(stderr,

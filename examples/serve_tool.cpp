@@ -14,8 +14,7 @@
 // Knobs (environment):
 //   DCDIFF_QUICKSTART_FAST=1      tiny model (seconds to train; used by the
 //                                 `serve_smoke` CTest)
-//   DCDIFF_SERVE_MAX_BATCH        requests fused per model call (default 4)
-//   DCDIFF_SERVE_BATCH_TIMEOUT_MS microbatch window (default 2)
+//   DCDIFF_SERVE_MAX_BATCH        requests running per worker (default 4)
 //   DCDIFF_SERVE_QUEUE_CAP        queue bound; beyond it submits are rejected
 //   DCDIFF_SERVE_WORKERS          batching worker threads
 //   DCDIFF_SERVE_MIN_STEPS        degraded-service quality floor (default 1;
@@ -110,8 +109,10 @@ int main(int argc, char** argv) {
 
   serve::ReceiverServer server(serve::ServerConfig::from_env(), model);
   const auto& cfg = server.config();
-  std::printf("server: max_batch=%d batch_timeout_ms=%d queue_capacity=%d "
-              "workers=%d min_steps=%d\n",
+  // batch_timeout_ms is accepted and ignored: requests join a worker's
+  // running batch at step boundaries, with no window to fill it.
+  std::printf("server: max_batch=%d batch_timeout_ms=%d (ignored) "
+              "queue_capacity=%d workers=%d min_steps=%d\n",
               cfg.max_batch, cfg.batch_timeout_ms, cfg.queue_capacity,
               cfg.workers, cfg.min_steps);
 
@@ -182,7 +183,7 @@ int main(int argc, char** argv) {
   std::printf("outcomes: complete=%d degraded=%d rejected=%d\n", complete,
               degraded, rejected);
   std::printf("latency p50=%.1fms p99=%.1fms  mean batch=%.2f over %llu "
-              "batches\n",
+              "steps\n",
               1e3 * e2e.percentile(0.5), 1e3 * e2e.percentile(0.99),
               bsz.count() ? bsz.sum() / static_cast<double>(bsz.count()) : 0.0,
               static_cast<unsigned long long>(stats.batches));

@@ -32,6 +32,23 @@
 # TSan exists for — and the second fans MCU-aligned tile sub-requests out
 # across a 3-worker server and stitches them back under load.
 #
+# The running batch (core::RunningBatch, one per padded size on each
+# worker) is covered under both sanitizers by the step-level batching tests
+# of the same label: in test_serve_parallel a request submitted mid-chain
+# joins at the next step boundary (MidChainRequestJoinsAtNextBoundary),
+# plain and tile requests of two padded sizes share one worker
+# (PlainAndTileRequestsOfTwoSizesShareOneWorker) and a lone request on an
+# idle worker starts at once (LoneRequestOnIdleWorkerStartsAtOnce); in
+# test_serve_anytime a deadline request leaves degraded on its own while
+# its batch-mate runs every step (DeadlineRequestLeavesAloneWhileBatchMate-
+# RunsOn) and partials follow each request's own steps
+# (PartialsFollowEachRequestsOwnSteps). Each checks its images byte for
+# byte against the single-request reference, so ASan/UBSan see the
+# batch's slot compaction (a leaving request's rows refilled from the
+# last one's) and TSan the client threads submitting while the worker
+# steps. soak_serve (fault label) adds a byte-exact oracle for every
+# complete untiled final under every fault plan.
+#
 # The `nn` label covers the tensor, op, module, loss, GEMM and plan suites:
 # every eager forward and the plan executor run the raw-pointer kernels of
 # src/nn/kernels.h, including the activations a producing kernel applies to

@@ -214,56 +214,39 @@ Tensor eps_from_z0(const Tensor& z_t, const Tensor& z0,
   return sub(mul_per_sample(z_t, inv_s1m), mul_per_sample(z0, ratio));
 }
 
-Tensor ddim_z0(const Tensor& z_t, const Tensor& pred,
-               const DiffusionSchedule& sched, const std::vector<int>& t,
-               Prediction prediction) {
-  Tensor z0 =
-      prediction == Prediction::kEps ? predict_z0(z_t, pred, sched, t) : pred;
-  // Latents are tanh-bounded by the DC encoder; clamp the estimate.
-  k_clamp(z0.value().data(), z0.value().data(), z0.numel(), -1.2f, 1.2f);
-  return z0;
-}
-
-Tensor ddim_update(const Tensor& z_t, const Tensor& pred, const Tensor& z0,
-                   const DiffusionSchedule& sched, const std::vector<int>& t,
-                   const std::vector<int>& t_prev, Prediction prediction) {
-  const Tensor eps = prediction == Prediction::kEps
-                         ? pred
-                         : eps_from_z0(z_t, z0, sched, t);
-  return q_sample(z0, eps, sched, t_prev);
-}
-
-Tensor ddim_sample(const DdimDenoiser& denoise, const DiffusionSchedule& sched,
-                   const Tensor& noise, int steps, Prediction prediction,
-                   const DdimCheckpointFn& on_checkpoint) {
-  NoGradGuard no_grad;
-  DCDIFF_TRACE_SPAN("ddim_sample");
-  const std::vector<int> ts = sched.ddim_timesteps(steps);
-  const size_t rows = static_cast<size_t>(noise.dim(0));
-  static obs::Histogram& step_lat = obs::histogram("core.ddim.step_seconds");
-  static obs::Counter& step_count = obs::counter("core.ddim.steps");
-  // Latent rows sharing this sampling pass (images x ensemble members): the
-  // serving engine's microbatching shows up here as rows > 1.
-  static obs::Histogram& rows_hist = obs::histogram(
-      "core.ddim.batch_rows", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
-  rows_hist.observe(static_cast<double>(rows));
-  Tensor z = noise;
-  // steps >= 1, so the loop returns at k == 0 at the latest.
-  for (int k = steps - 1;; --k) {
-    DCDIFF_TRACE_SPAN("ddim_step");
-    obs::ScopedLatency step_timer(step_lat);
-    step_count.inc();
-    // Every row of this chain is at the same step.
-    const std::vector<int> t(rows, ts[static_cast<size_t>(k)]);
-    const Tensor pred = denoise(z, t);
-    const Tensor z0 = ddim_z0(z, pred, sched, t, prediction);
-    // The clamped z0 is a valid decodable checkpoint; let the caller look at
-    // it (and possibly stop) before the state update touches anything.
-    if ((on_checkpoint && !on_checkpoint(z0, steps - k)) || k == 0) {
-      return z0;
+void ddim_step(const DiffusionSchedule& sched, Prediction prediction,
+               int rows, size_t per, const int* t, const int* t_prev,
+               float* pred, float* z, float* z0) {
+  for (int r = 0; r < rows; ++r) {
+    const size_t ti = static_cast<size_t>(t[r]);
+    float* p = pred + static_cast<size_t>(r) * per;
+    float* zr = z + static_cast<size_t>(r) * per;
+    float* z0r = z0 + static_cast<size_t>(r) * per;
+    const bool last = t_prev[r] < 0;
+    if (prediction == Prediction::kEps) {
+      // z0 = z_t * (1 / sab) - eps * (s1m / sab), as predict_z0.
+      const float sab = std::max(1e-4f, sched.sqrt_ab[ti]);
+      k_scale(zr, z0r, per, 1.0f / sab);
+      k_scale(p, zr, per, sched.sqrt_one_m_ab[ti] / sab);
+      k_sub(z0r, zr, z0r, per);
     }
-    const std::vector<int> t_prev(rows, ts[static_cast<size_t>(k - 1)]);
-    z = ddim_update(z, pred, z0, sched, t, t_prev, prediction);
+    // Latents are tanh-bounded by the DC encoder; clamp the estimate.
+    const float* est = prediction == Prediction::kEps ? z0r : p;
+    k_clamp(est, z0r, per, -1.2f, 1.2f);
+    if (last) continue;
+    if (prediction == Prediction::kX0) {
+      // eps = z_t * (1 / s1m) - z0 * (sab / s1m), as eps_from_z0,
+      // into pred.
+      const float s1m = std::max(1e-4f, sched.sqrt_one_m_ab[ti]);
+      k_scale(zr, zr, per, 1.0f / s1m);
+      k_scale(z0r, p, per, sched.sqrt_ab[ti] / s1m);
+      k_sub(zr, p, p, per);
+    }
+    // z_{t_prev} = z0 * sab' + eps * s1m', as q_sample.
+    const size_t tp = static_cast<size_t>(t_prev[r]);
+    k_scale(z0r, zr, per, sched.sqrt_ab[tp]);
+    k_scale(p, p, per, sched.sqrt_one_m_ab[tp]);
+    k_add(zr, p, zr, per);
   }
 }
 
@@ -274,11 +257,29 @@ Tensor ddim_sample_checkpointed(const UNet& unet,
                                 const Tensor& s, const Tensor& b,
                                 Prediction prediction,
                                 const DdimCheckpointFn& on_checkpoint) {
-  return ddim_sample(
-      [&](const Tensor& z, const std::vector<int>& t) {
-        return unet.forward(z, t, ctrl, s, b);
-      },
-      sched, noise, steps, prediction, on_checkpoint);
+  NoGradGuard no_grad;
+  DCDIFF_TRACE_SPAN("ddim_sample");
+  const std::vector<int> ts = sched.ddim_timesteps(steps);
+  const int rows = noise.dim(0);
+  const size_t per = noise.numel() / static_cast<size_t>(rows);
+  // z is stepped in place: the forward keeps no reference to its input.
+  Tensor z = Tensor::from_data(noise.shape(), noise.value());
+  // steps >= 1, so the loop returns at k == 0 at the latest.
+  for (int k = steps - 1;; --k) {
+    DCDIFF_TRACE_SPAN("ddim_step");
+    const std::vector<int> t(static_cast<size_t>(rows),
+                             ts[static_cast<size_t>(k)]);
+    const std::vector<int> t_prev(static_cast<size_t>(rows),
+                                  k > 0 ? ts[static_cast<size_t>(k - 1)] : -1);
+    Tensor pred = unet.forward(z, t, ctrl, s, b);
+    Tensor z0 = Tensor::from_data(noise.shape(),
+                                  std::vector<float>(noise.numel()));
+    ddim_step(sched, prediction, rows, per, t.data(), t_prev.data(),
+              pred.value().data(), z.value().data(), z0.value().data());
+    if ((on_checkpoint && !on_checkpoint(z0, steps - k)) || k == 0) {
+      return z0;
+    }
+  }
 }
 
 }  // namespace dcdiff::core

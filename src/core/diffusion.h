@@ -100,34 +100,21 @@ enum class Prediction {
          // step counts for strongly-conditioned latents, used by default
 };
 
-// Checkpoint hook for anytime sampling: invoked once per completed DDIM step
-// with the current clamped z0 estimate — a decodable (coarser) latent — and
-// the number of steps finished so far (1..steps). Return true to keep
-// sampling, false to stop early; the sampler then returns that checkpoint
-// as its result. A run whose hook always returns true is bit-identical to
-// one without a hook: the hook observes z0 between the existing update
-// statements and perturbs no arithmetic.
+// Checkpoint hook of ddim_sample_checkpointed: invoked once per completed
+// DDIM step with the current clamped z0 estimate — a decodable (coarser)
+// latent — and the number of steps finished so far (1..steps). Return true
+// to keep sampling, false to stop early; the sampler then returns that
+// checkpoint as its result. The hook observes z0 between steps and perturbs
+// no arithmetic.
 using DdimCheckpointFn = std::function<bool(const nn::Tensor& z0,
                                             int steps_done)>;
 
-// One network forward of the sampler: the prediction for the latent rows
-// `z_t`, row i at timestep t[i].
-using DdimDenoiser = std::function<nn::Tensor(const nn::Tensor& z_t,
-                                              const std::vector<int>& t)>;
-
-// DDIM sampling (eta = 0) of a z0 latent: the one sampler loop, whichever
-// executor runs the network. `steps` evenly-spaced timesteps; `noise` is the
-// initial z_T (shape (N, z_channels, h, w)); `denoise` is the UNet forward,
-// eager or planned (core/recon_plan.h). Each step is ddim_z0 and
-// ddim_update below, run eager between the forwards. Runs under
-// NoGradGuard. `on_checkpoint` may be empty (a plain full-length run).
-nn::Tensor ddim_sample(const DdimDenoiser& denoise,
-                       const DiffusionSchedule& sched, const nn::Tensor& noise,
-                       int steps, Prediction prediction,
-                       const DdimCheckpointFn& on_checkpoint);
-
-// ddim_sample with the eager UNet::forward as the denoiser; s/b as in
-// UNet::forward (undefined tensors for s = b = 1).
+// Eager DDIM sampling (eta = 0) of a z0 latent on UNet::forward: `steps`
+// evenly spaced timesteps from the initial z_T `noise` (N, z_channels, h,
+// w), every row at the same step, each step one ddim_step. s/b as in
+// UNet::forward (undefined tensors for s = b = 1). Runs under NoGradGuard;
+// `on_checkpoint` may be empty (a plain full-length run). The reference
+// the model's planned path (core/running_batch.h) is compared against.
 nn::Tensor ddim_sample_checkpointed(const UNet& unet,
                                     const DiffusionSchedule& sched,
                                     const ControlModule::Features& ctrl,
@@ -158,20 +145,20 @@ nn::Tensor eps_from_z0(const nn::Tensor& z_t, const nn::Tensor& z0,
                        const DiffusionSchedule& sched,
                        const std::vector<int>& t);
 
-// The sampler's z0 estimate from the network prediction `pred` for the
-// rows z_t: pred itself (kX0) or predict_z0 (kEps), clamped to the
-// tanh-bounded latent range [-1.2, 1.2]. The clamp writes in place (into
-// `pred` for kX0), so this is for no-grad sampling loops.
-nn::Tensor ddim_z0(const nn::Tensor& z_t, const nn::Tensor& pred,
-                   const DiffusionSchedule& sched, const std::vector<int>& t,
-                   Prediction prediction);
-
-// One eta = 0 DDIM step of the rows z_t from timesteps t to t_prev, given
-// the prediction and its clamped z0 (ddim_z0): q_sample(z0, eps, t_prev),
-// with eps the prediction (kEps) or eps_from_z0 (kX0).
-nn::Tensor ddim_update(const nn::Tensor& z_t, const nn::Tensor& pred,
-                       const nn::Tensor& z0, const DiffusionSchedule& sched,
-                       const std::vector<int>& t,
-                       const std::vector<int>& t_prev, Prediction prediction);
+// The one DDIM step (eta = 0), in place on `rows` latent rows of `per`
+// floats, row r from timestep t[r] to t_prev[r], given the network's
+// prediction `pred` for the rows z. Writes the row's z0 estimate to z0:
+// pred itself (kX0) or predict_z0 (kEps), clamped to the tanh-bounded
+// latent range [-1.2, 1.2]. Then, unless t_prev[r] < 0 (the row's last
+// step), overwrites z with q_sample(z0, eps, t_prev), eps being the
+// prediction (kEps) or eps_from_z0 (kX0). `pred` is clobbered, and so is z
+// of a row at its last step. Each product, difference and sum is its own
+// nn kernel pass, as in the tensor formulas above, so the bytes equal
+// theirs on any compiler contraction setting. The running batch,
+// ddim_sample_checkpointed and FMPP training's truncated chain all step
+// through here.
+void ddim_step(const DiffusionSchedule& sched, Prediction prediction,
+               int rows, size_t per, const int* t, const int* t_prev,
+               float* pred, float* z, float* z0);
 
 }  // namespace dcdiff::core

@@ -6,14 +6,12 @@
 #include <future>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <utility>
 
 #include <atomic>
 
 #include "core/losses.h"
-#include "core/postprocess.h"
-#include "core/recon_plan.h"
+#include "core/running_batch.h"
 #include "core/tensor_image.h"
 #include "data/datasets.h"
 #include "jpeg/dcdrop.h"
@@ -24,7 +22,6 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "testing/fault.h"
 
 namespace dcdiff::core {
 
@@ -147,29 +144,6 @@ Tensor randn_like_shape(std::vector<int> shape, Rng& rng) {
   std::vector<float> data(shape_numel(shape));
   for (float& v : data) v = rng.normal();
   return Tensor::from_data(std::move(shape), std::move(data));
-}
-
-// Coordinate-seeded noise field (ReconstructOptions::coord_noise): the
-// sample at absolute latent coordinate (c, y0 + y, x0 + x) for ensemble
-// member `e` depends only on those coordinates and the seed, so the noise
-// of a crop equals the same crop of the full field — the property tiled
-// sampling needs to be comparable with an untiled run. Writes the (ch, h, w)
-// field to `out`.
-void coord_noise_field(uint64_t seed, int e, int ch, int h, int w, int y0,
-                       int x0, float* out) {
-  for (int c = 0; c < ch; ++c) {
-    for (int y = 0; y < h; ++y) {
-      for (int x = 0; x < w; ++x) {
-        const uint64_t key =
-            (static_cast<uint64_t>(static_cast<uint32_t>(e)) << 56) ^
-            (static_cast<uint64_t>(static_cast<uint32_t>(c)) << 48) ^
-            (static_cast<uint64_t>(static_cast<uint32_t>(y0 + y)) << 24) ^
-            static_cast<uint64_t>(static_cast<uint32_t>(x0 + x));
-        Rng rng(seed ^ (key * 0x9E3779B97F4A7C15ull + 0xD6E8FEB86659FD93ull));
-        *out++ = rng.normal();
-      }
-    }
-  }
 }
 
 }  // namespace
@@ -349,12 +323,14 @@ void DCDiffModel::train_fmpp() {
         rng);
     {
       NoGradGuard no_grad;
+      // z steps in place: a no-grad forward keeps no reference to it.
+      std::vector<float> z0(z.numel());
       for (int k = steps - 1; k >= 1; --k) {
         const std::vector<int> t(1, ts[static_cast<size_t>(k)]);
-        const Tensor pred = unet_->forward(z, t, ctrl, f.s, f.b);
-        const Tensor z0 = ddim_z0(z, pred, sched_, t, cfg_.prediction);
-        const std::vector<int> t_prev(1, ts[static_cast<size_t>(k - 1)]);
-        z = ddim_update(z, pred, z0, sched_, t, t_prev, cfg_.prediction);
+        const int t_prev = ts[static_cast<size_t>(k - 1)];
+        Tensor pred = unet_->forward(z, t, ctrl, f.s, f.b);
+        ddim_step(sched_, cfg_.prediction, 1, z.numel(), t.data(), &t_prev,
+                  pred.value().data(), z.value().data(), z0.data());
       }
     }
     const std::vector<int> t0(1, ts[0]);
@@ -414,8 +390,6 @@ void DCDiffModel::train_or_load() {
 AnytimeResult DCDiffModel::reconstruct_batch_anytime(
     const std::vector<AnytimeItem>& items, const ReconstructOptions& opts,
     const AnytimeControl& ctrl) const {
-  NoGradGuard no_grad;
-  nn::PackCacheBinding packs(packs_.get());
   DCDIFF_TRACE_SPAN("reconstruct");
   static obs::Histogram& lat = obs::histogram("core.reconstruct_seconds");
   obs::ScopedLatency timer(lat);
@@ -423,10 +397,8 @@ AnytimeResult DCDiffModel::reconstruct_batch_anytime(
   static obs::Histogram& batch_hist =
       obs::histogram("core.reconstruct.batch_size",
                      {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
-  static obs::Counter& fallbacks_c = obs::counter("plan.eager_fallbacks");
   static obs::Counter& checkpoints_c =
       obs::counter("core.anytime.checkpoints");
-  static obs::Counter& partials_c = obs::counter("core.anytime.partials");
   static obs::Counter& early_exits_c =
       obs::counter("core.anytime.early_exits");
   AnytimeResult out;
@@ -442,21 +414,14 @@ AnytimeResult DCDiffModel::reconstruct_batch_anytime(
   // independent noise seeds (deterministic: seeds derive from the config).
   const int ensemble =
       opts.ensemble > 0 ? opts.ensemble : std::max(1, cfg_.sample_ensemble);
-  const uint64_t noise_seed =
-      (opts.seed ? opts.seed : cfg_.seed) ^ 0x5A3D1Eull;
-  const int zc = cfg_.unet.z_channels;
 
-  // Per-image tilde fields, padded so convs see dims divisible by 8 (latent
-  // /4, one UNet downsample), grouped by padded size: every op downstream
-  // needs one spatial shape per batch, and each image keeps exactly its own
-  // padded size, so its pixels never depend on its batch-mates.
-  std::vector<Image> tildes(static_cast<size_t>(total));
+  // Items grouped by padded size: every op needs one spatial shape per
+  // call, and each image keeps exactly its own padded size, so its pixels
+  // never depend on its batch-mates.
   std::vector<std::pair<std::pair<int, int>, std::vector<int>>> groups;
   for (int i = 0; i < total; ++i) {
-    Image& tilde = tildes[static_cast<size_t>(i)];
-    tilde = pad_to_multiple(
-        jpeg::tilde_image(*items[static_cast<size_t>(i)].coeffs), 8);
-    const std::pair<int, int> size{tilde.height(), tilde.width()};
+    const std::pair<int, int> size =
+        RunningBatch::padded_size(*items[static_cast<size_t>(i)].coeffs);
     auto it = std::find_if(groups.begin(), groups.end(),
                            [&](const auto& g) { return g.first == size; });
     if (it == groups.end()) {
@@ -468,169 +433,43 @@ AnytimeResult DCDiffModel::reconstruct_batch_anytime(
 
   for (const auto& [size, idx] : groups) {
     const int n = static_cast<int>(idx.size());
-    const int ph = size.first, pw = size.second;
-    std::vector<Tensor> tilde_ts;
-    tilde_ts.reserve(idx.size());
+    RunningBatch batch(*this, n, ensemble, size.first, size.second);
+    std::vector<int> ids;
+    ids.reserve(idx.size());
     for (int i : idx) {
-      tilde_ts.push_back(tilde_to_tensor(tildes[static_cast<size_t>(i)]));
+      ids.push_back(batch.admit(items[static_cast<size_t>(i)], opts));
     }
-    const Tensor tilde_b = n == 1 ? tilde_ts[0] : stack_batch(tilde_ts);
-
-    // Noise rows (n * ensemble, zc, ph/4, pw/4), each image's members
-    // adjacent: per image a fresh Rng(noise_seed) drawn back to back, or the
-    // coordinate-seeded field at the item's origin. An image's rows are the
-    // same whichever batch it is in.
-    const size_t per = static_cast<size_t>(zc) * static_cast<size_t>(ph / 4) *
-                       static_cast<size_t>(pw / 4);
-    std::vector<float> noise(static_cast<size_t>(n) * ensemble * per);
-    for (int j = 0; j < n; ++j) {
-      const AnytimeItem& item =
-          items[static_cast<size_t>(idx[static_cast<size_t>(j)])];
-      float* row = noise.data() + static_cast<size_t>(j) * ensemble * per;
-      Rng rng(noise_seed);
-      for (int e = 0; e < ensemble; ++e, row += per) {
-        if (opts.coord_noise) {
-          coord_noise_field(noise_seed, e, zc, ph / 4, pw / 4, item.noise_y0,
-                            item.noise_x0, row);
-        } else {
-          for (size_t v = 0; v < per; ++v) row[v] = rng.normal();
-        }
-      }
-    }
-
-    // Turns a decoded (n,3,ph,pw) batch into per-item images for `sink`:
-    // corner anchoring, crop to the coded size, known-AC projection
-    // (anchoring and projection only with opts.postprocess). Partials and
-    // finals both go through here.
-    const auto finish = [&](const Tensor& xhat_b,
-                            const std::function<void(int j, Image)>& sink) {
-      for (int j = 0; j < n; ++j) {
-        const int i = idx[static_cast<size_t>(j)];
-        const jpeg::CoeffImage& ci = *items[static_cast<size_t>(i)].coeffs;
-        Image rgb = tensor_to_rgb(n == 1 ? xhat_b : take_sample(xhat_b, j));
-        if (opts.postprocess) {
-          rgb = anchor_to_corners(rgb, tildes[static_cast<size_t>(i)]);
-        }
-        if (rgb.width() != ci.width || rgb.height() != ci.height) {
-          rgb = crop(rgb, 0, 0, ci.width, ci.height);
-        }
-        sink(j, opts.postprocess ? project_onto_known_ac(rgb, ci) : rgb);
-      }
-    };
-
-    // Conditioning runs once per image (batch n); sampling runs on the
-    // n * ensemble noise rows, each with its FreeU factors s/b (ones when
-    // FMPP is off).
-    ControlModule::Features cond;
-    ACFeatures acfeat;
-    Tensor s, b;
-    {
-      DCDIFF_TRACE_SPAN("conditioner");
-      cond = control_->forward(tilde_b);
-      acfeat = ae_->encode_ac(tilde_b);
-      if (opts.use_fmpp) {
-        const FMPP::Factors f = fmpp_->forward(tilde_b);
-        s = repeat_batch(f.s, ensemble);
-        b = repeat_batch(f.b, ensemble);
-      } else {
-        s = b = Tensor::from_data(
-            {n * ensemble},
-            std::vector<float>(static_cast<size_t>(n * ensemble), 1.0f));
-      }
-      if (ensemble > 1) {
-        cond.c1 = repeat_batch(cond.c1, ensemble);
-        cond.c2 = repeat_batch(cond.c2, ensemble);
-      }
-    }
-
-    // The UNet and the decoder run on the group's compiled plans, or on the
-    // eager modules under set_plan_enabled(false) or when a plan cannot be
-    // built or the thread's arena cannot grow (plan.eager_fallbacks; the
-    // failure itself is logged where it happens).
-    std::optional<GroupPlans> planned;
-    if (plan_enabled()) {
-      const Status st =
-          GroupPlans::open(*plans_, *packs_, *unet_, *ae_, n, ensemble,
-                           ph / 4, pw / 4, &planned);
-      if (!st.is_ok()) fallbacks_c.inc();
-    }
-    const DdimDenoiser denoise = [&](const Tensor& z,
-                                     const std::vector<int>& t) {
-      return planned ? planned->denoise(z, t, cond, s, b)
-                     : unet_->forward(z, t, cond, s, b);
-    };
-    const auto decode = [&](const Tensor& z0_b) {
-      DCDIFF_TRACE_SPAN("decode");
-      return planned ? planned->decode(z0_b, acfeat)
-                     : ae_->decode(z0_b, acfeat);
-    };
-
     int group_steps = steps;
-    std::vector<Tensor> prev_fold(static_cast<size_t>(n));
-    DdimCheckpointFn hook;
-    if (ctrl.on_step) {
-      hook = [&](const Tensor& z0_rows, int done) -> bool {
-        checkpoints_c.inc();
-        // Fault site: a checkpoint callback that throws. The exception
-        // must surface as a typed internal error at the caller's API
-        // boundary, never corrupt sampler state or strand the batch.
-        if (DCDIFF_FAULT_POINT("core.anytime.checkpoint_throw")) {
-          throw std::runtime_error(
-              "injected fault: core.anytime.checkpoint_throw");
-        }
-        const AnytimeControl::Action action = ctrl.on_step(done, steps);
-        if (action == AnytimeControl::Action::kStop) {
-          group_steps = done;
-          // Stopping on the terminal checkpoint is just completion.
-          if (done < steps) out.early_exit = true;
-          return false;
-        }
-        if (action == AnytimeControl::Action::kEmitPartial &&
-            ctrl.on_partial && done < steps) {
-          DCDIFF_TRACE_SPAN("anytime_partial");
-          const Tensor z0_b = ensemble_mean(z0_rows, n, ensemble);
-          // Convergence proxy: PSNR-style distance to the item's
-          // previously emitted checkpoint over the clamp range
-          // [-1.2, 1.2].
-          std::vector<double> proxy(static_cast<size_t>(n), 0.0);
-          for (int j = 0; j < n; ++j) {
-            const Tensor cur = n == 1 ? z0_b : take_sample(z0_b, j);
-            if (prev_fold[static_cast<size_t>(j)].defined()) {
-              const auto& a = cur.value();
-              const auto& p = prev_fold[static_cast<size_t>(j)].value();
-              double mse = 0;
-              for (size_t v = 0; v < a.size(); ++v) {
-                const double d = a[v] - p[v];
-                mse += d * d;
-              }
-              mse /= static_cast<double>(a.size());
-              proxy[static_cast<size_t>(j)] =
-                  mse <= 0 ? 99.0
-                           : std::min(99.0, 10.0 * std::log10(5.76 / mse));
-            }
-            prev_fold[static_cast<size_t>(j)] = cur;
+    {
+      DCDIFF_TRACE_SPAN("ddim_sample");
+      for (int done = 1;; ++done) {
+        batch.step();
+        if (ctrl.on_step) {
+          checkpoints_c.inc();
+          const AnytimeControl::Action action = ctrl.on_step(done, steps);
+          if (action == AnytimeControl::Action::kStop) {
+            group_steps = done;
+            // Stopping on the terminal checkpoint is just completion.
+            if (done < steps) out.early_exit = true;
+            break;
           }
-          finish(decode(z0_b), [&](int j, Image img) {
-            partials_c.inc();
-            ctrl.on_partial(idx[static_cast<size_t>(j)], std::move(img),
-                            done, proxy[static_cast<size_t>(j)]);
-          });
+          if (action == AnytimeControl::Action::kEmitPartial &&
+              ctrl.on_partial && done < steps) {
+            for (size_t j = 0; j < idx.size(); ++j) {
+              double proxy = 0;
+              Image image = batch.checkpoint(ids[j], &proxy);
+              ctrl.on_partial(idx[j], std::move(image), done, proxy);
+            }
+          }
         }
-        return true;
-      };
+        if (done == steps) break;
+      }
     }
-
-    const Tensor z_final = ddim_sample(
-        denoise, sched_,
-        Tensor::from_data({n * ensemble, zc, ph / 4, pw / 4},
-                          std::move(noise)),
-        steps, cfg_.prediction, hook);
-    const Tensor xhat_b = decode(ensemble_mean(z_final, n, ensemble));
-    finish(xhat_b, [&](int j, Image img) {
-      out.images[static_cast<size_t>(idx[static_cast<size_t>(j)])] =
-          std::move(img);
-    });
-    for (int i : idx) out.steps_done[static_cast<size_t>(i)] = group_steps;
+    for (size_t j = 0; j < idx.size(); ++j) {
+      const size_t i = static_cast<size_t>(idx[j]);
+      out.images[i] = batch.retire(ids[j]);
+      out.steps_done[i] = group_steps;
+    }
     if (group_steps < steps) early_exits_c.inc(static_cast<uint64_t>(n));
   }
   return out;

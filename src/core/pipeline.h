@@ -125,6 +125,8 @@ struct AnytimeControl {
       on_partial;
 };
 
+class RunningBatch;  // core/running_batch.h
+
 struct AnytimeResult {
   std::vector<Image> images;
   // DDIM steps actually executed per item (< requested when stopped early;
@@ -178,17 +180,18 @@ class DCDiffModel {
   Image reconstruct(const jpeg::CoeffImage& dropped,
                     const ReconstructOptions& opts = ReconstructOptions{}) const;
 
-  // Cross-request microbatched reconstruction: all images share one latent
-  // tensor through every DDIM step and the stage-1 decoder (ensemble members
-  // fold into the same batch axis; per-image FMPP (s,b) applied per batch
-  // row). Images whose padded sizes differ are grouped internally, so inputs
-  // of mixed dimensions are fine — same-size requests get the batching win.
+  // Cross-request microbatched reconstruction: all images of one padded
+  // size share every DDIM step's UNet call (ensemble members fold into the
+  // same batch axis; per-image FMPP (s,b) applied per batch row); each is
+  // conditioned and decoded on its own. Images whose padded sizes differ are
+  // grouped internally, so inputs of mixed dimensions are fine — same-size
+  // requests get the batching win.
   // Each image's output is bit-identical to reconstruct() of that image
   // alone, whatever its batch-mates: the same noise rows, and kernels whose
   // per-row arithmetic does not depend on the row count (tests/test_plan.cpp,
   // tests/test_serve.cpp).
-  // Pointer overload: the serving queue batches requests without copying
-  // coefficient images. Pointers must stay valid for the duration.
+  // Pointer overload: callers batch images without copying coefficient
+  // images. Pointers must stay valid for the duration.
   std::vector<Image> reconstruct_batch(
       const std::vector<const jpeg::CoeffImage*>& dropped,
       const ReconstructOptions& opts = ReconstructOptions{}) const;
@@ -199,12 +202,11 @@ class DCDiffModel {
   // Anytime reconstruction: per-item noise origins for tiled sampling and a
   // per-step checkpoint hook (see AnytimeControl). This is the one
   // reconstruction path; reconstruct and reconstruct_batch forward to it.
-  // It resolves steps, ensemble and seed, groups the items by padded size,
-  // derives each group's noise rows, runs the conditioner once and the DDIM
-  // loop with the hook — the UNet steps and the decoder on the group's
-  // compiled plans, or eager when a plan cannot be built or under
-  // set_plan_enabled(false) — and crops and postprocesses the decoded rows.
-  // Without a hook it equals reconstruct_batch for the same options.
+  // It groups the items by padded size and runs each group as one
+  // RunningBatch (core/running_batch.h): every item admitted, then the
+  // DDIM loop — one step of the batch, then the hook — and every item
+  // retired (decoded, cropped and postprocessed). Without a hook it equals
+  // reconstruct_batch for the same options.
   AnytimeResult reconstruct_batch_anytime(const std::vector<AnytimeItem>& items,
                                           const ReconstructOptions& opts,
                                           const AnytimeControl& ctrl) const;
@@ -220,6 +222,7 @@ class DCDiffModel {
   const DiffusionSchedule& schedule() const { return sched_; }
 
  private:
+  friend class RunningBatch;  // runs the components and plans below
   struct Sample;  // training sample (x0, tilde, mask)
   struct ReplicaTag {};
   DCDiffModel(const DCDiffModel& src, ReplicaTag);

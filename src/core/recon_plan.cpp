@@ -69,32 +69,26 @@ void run_into(const plan::Plan& p, const std::vector<const float*>& inputs,
 
 }  // namespace
 
+void GroupPlans::denoise(const float* z, const std::vector<int>& t,
+                         const float* c1, const float* c2, const float* s,
+                         const float* b, float* pred) {
+  const Tensor temb = timestep_embedding(t, temb_dim_);
+  run_into(*step_, {z, temb.value().data(), c1, c2, s, b}, pred);
+}
+
 Tensor GroupPlans::denoise(const Tensor& z_t, const std::vector<int>& t,
                            const ControlModule::Features& ctrl,
                            const Tensor& s, const Tensor& b) {
-  const Tensor temb = timestep_embedding(t, temb_dim_);
   std::vector<float> out(step_->output_numel(0));
-  run_into(*step_,
-           {z_t.value().data(), temb.value().data(), ctrl.c1.value().data(),
-            ctrl.c2.value().data(), s.value().data(), b.value().data()},
-           out.data());
+  denoise(z_t.value().data(), t, ctrl.c1.value().data(),
+          ctrl.c2.value().data(), s.value().data(), b.value().data(),
+          out.data());
   return Tensor::from_data(step_->output_shape(0), std::move(out));
 }
 
-Tensor GroupPlans::decode(const Tensor& z0, const ACFeatures& ac) {
-  const size_t n = static_cast<size_t>(z0.dim(0));
-  const size_t per = decoder_->output_numel(0);
-  std::vector<float> out(n * per);
-  for (size_t i = 0; i < n; ++i) {
-    run_into(*decoder_,
-             {z0.value().data() + i * (z0.numel() / n),
-              ac.quarter.value().data() + i * (ac.quarter.numel() / n),
-              ac.half.value().data() + i * (ac.half.numel() / n)},
-             out.data() + i * per);
-  }
-  std::vector<int> shape = decoder_->output_shape(0);
-  shape[0] = static_cast<int>(n);
-  return Tensor::from_data(std::move(shape), std::move(out));
+void GroupPlans::decode(const float* z0, const float* quarter,
+                        const float* half, float* out) {
+  run_into(*decoder_, {z0, quarter, half}, out);
 }
 
 }  // namespace dcdiff::core

@@ -6,18 +6,18 @@
 //   h x w). It takes what UNet::forward takes: each row's timestep (as its
 //   sinusoidal embedding) and FreeU factors (ones when FMPP is off), so
 //   rows at different steps can share a run and requests with and without
-//   FMPP share plans. The one DDIM loop (core/diffusion.h) runs it once per
-//   step, so no plan key holds the step count, the ensemble size or the
-//   prediction kind, and a caller may watch or stop the chain between
-//   steps.
+//   FMPP share plans. The running batch (core/running_batch.h) runs it once
+//   per step over its running rows, so no plan key holds the step count,
+//   the ensemble size or the prediction kind, and requests may join and
+//   leave between steps.
 // * The decoder plan: the stage-1 decoder on one image, keyed by latent
-//   h x w alone. GroupPlans::decode runs it once per image of the group;
-//   every kernel is row-invariant, so that equals the batched eager decode
-//   byte for byte, a group of any size reuses the one plan, and the
-//   thread's arena is sized by the step plan.
+//   h x w alone. A request's decode runs it on its own image; every kernel
+//   is row-invariant, so that equals the batched eager decode byte for
+//   byte, and the thread's arena is sized by the step plan.
 //
-// The conditioner (control module, AC encoder, FMPP) runs once per call and
-// is the cheapest stage, so it has no plan (DESIGN.md §13).
+// The conditioner (control module, AC encoder, FMPP) runs once per image,
+// at admission, and is the cheapest stage, so it has no plan (DESIGN.md
+// §13).
 #pragma once
 
 #include <memory>
@@ -47,13 +47,19 @@ class GroupPlans {
                      int ensemble, int h, int w,
                      std::optional<GroupPlans>* out);
 
-  // UNet::forward of the rows `z_t`, row i at timestep t[i]; s/b are the
-  // rows' FreeU factors and must be defined (ones for s = b = 1).
+  // UNet::forward of the plan's n * ensemble rows at `z` into `pred`, row i
+  // at timestep t[i]: c1/c2 are the rows' control features, s/b their
+  // FreeU factors (ones for s = b = 1), each a dense row-major buffer.
+  void denoise(const float* z, const std::vector<int>& t, const float* c1,
+               const float* c2, const float* s, const float* b, float* pred);
+  // The same on tensors; s/b must be defined.
   nn::Tensor denoise(const nn::Tensor& z_t, const std::vector<int>& t,
                      const ControlModule::Features& ctrl, const nn::Tensor& s,
                      const nn::Tensor& b);
-  // Autoencoder::decode of the n latents `z0`, one image per decoder run.
-  nn::Tensor decode(const nn::Tensor& z0, const ACFeatures& ac);
+  // Autoencoder::decode of one image's latent `z0` and AC features
+  // (`quarter`, `half`) into `out`, dense row-major buffers.
+  void decode(const float* z0, const float* quarter, const float* half,
+              float* out);
 
  private:
   GroupPlans(std::shared_ptr<const nn::plan::Plan> step,

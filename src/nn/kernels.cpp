@@ -32,13 +32,6 @@ double lat_hiding_sum(const float* p, size_t n) {
   return (a0 + a1) + (a2 + a3);
 }
 
-// The per-element expressions of the activations. The standalone kernels
-// and act_inplace (a producer's fused epilogue) both apply these, so a
-// fused activation has the standalone kernel's bits.
-inline float silu_of(float a) { return a / (1.0f + std::exp(-a)); }
-inline float sigmoid_of(float a) { return 1.0f / (1.0f + std::exp(-a)); }
-inline float tanh_of(float a) { return std::tanh(a); }
-
 // out[i] = f(a[i]) on the pool, in ranges of at least kActGrain elements.
 template <class F>
 void activation(const float* a, float* out, size_t n, F f) {

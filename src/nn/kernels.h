@@ -17,6 +17,7 @@
 // activation kernel's per-element expression (act_inplace).
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -46,6 +47,14 @@ enum class Act : uint8_t { kNone, kSiLU, kTanh };
 inline int64_t ew_grain(Act act) {
   return act == Act::kNone ? kEwGrain : kActGrain;
 }
+
+// The per-element expressions of the activations, each written once. The
+// standalone kernels, act_inplace (a producer's fused epilogue) and the
+// eager backward passes (nn/ops.cpp) all apply these, so a fused activation
+// has the standalone kernel's bits.
+inline float silu_of(float a) { return a / (1.0f + std::exp(-a)); }
+inline float sigmoid_of(float a) { return 1.0f / (1.0f + std::exp(-a)); }
+inline float tanh_of(float a) { return std::tanh(a); }
 
 // Applies `act` in place to p[0, n) on the calling thread: the body a
 // producing kernel runs on each range its parallel task has just written.

@@ -184,8 +184,7 @@ Tensor silu(const Tensor& a) {
                            static_cast<int64_t>(self.grad.size()), kActGrain,
                            [&](int64_t i0, int64_t i1) {
                              for (int64_t i = i0; i < i1; ++i) {
-                               const float s =
-                                   1.0f / (1.0f + std::exp(-av2[i]));
+                               const float s = sigmoid_of(av2[i]);
                                gd[i] +=
                                    sd[i] * (s * (1.0f + av2[i] * (1.0f - s)));
                              }

@@ -57,7 +57,8 @@ double now_us() {
 
 // The calling thread's arena: every intermediate of a run lives here. It
 // only grows (plan.arena_allocs counts growths), so a thread holds one
-// buffer the size of the largest plan it has run, freed when it exits.
+// buffer the size of the largest plan it has run since it last released
+// it, freed when it exits.
 struct ThreadArena {
   std::unique_ptr<float[]> data;
   size_t floats = 0;
@@ -85,6 +86,11 @@ void reserve_thread_arena(size_t floats) {
   // already large enough.
   if (DCDIFF_FAULT_POINT("nn.plan.arena_fail")) throw std::bad_alloc();
   (void)thread_arena(floats);
+}
+
+void release_thread_arena() {
+  t_arena.data.reset();
+  t_arena.floats = 0;
 }
 
 Plan::Plan(Graph&& g, PackCache& packs) : graph_(std::move(g)) {

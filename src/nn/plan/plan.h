@@ -5,7 +5,8 @@
 // state, so one plan may be shared across threads. Every run executes in
 // the calling thread's arena: one buffer per thread, grown to the largest
 // plan that thread has run and reused by every later run, so a run
-// allocates nothing once its thread has run a plan of that size.
+// allocates nothing once its thread has run a plan of that size (until the
+// thread releases it, as an idle serving worker does).
 #pragma once
 
 #include <cstddef>
@@ -63,5 +64,8 @@ class Plan {
 // every call, before the size test (core::GroupPlans::open then runs its
 // group eager).
 void reserve_thread_arena(size_t floats);
+// Frees the calling thread's arena; its next run grows one again. A serving
+// worker calls it when it goes idle, so an idle worker holds no arena.
+void release_thread_arena();
 
 }  // namespace dcdiff::nn::plan

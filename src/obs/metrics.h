@@ -71,13 +71,14 @@ class Histogram {
   // Bucket policy for serving-latency histograms (serve.e2e_seconds,
   // serve.queue_wait_seconds): 1-2-5 decades from 100us to 10s, then 30s
   // overflow. Rationale: the buckets must resolve the numbers SLOs are
-  // written against — sub-millisecond queue waits under light load (the
-  // microbatch window is single-digit ms, so queue-wait percentiles below
-  // 1ms are real signals, not noise), per-request model time in the tens of
-  // ms to seconds, and multi-second stragglers up to the 10s deadline
-  // horizon. The default 1us..60s bounds waste half their resolution below
-  // any observable serving latency; these spend every bucket inside the
-  // operating range, keeping interpolated p99 error within the 1-2-5 step.
+  // written against — sub-millisecond queue waits under light load (a
+  // request waits for at most one DDIM step boundary, so queue-wait
+  // percentiles below 1ms are real signals, not noise), per-request model
+  // time in the tens of ms to seconds, and multi-second stragglers up to
+  // the 10s deadline horizon. The default 1us..60s bounds waste half their
+  // resolution below any observable serving latency; these spend every
+  // bucket inside the operating range, keeping interpolated p99 error
+  // within the 1-2-5 step.
   static std::vector<double> slo_latency_bounds();
 
   void observe(double v);

@@ -4,12 +4,12 @@
 // working on — the monotonically unique request_id(s) assigned at submit and
 // the index of the serving worker executing them. Binding a context is
 // thread-local and RAII (ScopedTraceContext), so it survives queue hand-off
-// and work stealing for free: whichever worker thread ends up running a
-// batch binds the batch's ids, and every DCDIFF_TRACE_SPAN that closes on
-// that thread (serve.batch, ddim_step, decode, ...) is stamped with them in
-// the Chrome-trace output. A batch context lists all ids sharing the model
-// call; a span therefore "carries the request_id" of every request whose
-// path it lies on.
+// and work stealing for free: at each step boundary the worker thread
+// running requests binds their ids, and every DCDIFF_TRACE_SPAN that closes
+// on that thread (serve.batch, ddim_step, decode, ...) is stamped with them
+// in the Chrome-trace output. A boundary's context lists all ids sharing
+// its step; a span therefore "carries the request_id" of every request
+// whose path it lies on.
 //
 // RequestRecord is the structured per-request timeline
 // (submit -> route -> batch -> model -> done, trace-clock microseconds) the
@@ -78,10 +78,10 @@ struct RequestRecord {
   bool stolen = false;     // executed by a worker other than routed_worker
   double submit_us = 0;    // accepted into the server
   double route_us = 0;     // enqueued on routed_worker's queue
-  double batch_us = 0;     // popped into a batch (assembly start)
-  double model_us = 0;     // reconstruct_batch entered
-  double done_us = 0;      // future fulfilled
-  int batch_size = 0;      // live requests sharing the model call
+  double batch_us = 0;     // popped from a queue, at a step boundary
+  double model_us = 0;     // joined the running batch (admission began)
+  double done_us = 0;      // left it, answered
+  int batch_size = 0;      // requests running in its first step
   int ddim_steps = 0;      // per-request sampling target
   int steps_done = 0;      // DDIM steps actually executed (anytime serving)
   int ensemble = 0;

@@ -4,14 +4,15 @@
 // DDIM step costs one UNet forward over the whole batch, and the x0-
 // parameterized sampler produces a usable z0 checkpoint at every step, so
 // fewer steps degrade quality smoothly instead of failing requests. The
-// governor maps the server's total queue depth to a per-batch step count:
+// governor maps the server's total queue depth to a per-request step count:
 // full_steps when idle, shaving one step per `depth_per_step` queued
 // requests, never below the `min_steps` quality floor.
 //
 // Policy knobs live in ServerConfig (governor_depth_per_step, min_steps);
 // the governor itself is pure and deterministic so tests can pin its
-// behaviour. The server applies it only to batches where every request is
-// QosTier::kLatency — kQuality requests always get the full step count.
+// behaviour. The server applies it to each QosTier::kLatency request when
+// it joins a worker's running batch, at the queue depth of that boundary —
+// kQuality requests always get the full step count.
 #pragma once
 
 #include <cstddef>
@@ -28,7 +29,7 @@ class StepGovernor {
 
   explicit StepGovernor(const Config& cfg);
 
-  // Step count for the next batch given total queued requests. Monotone
+  // Step target of a request given total queued requests. Monotone
   // non-increasing in depth; equals full_steps when disabled or idle.
   int plan_steps(size_t queue_depth) const;
 

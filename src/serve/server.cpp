@@ -4,11 +4,13 @@
 #include <chrono>
 #include <exception>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <thread>
 #include <utility>
 
 #include "jpeg/codec.h"
+#include "nn/plan/plan.h"
 #include "obs/env.h"
 #include "obs/json.h"
 #include "obs/log.h"
@@ -61,8 +63,6 @@ double pool_busy_seconds(const nn::ThreadPool* partition) {
 ServerConfig ServerConfig::from_env() {
   ServerConfig cfg;
   cfg.max_batch = obs::env_int("DCDIFF_SERVE_MAX_BATCH", cfg.max_batch);
-  cfg.batch_timeout_ms =
-      obs::env_int("DCDIFF_SERVE_BATCH_TIMEOUT_MS", cfg.batch_timeout_ms);
   cfg.queue_capacity = obs::env_int("DCDIFF_SERVE_QUEUE_CAP", cfg.queue_capacity);
   cfg.workers = obs::env_int("DCDIFF_SERVE_WORKERS", cfg.workers);
   cfg.pool_threads =
@@ -123,7 +123,6 @@ ReceiverServer::ReceiverServer(const ServerConfig& cfg,
   cfg_.max_batch = std::max(1, cfg_.max_batch);
   cfg_.queue_capacity = std::max(1, cfg_.queue_capacity);
   cfg_.workers = std::max(1, cfg_.workers);
-  cfg_.batch_timeout_ms = std::max(0, cfg_.batch_timeout_ms);
   cfg_.pool_threads = std::max(0, cfg_.pool_threads);
   cfg_.min_steps = std::max(1, cfg_.min_steps);
   cfg_.governor_depth_per_step = std::max(0, cfg_.governor_depth_per_step);
@@ -134,12 +133,14 @@ ReceiverServer::ReceiverServer(const ServerConfig& cfg,
   full_steps_ = cfg_.recon.ddim_steps > 0 ? cfg_.recon.ddim_steps
                                           : model_->config().ddim_steps;
   full_steps_ = std::max(1, full_steps_);
+  ensemble_ = cfg_.recon.ensemble > 0
+                  ? cfg_.recon.ensemble
+                  : std::max(1, model_->config().sample_ensemble);
   cfg_.min_steps = std::min(cfg_.min_steps, full_steps_);
   governor_ = StepGovernor(StepGovernor::Config{
       full_steps_, cfg_.min_steps, cfg_.governor_depth_per_step});
   DCDIFF_LOG_INFO("serve", "server_start",
                   {{"max_batch", cfg_.max_batch},
-                   {"batch_timeout_ms", cfg_.batch_timeout_ms},
                    {"queue_capacity", cfg_.queue_capacity},
                    {"workers", cfg_.workers},
                    {"pool_threads", cfg_.pool_threads},
@@ -202,7 +203,7 @@ int ReceiverServer::route_locked(int hint) const {
   size_t best_load = std::numeric_limits<size_t>::max();
   for (int i = 0; i < n; ++i) {
     const Worker& w = *workers_[static_cast<size_t>(i)];
-    const size_t load = w.queue.size() + (w.busy ? 1 : 0);
+    const size_t load = w.queue.size() + w.inflight.size();
     if (load < best_load) {
       best_load = load;
       best = i;
@@ -326,13 +327,14 @@ std::shared_ptr<detail::StreamState> ReceiverServer::submit(
   depth.set(static_cast<double>(total_queued_));
   depth.set_max(static_cast<double>(total_queued_));
   accepted.inc();
-  // All workers wake: the routed worker takes its request; an idle worker
-  // whose queue stayed empty may steal it if the routed one is busy.
+  // All workers wake: the routed worker takes its request (at once when
+  // idle, at its next step boundary when running); an idle worker whose
+  // queue stayed empty may steal it first.
   queue_cv_.notify_all();
   return state;
 }
 
-bool ReceiverServer::pop_one_locked(Worker& self, std::vector<Request>& batch,
+bool ReceiverServer::pop_one_locked(Worker& self, std::vector<Request>& out,
                                     uint64_t* steals) {
   Worker* source = nullptr;
   if (!self.queue.empty()) {
@@ -349,20 +351,29 @@ bool ReceiverServer::pop_one_locked(Worker& self, std::vector<Request>& batch,
     if (source != nullptr) ++*steals;
   }
   if (source == nullptr) return false;
-  Request& r = batch.emplace_back(std::move(source->queue.front()));
+  Request& r = out.emplace_back(std::move(source->queue.front()));
   source->queue.pop_front();
   --total_queued_;
   r.rec.worker = self.index;
   r.rec.stolen = source != &self;
   r.rec.batch_us = obs::trace_now_us();
+  self.inflight.push_back(r.rec.request_id);
   return true;
 }
 
+// A request running on a worker: its handle in the worker's batch of its
+// padded size, and what its own per-step decisions need.
+struct ReceiverServer::Running {
+  Request req;
+  core::RunningBatch* batch = nullptr;
+  int id = 0;          // its handle in `batch`
+  int target = 0;      // its step target (the governor may shed steps)
+  double skew_us = 0;  // deadline clock skew (fault injection)
+};
+
 void ReceiverServer::worker_loop(int index) {
-  static obs::Gauge& depth = obs::gauge("serve.queue_depth");
+  static obs::Gauge& depth_gauge = obs::gauge("serve.queue_depth");
   static obs::Counter& stolen = obs::counter("serve.steals");
-  static obs::Histogram& batch_size =
-      obs::histogram("serve.batch_size", {1, 2, 4, 8, 16, 32, 64});
   Worker& self = *workers_[static_cast<size_t>(index)];
   // Bind this thread's partition: every parallel loop in the model forward
   // now runs on this worker's disjoint thread set. The driving thread pins
@@ -371,241 +382,243 @@ void ReceiverServer::worker_loop(int index) {
   if (self.pool && self.pool->cpu_first() >= 0) {
     nn::pin_current_thread_to_cpu(self.pool->cpu_first());
   }
+  Batches batches;
+  std::list<Running> running;  // admission order; addresses stay put
   for (;;) {
-    std::vector<Request> batch;
+    std::vector<Request> joined;
     uint64_t steals = 0;
-    size_t depth_at_pop = 0;
+    size_t depth = 0;
     {
       std::unique_lock<std::mutex> lk(mu_);
-      queue_cv_.wait(lk, [&] { return stopping_ || total_queued_ > 0; });
-      if (total_queued_ == 0) return;  // stopping_ and every queue drained
-      // Fault site: widen the wake->pop race. Dropping the lock here lets
-      // a sibling worker steal the request this thread was woken for, the
-      // interleaving the steal path exists to survive.
-      double race_ms = 0;
-      if (DCDIFF_FAULT_POINT_P("serve.steal_race.delay", &race_ms)) {
-        lk.unlock();
-        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-            race_ms > 0 ? race_ms : 1.0));
-        lk.lock();
-        continue;  // re-evaluate: the queues may have drained meanwhile
-      }
-      if (!pop_one_locked(self, batch, &steals)) continue;
-      // Microbatch window: hold the batch open briefly so concurrent
-      // submitters coalesce into one reconstruct_batch call. Own queue
-      // first; steal only when it runs dry.
-      const auto window_end = std::chrono::steady_clock::now() +
-                              std::chrono::milliseconds(cfg_.batch_timeout_ms);
-      while (static_cast<int>(batch.size()) < cfg_.max_batch) {
-        if (pop_one_locked(self, batch, &steals)) continue;
-        if (stopping_ || cfg_.batch_timeout_ms <= 0) break;
-        if (!queue_cv_.wait_until(lk, window_end, [&] {
-              return stopping_ || total_queued_ > 0;
-            })) {
-          break;  // window closed with a partial batch
+      if (running.empty()) {
+        if (!stopping_ && total_queued_ == 0) {
+          // Going idle: like its emptied batches, the worker's plan arena
+          // goes; the next request grows one for what it runs.
+          lk.unlock();
+          nn::plan::release_thread_arena();
+          lk.lock();
+        }
+        queue_cv_.wait(lk, [&] { return stopping_ || total_queued_ > 0; });
+        if (total_queued_ == 0) return;  // stopping_ and every queue drained
+        // Fault site: widen the wake->pop race. Dropping the lock here lets
+        // a sibling worker steal the request this thread was woken for,
+        // the interleaving the steal path exists to survive.
+        double race_ms = 0;
+        if (DCDIFF_FAULT_POINT_P("serve.steal_race.delay", &race_ms)) {
+          lk.unlock();
+          std::this_thread::sleep_for(
+              std::chrono::duration<double, std::milli>(
+                  race_ms > 0 ? race_ms : 1.0));
+          continue;  // re-evaluate: the queues may have drained meanwhile
         }
       }
-      self.busy = true;
-      self.inflight.clear();
-      for (const Request& r : batch) self.inflight.push_back(r.rec.request_id);
-      depth_at_pop = total_queued_;
-      depth.set(static_cast<double>(total_queued_));
-      stats_.batches++;
-      stats_.steals += steals;
-      self.stats.batches++;
-      self.stats.steals += steals;
+      // A step boundary: requests join up to max_batch running, own queue
+      // first, then stolen. Nothing waits for more to arrive.
+      while (running.size() + joined.size() <
+                 static_cast<size_t>(cfg_.max_batch) &&
+             pop_one_locked(self, joined, &steals)) {
+      }
+      depth = total_queued_;
+      if (!joined.empty()) {
+        depth_gauge.set(static_cast<double>(depth));
+        stats_.steals += steals;
+        self.stats.steals += steals;
+      }
     }
     stolen.inc(steals);
-    batch_size.observe(static_cast<double>(batch.size()));
-    // More requests may remain; let another worker pick them up while this
-    // batch runs.
-    queue_cv_.notify_one();
-    run_batch(self, batch, depth_at_pop);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      self.busy = false;
-      self.inflight.clear();
-    }
+    // More requests may remain; let another worker pick them up.
+    if (depth > 0) queue_cv_.notify_one();
+    advance(self, batches, running, joined, depth);
   }
 }
 
-void ReceiverServer::run_batch(Worker& self, std::vector<Request>& batch,
-                               size_t depth_at_pop) {
+void ReceiverServer::advance(Worker& self, Batches& batches,
+                             std::list<Running>& running,
+                             std::vector<Request>& joined, size_t depth) {
   static obs::Counter& governor_sheds = obs::counter("serve.governor.sheds");
   static obs::Gauge& governor_steps = obs::gauge("serve.governor.steps");
+  static obs::Histogram& batch_size =
+      obs::histogram("serve.batch_size", {1, 2, 4, 8, 16, 32, 64});
+  if (running.empty() && joined.empty()) return;
 
-  // Bind the batch's identity to this thread for the rest of the call:
+  // Bind the running requests' identity to this thread for the boundary:
   // every span that closes on it — serve.batch below, and the model's own
-  // conditioner / ddim_step / decode spans — is stamped with the batch's
-  // request ids and this worker's index, whether the requests were routed
-  // here or stolen.
-  obs::TraceContext batch_ctx;
-  batch_ctx.worker = self.index;
-  for (const Request& r : batch) {
-    batch_ctx.request_ids.push_back(r.rec.request_id);
+  // conditioner / ddim_step / decode spans — is stamped with their ids and
+  // this worker's index, whether the requests were routed here or stolen.
+  obs::TraceContext ctx;
+  ctx.worker = self.index;
+  for (const Running& r : running) {
+    ctx.request_ids.push_back(r.req.rec.request_id);
   }
-  DCDIFF_FAULT_CONTEXT(batch_ctx.request_ids, self.index);
-  obs::ScopedTraceContext trace_ctx(std::move(batch_ctx));
+  for (const Request& r : joined) ctx.request_ids.push_back(r.rec.request_id);
+  DCDIFF_FAULT_CONTEXT(ctx.request_ids, self.index);
+  obs::ScopedTraceContext trace_ctx(std::move(ctx));
   DCDIFF_TRACE_SPAN("serve.batch");
 
-  // Fault site: stall this worker with the batch already claimed (busy is
-  // set, the requests are out of every queue). Sleeping here pushes the
-  // batch toward its deadlines and leaves siblings to absorb the backlog —
-  // the "one slow worker" failure mode.
+  // Fault site: stall this worker with the popped requests claimed (out of
+  // every queue, not yet running). Sleeping here pushes them toward their
+  // deadlines and leaves siblings to absorb the backlog — the "one slow
+  // worker" failure mode.
   double stall_ms = 0;
-  if (DCDIFF_FAULT_POINT_P("serve.worker.stall", &stall_ms)) {
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(stall_ms > 0 ? stall_ms : 5.0));
-  }
-  // Fault site: skew the clock this batch uses to judge deadline expiry
-  // (positive param = milliseconds into the future), the way a stale or
-  // stepped clock would. Zero when injection is off or the site is silent.
-  double skew_ms = 0;
-  (void)DCDIFF_FAULT_POINT_P("serve.deadline.skew", &skew_ms);
-  const double skew_us = 1e3 * skew_ms;
-
-  bool all_latency = true;
-  for (const Request& r : batch) {
-    all_latency = all_latency && r.tier == QosTier::kLatency;
-  }
-  // Load shedding: only batches made entirely of latency-tier requests are
-  // governed; a single kQuality request pins the batch at full steps.
-  int planned_steps = full_steps_;
-  if (all_latency && governor_.enabled()) {
-    planned_steps = governor_.plan_steps(depth_at_pop);
-  }
-  governor_steps.set(static_cast<double>(planned_steps));
-  if (planned_steps < full_steps_) {
-    governor_sheds.inc();
-    std::lock_guard<std::mutex> lk(mu_);
-    stats_.governor_sheds++;
+  if (!joined.empty() &&
+      DCDIFF_FAULT_POINT_P("serve.worker.stall", &stall_ms)) {
+    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+        stall_ms > 0 ? stall_ms : 5.0));
   }
 
-  const auto all_expired = [skew_us](const std::vector<Request*>& g) {
-    const double now_us = obs::trace_now_us() + skew_us;
-    for (const Request* r : g) {
-      if (deadline_us(r->rec) >= now_us) return false;
+  // Admission: each request's own step target (the governor sheds steps of
+  // latency-tier requests only), options, conditioner and noise rows, in
+  // this worker's batch of its padded size.
+  uint64_t sheds = 0;
+  const size_t already_running = running.size();
+  for (Request& q : joined) {
+    q.rec.model_us = obs::trace_now_us();
+    int target = full_steps_;
+    if (q.tier == QosTier::kLatency && governor_.enabled()) {
+      target = governor_.plan_steps(depth);
+      governor_steps.set(static_cast<double>(target));
+      if (target < full_steps_) {
+        governor_sheds.inc();
+        ++sheds;
+      }
     }
-    return true;
-  };
-  // A progressive request whose consumer already destroyed its
-  // ResultStream has nobody left to deliver partials to: the Request here
-  // holds the channel's only reference. Such requests neither justify
-  // checkpoint decodes for the group nor receive pushes — the terminal
-  // Result still goes through push_result (it fulfils the submit_future
-  // promise and the accounting contract). use_count is advisory under
-  // concurrency, but the only other owner is the consumer handle, and a
-  // stale read costs one harmless partial.
+    // Fault site: skew the clock this request's deadline is judged by
+    // (positive param = milliseconds into the future), the way a stale or
+    // stepped clock would. Zero when injection is off or the site is
+    // silent.
+    double skew_ms = 0;
+    (void)DCDIFF_FAULT_POINT_P("serve.deadline.skew", &skew_ms);
+    core::ReconstructOptions opts = cfg_.recon;
+    opts.ddim_steps = target;
+    if (q.tile) {
+      // Crop-consistent noise so tiles match the untiled field; global
+      // postprocess (corner anchoring, AC projection) runs at the stitch.
+      // FMPP's per-sample scalars are ill-defined on crops — off for tiles.
+      opts.coord_noise = true;
+      opts.postprocess = false;
+      opts.use_fmpp = false;
+    }
+    Running& r = running.emplace_back();
+    r.req = std::move(q);
+    r.target = target;
+    r.skew_us = 1e3 * skew_ms;
+    try {
+      const std::pair<int, int> size =
+          core::RunningBatch::padded_size(r.req.coeffs);
+      auto it = std::find_if(
+          batches.begin(), batches.end(), [&](const auto& b) {
+            return std::make_pair(b->height(), b->width()) == size;
+          });
+      if (it == batches.end()) {
+        batches.push_back(std::make_unique<core::RunningBatch>(
+            *model_, cfg_.max_batch, ensemble_, size.first, size.second));
+        it = std::prev(batches.end());
+      }
+      r.batch = it->get();
+      r.id = r.batch->admit({&r.req.coeffs, r.req.noise_x0, r.req.noise_y0},
+                            opts);
+    } catch (const std::exception& e) {
+      finish_running(self, r.req, rejected(Status::internal(e.what())));
+      running.pop_back();
+    }
+  }
+  for (auto it = std::next(running.begin(),
+                           static_cast<long>(already_running));
+       it != running.end(); ++it) {
+    it->req.rec.batch_size = static_cast<int>(running.size());
+  }
+
+  // One step of every batch, each row at its own request's timestep. A
+  // failed step fails the requests of its batch and no others.
+  uint64_t steps = 0;
+  for (const auto& batch : batches) {
+    if (batch->size() == 0) continue;
+    batch_size.observe(static_cast<double>(batch->size()));
+    try {
+      batch->step();
+      ++steps;
+    } catch (const std::exception& e) {
+      for (auto it = running.begin(); it != running.end();) {
+        if (it->batch != batch.get()) {
+          ++it;
+          continue;
+        }
+        batch->drop(it->id);
+        finish_running(self, it->req, rejected(Status::internal(e.what())));
+        it = running.erase(it);
+      }
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    stats_.batches += steps;
+    self.stats.batches += steps;
+    stats_.governor_sheds += sheds;
+  }
+
+  // Per-request decisions. A progressive request whose consumer already
+  // destroyed its ResultStream has nobody left to deliver partials to: the
+  // Request here holds the channel's only reference, so its checkpoints
+  // are not decoded (the terminal Result still goes through push_result:
+  // it fulfils the submit_future promise and the accounting contract).
+  // use_count is advisory under concurrency, but the only other owner is
+  // the consumer handle, and a stale read costs one harmless partial.
   const auto abandoned = [](const std::shared_ptr<detail::StreamState>& s) {
     return s.use_count() <= 1;
   };
-  const int interval = cfg_.partial_interval > 0
-                           ? cfg_.partial_interval
-                           : std::max(1, planned_steps / 3);
-
-  // Three model calls at most. Plain requests split on whether they need
-  // the per-step hook: a progressive request streams partials, and a
-  // deadline may stop sampling at the min_steps floor. All groups run on
-  // the same compiled plans; the split exists because each hooked group
-  // stops only once all of *its* members have expired, so quality
-  // requests never pin a doomed sibling to the full step count. Tiles
-  // sample coordinate-seeded noise at their crop origins, and get the hook
-  // only when one of them carries a deadline. Per-item noise seeding makes
-  // group membership numerically irrelevant.
-  std::vector<Request*> groups[3];  // plain, plain needing the hook, tiles
-  for (Request& r : batch) {
-    const bool hooked = r.delivery == DeliveryMode::kProgressive ||
-                        r.rec.deadline_ms > 0;
-    groups[r.tile ? 2 : hooked ? 1 : 0].push_back(&r);
-  }
-
-  const double model_us = obs::trace_now_us();
-  // Per-request results, indexed like `batch`. Each request takes the
-  // status of its own group's model call.
-  std::vector<Result> results(batch.size());
-  const auto pos = [&](const Request* r) {
-    return static_cast<size_t>(r - batch.data());
-  };
-  for (const std::vector<Request*>& group : groups) {
-    if (group.empty()) continue;
-    bool progressive = false, deadline = false;
-    for (Request* r : group) {
-      deadline = deadline || r->rec.deadline_ms > 0;
-      if (r->delivery != DeliveryMode::kProgressive) continue;
-      r->suppressed = abandoned(r->stream);
-      progressive = progressive || !r->suppressed;
+  for (auto it = running.begin(); it != running.end();) {
+    Running& r = *it;
+    Request& q = r.req;
+    const int done = r.batch->steps_done(r.id);
+    bool leave = done == r.target;
+    if (!leave && q.rec.deadline_ms > 0 && done >= cfg_.min_steps) {
+      leave = deadline_us(q.rec) < obs::trace_now_us() + r.skew_us;
     }
+    const int interval = cfg_.partial_interval > 0
+                             ? cfg_.partial_interval
+                             : std::max(1, r.target / 3);
     try {
-      std::vector<core::AnytimeItem> items;
-      items.reserve(group.size());
-      for (Request* r : group) {
-        items.push_back({&r->coeffs, r->noise_x0, r->noise_y0});
+      if (leave) {
+        Image image = r.batch->retire(r.id);
+        finish_running(self, q, finished(std::move(image), done, full_steps_));
+        it = running.erase(it);
+        continue;
       }
-      core::ReconstructOptions opts = cfg_.recon;
-      opts.ddim_steps = planned_steps;
-      if (group.front()->tile) {
-        // Crop-consistent noise so tiles match the untiled field; global
-        // postprocess (corner anchoring, AC projection) runs at the stitch.
-        // FMPP's per-sample scalars are ill-defined on crops — off for
-        // tiles.
-        opts.coord_noise = true;
-        opts.postprocess = false;
-        opts.use_fmpp = false;
-      }
-      core::AnytimeControl ctrl;
-      if (progressive || deadline) {
-        ctrl.on_step = [&](int done, int total) {
-          if (deadline && done >= cfg_.min_steps && all_expired(group)) {
-            return core::AnytimeControl::Action::kStop;
-          }
-          if (progressive && done < total && done % interval == 0) {
-            return core::AnytimeControl::Action::kEmitPartial;
-          }
-          return core::AnytimeControl::Action::kContinue;
-        };
-      }
-      if (progressive) {
-        ctrl.on_partial = [&](int item, Image image, int done,
-                              double psnr_proxy) {
-          Request* r = group[static_cast<size_t>(item)];
-          if (r->delivery != DeliveryMode::kProgressive) return;
-          if (abandoned(r->stream)) return;  // consumer vanished mid-batch
+      if (q.delivery == DeliveryMode::kProgressive && done % interval == 0) {
+        if (abandoned(q.stream)) {
+          q.suppressed = true;
+        } else {
+          double proxy = 0;
+          Image image = r.batch->checkpoint(r.id, &proxy);
           obs::trace_emit("serve.partial", obs::trace_now_us(), 0,
-                          request_context(r->rec));
-          ++r->partials;
-          detail::push_partial(r->stream,
-                               Partial{std::move(image), done, psnr_proxy});
-        };
+                          request_context(q.rec));
+          ++q.partials;
+          detail::push_partial(q.stream,
+                               Partial{std::move(image), done, proxy});
+        }
       }
-      core::AnytimeResult res =
-          model_->reconstruct_batch_anytime(items, opts, ctrl);
-      for (size_t k = 0; k < group.size(); ++k) {
-        results[pos(group[k])] = finished(std::move(res.images[k]),
-                                          res.steps_done[k], full_steps_);
-      }
+      ++it;
     } catch (const std::exception& e) {
-      for (const Request* r : group) {
-        results[pos(r)] = rejected(Status::internal(e.what()));
-      }
+      if (!leave) r.batch->drop(r.id);  // a retired request has left
+      finish_running(self, q, rejected(Status::internal(e.what())));
+      it = running.erase(it);
     }
   }
 
-  const double done_us = obs::trace_now_us();
-  DCDIFF_LOG_DEBUG("serve", "batch_done",
-                   {{"batch", static_cast<int64_t>(batch.size())},
-                    {"seconds", (done_us - model_us) * 1e-6}});
-  const int ensemble = cfg_.recon.ensemble > 0
-                           ? cfg_.recon.ensemble
-                           : model_->config().sample_ensemble;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    obs::RequestRecord& rec = batch[i].rec;
-    rec.model_us = model_us;
-    rec.done_us = done_us;
-    rec.batch_size = static_cast<int>(batch.size());
-    rec.ddim_steps = full_steps_;
-    rec.ensemble = ensemble;
-    finish_request(batch[i], std::move(results[i]));
+  // An emptied batch goes: an idle worker holds no row buffers.
+  std::erase_if(batches, [](const auto& b) { return b->size() == 0; });
+}
+
+void ReceiverServer::finish_running(Worker& self, Request& r, Result res) {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    std::erase(self.inflight, r.rec.request_id);
   }
+  obs::RequestRecord& rec = r.rec;
+  rec.done_us = obs::trace_now_us();
+  rec.ddim_steps = full_steps_;
+  rec.ensemble = ensemble_;
+  finish_request(r, std::move(res));
 }
 
 void ReceiverServer::finish_request(Request& r, Result res) {
@@ -863,7 +876,6 @@ std::string ReceiverServer::server_state_json() const {
       if (i > 0) out += ',';
       out += "{\"index\":" + std::to_string(w.index);
       out += ",\"queue_depth\":" + std::to_string(w.queue.size());
-      out += std::string(",\"busy\":") + (w.busy ? "true" : "false");
       out += ",\"inflight\":[";
       for (size_t j = 0; j < w.inflight.size(); ++j) {
         if (j > 0) out += ',';

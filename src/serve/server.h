@@ -2,11 +2,11 @@
 // (deadline-degraded) sampling, progressive delivery, and MCU-tiled fan-out.
 //
 // The receiver is the expensive half of DCDiff by design (the paper moves
-// all cost off the low-power sender), and the diffusion sampler only earns
-// its keep operationally when requests are batched: N decoded coefficient
-// images share one latent tensor through every DDIM step and the stage-1
-// decoder (DCDiffModel::reconstruct_batch), so the GEMM kernel sees wide
-// shapes and per-op overheads amortize across requests.
+// all cost off the low-power sender): each image runs a chain of DDIM steps
+// through the UNet and then the stage-1 decoder. Requests share the steps:
+// every worker runs a batch of requests, one UNet-step call over all their
+// latent rows (core::RunningBatch), so the GEMM kernel sees wide shapes and
+// per-op overheads amortize across requests.
 //
 // Architecture (workers = 3 shown):
 //
@@ -26,42 +26,37 @@
 //   nn::ThreadPool partition (disjoint CPU ranges when pin_cpus is set), so
 //   the model's nested parallel loops never contend across workers.
 // * Least-loaded routing: submit() appends to the queue of the worker with
-//   the fewest pending + in-flight requests (ties go to the lowest index);
+//   the fewest queued + running requests (ties go to the lowest index);
 //   ReconstructRequest::worker_hint pins a request to a specific worker.
-// * Work stealing: a worker whose own queue is dry steals from the deepest
-//   queue before sleeping on the batch window, so one hot queue cannot
-//   leave other cores idle.
-// * Cross-request microbatching: a worker pops whatever is queued, then
-//   keeps the batch window open for batch_timeout_ms to fill up to
-//   max_batch requests; partial batches run when the window closes.
-// * Backpressure: submits beyond queue_capacity (total across workers) are
-//   rejected immediately with Status{kResourceExhausted}.
-// * One model-call loop: each batch splits into at most three groups —
-//   plain requests, plain requests that need the per-step hook (progressive
-//   or deadline-bearing), and tiles — and each group is one
-//   core::DCDiffModel::reconstruct_batch_anytime call whose status its
-//   requests take. Every group runs on the compiled UNet-step and decoder
-//   plans; the split is for deadline semantics (a hooked group stops only
-//   when all of its own members have expired).
-// * Anytime sampling: every DDIM step yields a decodable checkpoint. A
-//   request whose deadline fires — queued or mid-batch — is answered with
-//   its best checkpoint and Outcome::kDegraded once the quality floor of
-//   min_steps has run; a deadline never fails a request.
-// * Load shedding: the StepGovernor shaves DDIM steps off batches whose
-//   requests are all QosTier::kLatency as the queue deepens
-//   (governor_depth_per_step), never below min_steps; shed batches complete
-//   as kDegraded.
+// * Step-level batching (iteration-level scheduling; Orca, Yu et al.,
+//   OSDI 2022): a worker's requests run in one batch per padded size
+//   (core::RunningBatch) and join it at DDIM step boundaries. An idle
+//   worker starts a popped request at once; a busy one, at each boundary,
+//   admits requests from its own queue, then by stealing from the deepest
+//   other queue, up to max_batch running requests. Nobody waits for
+//   batch-mates: there is no batching window. An idle worker holds no
+//   batch buffers and no plan arena.
+// * Per-request decisions at every boundary: a request retires when its
+//   own step target is reached, or when its deadline has passed and
+//   min_steps have run (kDegraded, with its latest checkpoint; a deadline
+//   never fails a request); a progressive request gets a partial every
+//   partial_interval steps; a failure fails only the requests it touched.
+// * Load shedding: the StepGovernor sets a QosTier::kLatency request's
+//   step target at admission from the queue depth
+//   (governor_depth_per_step), never below min_steps; shed requests
+//   complete as kDegraded. kQuality requests always run the full chain.
 // * Progressive delivery: DeliveryMode::kProgressive requests receive
-//   Partial{image, step, psnr_proxy} checkpoints through their ResultStream
-//   every partial_interval steps. Partials are decoded batch-wide, so one
-//   progressive request taxes its whole batch; final-only traffic skips the
-//   cost entirely.
+//   Partial{image, step, psnr_proxy} checkpoints through their ResultStream.
+//   A partial decodes only its own request's checkpoint, so final-only
+//   batch-mates pay nothing for it.
 // * Tiled fan-out: a coefficient image larger than
 //   ReconstructRequest::tile.max_tile_px splits into MCU-aligned tiles
 //   (serve/tiler.h) that enqueue as sibling sub-requests routed
 //   least-loaded across workers; the last tile to finish stitches (DC
 //   offset reconciliation + per-tile corner anchoring + overlap blend) and
 //   fulfils the parent stream. Result::tile_workers records the fan-out.
+// * Backpressure: submits beyond queue_capacity (total queued across
+//   workers) are rejected immediately with Status{kResourceExhausted}.
 // * Errors are values: a malformed bitstream yields Outcome::kRejected with
 //   a per-request Status (kDataLoss/kInvalidArgument) at submit time;
 //   nothing throws across the serving boundary.
@@ -78,12 +73,14 @@
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "core/pipeline.h"
+#include "core/running_batch.h"
 #include "image/image.h"
 #include "nn/threadpool.h"
 #include "obs/reqtrace.h"
@@ -96,8 +93,10 @@
 namespace dcdiff::serve {
 
 struct ServerConfig {
-  int max_batch = 4;         // requests fused into one reconstruct_batch
-  int batch_timeout_ms = 2;  // wait for more requests after the first pop
+  int max_batch = 4;         // requests running on one worker at once
+  // Accepted and ignored: a worker admits requests at step boundaries and
+  // never waits to fill a batch. Kept so existing callers compile.
+  int batch_timeout_ms = 2;
   int queue_capacity = 64;   // pending requests beyond this are rejected
   int workers = 1;           // batching worker threads (one shared model)
   // Compute threads split across the workers' pool partitions; 0 = hardware
@@ -114,12 +113,12 @@ struct ServerConfig {
   // deadline fires (queued or mid-batch) gets its best checkpoint with
   // Outcome::kDegraded once this many steps have run. Values < 1 clamp to 1.
   int min_steps = 1;
-  // > 0 enables the StepGovernor: batches whose requests are all
-  // QosTier::kLatency drop one DDIM step per this many queued requests
-  // (floored at min_steps). 0 disables load shedding.
+  // > 0 enables the StepGovernor: a QosTier::kLatency request drops one
+  // DDIM step per this many queued requests at its admission (floored at
+  // min_steps). 0 disables load shedding.
   int governor_depth_per_step = 0;
   // Steps between progressive partial emissions; 0 = auto (about a third of
-  // the batch's step target).
+  // the request's step target).
   int partial_interval = 0;
 
   // --- introspection & SLOs ---
@@ -140,7 +139,7 @@ struct ServerConfig {
   int slo_p99_ms = 0;        // p99 e2e latency ceiling
   int slo_miss_rate_pct = 0;  // deadline-miss-rate ceiling, percent
 
-  // Reads DCDIFF_SERVE_MAX_BATCH / DCDIFF_SERVE_BATCH_TIMEOUT_MS /
+  // Reads DCDIFF_SERVE_MAX_BATCH /
   // DCDIFF_SERVE_QUEUE_CAP / DCDIFF_SERVE_WORKERS /
   // DCDIFF_SERVE_POOL_THREADS / DCDIFF_SERVE_PIN_CPUS /
   // DCDIFF_SERVE_MIN_STEPS / DCDIFF_SERVE_GOVERNOR_DEPTH /
@@ -215,7 +214,7 @@ class ReceiverServer {
   // Exported once: as server.workers[i] in stats_json() and as the
   // dcdiff_serve_worker_*{worker="i"} families in stats_prometheus().
   struct WorkerStats {
-    uint64_t batches = 0;
+    uint64_t batches = 0;  // running-batch steps (UNet-step calls) run
     // Logical requests this worker answered with an image (a tiled request
     // counts on the worker that stitched it).
     uint64_t completed = 0;
@@ -232,12 +231,12 @@ class ReceiverServer {
     // consumer destroyed its ResultStream (server held the only reference).
     uint64_t partials_suppressed = 0;
     uint64_t tiles = 0;      // tile sub-requests executed
-    uint64_t governor_sheds = 0;  // batches the governor shortened
+    uint64_t governor_sheds = 0;  // requests the governor shortened
     uint64_t rejected_queue_full = 0;
     uint64_t rejected_decode = 0;
     uint64_t rejected_shutdown = 0;
     uint64_t internal_errors = 0;
-    uint64_t batches = 0;
+    uint64_t batches = 0;  // running-batch steps, summed over workers
     uint64_t steals = 0;
     size_t queue_depth = 0;  // total across workers
     std::vector<WorkerStats> workers;
@@ -245,8 +244,8 @@ class ReceiverServer {
   Stats stats() const;
 
   // --- introspection (see DESIGN.md "Introspection & SLOs") ---
-  // Metrics registry + live server state (per-worker queue depth, inflight
-  // batch composition, steal counts, rolling SLO windows, flight-recorder
+  // Metrics registry + live server state (per-worker queue depth, running
+  // request ids, steal counts, rolling SLO windows, flight-recorder
   // occupancy) as one JSON document.
   std::string stats_json() const;
   // The same snapshot in Prometheus text-exposition format, with per-worker
@@ -265,19 +264,20 @@ class ReceiverServer {
 
   const ServerConfig& config() const { return cfg_; }
   const core::DCDiffModel& model() const { return *model_; }
-  // The model worker `i` runs batches on: model(), for every worker.
+  // The model worker `i` runs requests on: model(), for every worker.
   const core::DCDiffModel& worker_model(int i) const;
 
  private:
   friend class Session;
   struct TileJob;
+  struct Running;
 
   // One request, queued or executing. Its identity and timeline live in one
   // place, `rec`: request/session id, deadline and the trace-clock stamps of
-  // submit -> route -> batch -> model -> done, each read once at its
-  // boundary. Everything else a finished request reports (e2e, queue wait,
-  // deadline miss, Stats, metrics, spans, SLO) is derived from it by
-  // finish_request.
+  // submit -> route -> pop (batch_us) -> join (model_us: its admission into
+  // the running batch begins) -> done, each read once at its boundary.
+  // Everything else a finished request reports (e2e, queue wait, deadline
+  // miss, Stats, metrics, spans, SLO) is derived from it by finish_request.
   struct Request {
     jpeg::CoeffImage coeffs;
     // The client's channel; null for tile sub-requests, which deposit into
@@ -315,34 +315,45 @@ class ReceiverServer {
   };
 
   // One serving shard: a queue and (workers > 1) a private thread-pool
-  // partition. All mutable state is guarded by the server-wide mu_ —
+  // partition. All mutable state here is guarded by the server-wide mu_ —
   // operations on it are queue pushes/pops, cheap against model time, and
   // one lock keeps routing + stealing + shutdown-drain trivially race-free.
+  // The running batches themselves belong to the worker's thread.
   struct Worker {
     std::deque<Request> queue;
-    bool busy = false;  // between popping a batch and fulfilling it
     std::unique_ptr<nn::ThreadPool> pool;  // null: use the global pool
     WorkerStats stats;
     int index = 0;
-    // Request ids of the batch currently executing on this worker (empty
-    // when idle); snapshotted into stats_json()'s inflight composition.
+    // Ids of the requests running on this worker, from pop to done: its
+    // load for routing, and stats_json()'s inflight composition.
     std::vector<uint64_t> inflight;
     std::thread thread;
   };
+  // A worker's running batches: one per padded size it has requests of
+  // (its thread only).
+  using Batches = std::vector<std::unique_ptr<core::RunningBatch>>;
 
   std::shared_ptr<detail::StreamState> submit(uint64_t session_id,
                                               const ReconstructRequest& req);
   void note_session_submit(uint64_t session_id);
-  // Least-loaded worker index (queue depth + busy flag, ties to the lowest
-  // index); `hint` >= 0 overrides. Caller holds mu_.
+  // Least-loaded worker index (queued + running requests, ties to the
+  // lowest index); `hint` >= 0 overrides. Caller holds mu_.
   int route_locked(int hint) const;
-  // Moves one request into `batch`: from `self`'s queue, else stolen from
-  // the deepest other queue (counted in *steals). Caller holds mu_.
-  bool pop_one_locked(Worker& self, std::vector<Request>& batch,
+  // Moves one request into `out`: from `self`'s queue, else stolen from
+  // the deepest other queue (counted in *steals). Stamps its pop and
+  // counts it running on `self`. Caller holds mu_.
+  bool pop_one_locked(Worker& self, std::vector<Request>& out,
                       uint64_t* steals);
   void worker_loop(int index);
-  void run_batch(Worker& self, std::vector<Request>& batch,
-                 size_t depth_at_pop);
+  // One step boundary of a worker: admits the requests just popped (queue
+  // depth `depth` at the pop), runs one step of every running batch, then
+  // retires each request its own target, deadline or error ends and emits
+  // the partials that are due.
+  void advance(Worker& self, Batches& batches, std::list<Running>& running,
+               std::vector<Request>& joined, size_t depth);
+  // Answers a request that was running on `self` (stamps done, drops it
+  // from the worker's load, then finish_request).
+  void finish_running(Worker& self, Request& r, Result res);
   // The one booking point, for every request: derives e2e, queue wait and
   // the deadline miss from the finished record; for a logical request (a
   // plain request or a stitched tile parent) books Stats, the serve.*
@@ -363,6 +374,7 @@ class ReceiverServer {
   std::shared_ptr<const core::DCDiffModel> model_;
   StepGovernor governor_{StepGovernor::Config{}};
   int full_steps_ = 1;  // resolved DDIM step target (recon or model config)
+  int ensemble_ = 1;    // resolved noise rows per request
 
   mutable std::mutex mu_;
   std::condition_variable queue_cv_;

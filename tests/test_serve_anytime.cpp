@@ -13,6 +13,10 @@
 //   * ResultStream: partial steps strictly increasing, terminal Result
 //     always last and exactly once, bounded buffer drops oldest partials
 //     without ever blocking the producer.
+//   * Per-request decisions in a running batch: a deadline request leaves
+//     on its own while its batch-mate runs every step, and partials follow
+//     each request's own step count; every served image, partial and final,
+//     equals its single-request reference byte for byte.
 //
 // Runs under the `concurrency` CTest label (3-worker progressive test); a
 // TSan build exercises the same binary for data races.
@@ -89,6 +93,44 @@ class ServeAnytimeTest : public ::testing::Test {
       }
     }
     return m;
+  }
+
+  // The flight recorder's record of request `id`.
+  static obs::RequestRecord record_of(const ReceiverServer& server,
+                                      uint64_t id) {
+    for (const obs::RequestRecord& r : server.flight_recorder().snapshot()) {
+      if (r.request_id == id) return r;
+    }
+    ADD_FAILURE() << "no record for request " << id;
+    return {};
+  }
+
+  // reconstruct_batch_anytime of one image with `opts`: the partials of a
+  // hook that emits every `interval` steps (by step) and the final image
+  // of a run stopped after `stop` steps (0: the full chain).
+  struct Reference {
+    std::vector<std::pair<int, Image>> partials;
+    Image image;
+  };
+  static Reference anytime_reference(const jpeg::CoeffImage& coeffs,
+                                     const core::ReconstructOptions& opts,
+                                     int interval, int stop) {
+    using Action = core::AnytimeControl::Action;
+    Reference ref;
+    core::AnytimeControl ctrl;
+    ctrl.on_step = [&](int done, int total) {
+      if (stop > 0 && done >= stop) return Action::kStop;
+      return interval > 0 && done < total && done % interval == 0
+                 ? Action::kEmitPartial
+                 : Action::kContinue;
+    };
+    ctrl.on_partial = [&](int, Image image, int done, double) {
+      ref.partials.emplace_back(done, std::move(image));
+    };
+    ref.image =
+        model_->reconstruct_batch_anytime({{&coeffs, 0, 0}}, opts, ctrl)
+            .images[0];
+    return ref;
   }
 
   static std::filesystem::path cache_dir_;
@@ -365,6 +407,114 @@ TEST_F(ServeAnytimeTest, MidSamplingDeadlineYieldsDegradedImage) {
   EXPECT_LT(r.steps_done, r.steps_target);
   EXPECT_FALSE(r.image.empty());
   EXPECT_GE(server.stats().degraded, 1u);
+}
+
+// A deadline is a per-request decision: of two requests sharing one
+// worker's running batch, the one whose deadline passes leaves degraded on
+// its own while its batch-mate runs every step. The degraded image equals
+// the anytime reference stopped at its step count, the complete one
+// reconstruct(x), byte for byte.
+TEST_F(ServeAnytimeTest, DeadlineRequestLeavesAloneWhileBatchMateRunsOn) {
+  ServerConfig cfg;
+  cfg.max_batch = 2;
+  cfg.min_steps = 1;
+  cfg.recon.ddim_steps = 40;
+  ReceiverServer server(cfg, model_);
+  Session session = server.open_session();
+  ReconstructRequest full_req;
+  full_req.jfif = bitstream(0);
+  ReconstructRequest doomed_req;
+  doomed_req.jfif = bitstream(1);
+  doomed_req.deadline_ms = 1;  // passes within the 40-step chain
+  ResultStream full_stream = session.submit(full_req);
+  ResultStream doomed_stream = session.submit(doomed_req);
+  const Result full = full_stream.wait();
+  const Result doomed = doomed_stream.wait();
+  ASSERT_TRUE(full.status.is_ok()) << full.status.to_string();
+  ASSERT_TRUE(doomed.status.is_ok()) << doomed.status.to_string();
+  EXPECT_EQ(full.outcome, Outcome::kComplete);
+  EXPECT_EQ(full.steps_done, 40);
+  EXPECT_EQ(doomed.outcome, Outcome::kDegraded);
+  EXPECT_GE(doomed.steps_done, 1);
+  EXPECT_LT(doomed.steps_done, 40);
+
+  // They shared steps, and the doomed request left first.
+  const obs::RequestRecord a = record_of(server, 1);
+  const obs::RequestRecord b = record_of(server, 2);
+  EXPECT_LT(b.model_us, a.done_us);
+  EXPECT_LT(b.done_us, a.done_us);
+  EXPECT_TRUE(b.deadline_missed);
+  EXPECT_FALSE(a.deadline_missed);
+
+  core::ReconstructOptions opts;
+  opts.ddim_steps = 40;
+  EXPECT_EQ(max_abs_diff(full.image, model_->reconstruct(
+                                         jpeg::decode_jfif(full_req.jfif),
+                                         opts)),
+            0.0);
+  const Reference ref = anytime_reference(jpeg::decode_jfif(doomed_req.jfif),
+                                          opts, 0, doomed.steps_done);
+  EXPECT_EQ(max_abs_diff(doomed.image, ref.image), 0.0);
+}
+
+// Partials are per request: a progressive request that joins mid-chain
+// gets its partials at its own step counts, a final-only batch-mate gets
+// none, and every partial and final equals the single-request anytime
+// reference at that step byte for byte.
+TEST_F(ServeAnytimeTest, PartialsFollowEachRequestsOwnSteps) {
+  ServerConfig cfg;
+  cfg.max_batch = 3;
+  cfg.recon.ddim_steps = 40;
+  cfg.partial_interval = 10;  // partials at steps 10, 20 and 30
+  ReceiverServer server(cfg, model_);
+  Session session = server.open_session();
+  std::vector<ReconstructRequest> reqs(3);
+  for (int i = 0; i < 3; ++i) {
+    reqs[static_cast<size_t>(i)].jfif = bitstream(i);
+  }
+  reqs[0].delivery = DeliveryMode::kProgressive;
+  reqs[1].delivery = DeliveryMode::kProgressive;
+  std::vector<ResultStream> streams;
+  streams.push_back(session.submit(reqs[0]));
+  ResultStream::Event ev;
+  ASSERT_TRUE(streams[0].next(&ev));  // its step-10 partial: mid-chain
+  ASSERT_FALSE(ev.terminal);
+  std::vector<std::vector<std::pair<int, Image>>> partials(3);
+  partials[0].emplace_back(ev.partial.step, std::move(ev.partial.image));
+  streams.push_back(session.submit(reqs[1]));
+  streams.push_back(session.submit(reqs[2]));
+  std::vector<Result> results(3);
+  for (size_t i = 0; i < 3; ++i) {
+    while (streams[i].next(&ev)) {
+      if (ev.terminal) {
+        results[i] = std::move(ev.result);
+      } else {
+        partials[i].emplace_back(ev.partial.step, std::move(ev.partial.image));
+      }
+    }
+    ASSERT_TRUE(results[i].status.is_ok()) << results[i].status.to_string();
+    EXPECT_EQ(results[i].outcome, Outcome::kComplete);
+  }
+  EXPECT_TRUE(partials[2].empty()) << "a final-only request got partials";
+  EXPECT_LT(record_of(server, 2).model_us, record_of(server, 1).done_us)
+      << "the second request did not join mid-chain";
+
+  core::ReconstructOptions opts;
+  opts.ddim_steps = 40;
+  for (size_t i = 0; i < 3; ++i) {
+    const Reference ref =
+        anytime_reference(jpeg::decode_jfif(reqs[i].jfif), opts, 10, 0);
+    EXPECT_EQ(max_abs_diff(results[i].image, ref.image), 0.0)
+        << "request " << i;
+    if (i == 2) continue;
+    ASSERT_EQ(partials[i].size(), 3u) << "request " << i;
+    for (size_t k = 0; k < partials[i].size(); ++k) {
+      EXPECT_EQ(partials[i][k].first, ref.partials[k].first);
+      EXPECT_EQ(max_abs_diff(partials[i][k].second, ref.partials[k].second),
+                0.0)
+          << "request " << i << " partial " << k;
+    }
+  }
 }
 
 // Progressive delivery through a 3-worker server: every stream yields

@@ -11,6 +11,10 @@
 //     (ReconstructRequest::worker_hint constructs the skew
 //     deterministically).
 //   * Shutdown drains every per-worker queue, not just one.
+//   * Step-level batching: a request joins a worker's running batch at the
+//     next DDIM step boundary (a lone one on an idle worker at once), and
+//     requests of different padded sizes (plain and tiles) run side by side
+//     on one worker, each byte-identical to its single-request reference.
 //
 // Runs under the `concurrency` CTest label; a TSan build
 // (-DDCDIFF_TSAN=ON) exercises the same binary for data races.
@@ -102,6 +106,16 @@ class ServeParallelTest : public ::testing::Test {
     cfg.max_batch = 2;
     cfg.queue_capacity = 64;
     return cfg;
+  }
+
+  // The flight recorder's record of request `id`.
+  static obs::RequestRecord record_of(const ReceiverServer& server,
+                                      uint64_t id) {
+    for (const obs::RequestRecord& r : server.flight_recorder().snapshot()) {
+      if (r.request_id == id) return r;
+    }
+    ADD_FAILURE() << "no record for request " << id;
+    return {};
   }
 
   static std::filesystem::path cache_dir_;
@@ -290,6 +304,133 @@ TEST_F(ServeParallelTest, ShutdownDrainsEveryWorkerQueue) {
     EXPECT_TRUE(f.get().status.is_ok());
   }
   EXPECT_EQ(server.stats().completed, static_cast<uint64_t>(kImages));
+}
+
+// ---- step-level batching ----
+
+// A request submitted while another is mid-chain joins the running batch at
+// the next step boundary instead of waiting for the chain to end: its join
+// stamp falls inside its batch-mate's chain, it joined a batch of two, and
+// each image equals reconstruct(x) of its own bitstream byte for byte.
+TEST_F(ServeParallelTest, MidChainRequestJoinsAtNextBoundary) {
+  ServerConfig cfg = sharded_config(1);
+  cfg.recon.ddim_steps = 40;  // a long chain to join in the middle of
+  cfg.partial_interval = 1;
+  ReceiverServer server(cfg, model_);
+  Session session = server.open_session();
+  const auto first_bytes = bitstream(0);
+  const auto second_bytes = bitstream(1);
+
+  ReconstructRequest first = request(first_bytes);
+  first.delivery = DeliveryMode::kProgressive;
+  ResultStream first_stream = session.submit(first);
+  ResultStream::Event ev;
+  ASSERT_TRUE(first_stream.next(&ev));  // a partial: the chain is running
+  ASSERT_FALSE(ev.terminal);
+  const Result second = session.reconstruct(request(second_bytes));
+  const Result first_result = first_stream.wait();
+  ASSERT_TRUE(first_result.status.is_ok()) << first_result.status.to_string();
+  ASSERT_TRUE(second.status.is_ok()) << second.status.to_string();
+  EXPECT_EQ(first_result.outcome, Outcome::kComplete);
+  EXPECT_EQ(second.outcome, Outcome::kComplete);
+
+  const obs::RequestRecord a = record_of(server, 1);
+  const obs::RequestRecord b = record_of(server, 2);
+  EXPECT_LT(a.model_us, b.model_us);
+  EXPECT_LT(b.model_us, a.done_us) << "the second request waited for the "
+                                      "first chain to end";
+  EXPECT_EQ(a.batch_size, 1);
+  EXPECT_EQ(b.batch_size, 2);
+
+  core::ReconstructOptions opts;
+  opts.ddim_steps = 40;
+  EXPECT_EQ(max_abs_diff(first_result.image,
+                         model_->reconstruct(jpeg::decode_jfif(first_bytes),
+                                             opts)),
+            0.0);
+  EXPECT_EQ(max_abs_diff(second.image,
+                         model_->reconstruct(jpeg::decode_jfif(second_bytes),
+                                             opts)),
+            0.0);
+}
+
+// A worker runs one batch per padded size side by side: a plain 64 px
+// request and the 48 px tiles of another share its steps, the plain image
+// equals reconstruct(x) and the stitched one the public tiler's reference
+// (its tiles through reconstruct_batch_anytime, stitched), byte for byte.
+TEST_F(ServeParallelTest, PlainAndTileRequestsOfTwoSizesShareOneWorker) {
+  ServerConfig cfg = sharded_config(1);
+  cfg.max_batch = 8;
+  cfg.queue_capacity = 16;
+  cfg.recon.ddim_steps = 40;
+  ReceiverServer server(cfg, model_);
+  Session session = server.open_session();
+  const auto plain_bytes = bitstream(0);
+  ReconstructRequest tiled = request(bitstream(1));
+  tiled.tile.max_tile_px = 32;
+  tiled.tile.halo_px = 16;
+  ResultStream tiled_stream = session.submit(tiled);
+  ResultStream plain_stream = session.submit(request(plain_bytes));
+  const Result plain = plain_stream.wait();
+  const Result stitched = tiled_stream.wait();
+  ASSERT_TRUE(plain.status.is_ok()) << plain.status.to_string();
+  ASSERT_TRUE(stitched.status.is_ok()) << stitched.status.to_string();
+  ASSERT_EQ(stitched.tile_workers.size(), 4u);
+
+  // Ids: the tiled parent 1, its tiles 2..5, the plain request 6. The
+  // plain chain overlapped the tile chains on the one worker.
+  const obs::RequestRecord p = record_of(server, 6);
+  bool overlapped = false;
+  for (uint64_t id = 2; id <= 5; ++id) {
+    const obs::RequestRecord t = record_of(server, id);
+    EXPECT_EQ(t.worker, 0);
+    overlapped |= t.model_us < p.done_us && p.model_us < t.done_us;
+  }
+  EXPECT_TRUE(overlapped);
+  EXPECT_GE(p.batch_size, 2);
+
+  core::ReconstructOptions opts;
+  opts.ddim_steps = 40;
+  EXPECT_EQ(max_abs_diff(plain.image,
+                         model_->reconstruct(jpeg::decode_jfif(plain_bytes),
+                                             opts)),
+            0.0);
+  const jpeg::CoeffImage full = jpeg::decode_jfif(tiled.jfif);
+  const TileLayout layout = plan_tiles(full, tiled.tile);
+  std::vector<jpeg::CoeffImage> tiles;
+  for (const TileSpec& t : layout.tiles) tiles.push_back(extract_tile(full, t));
+  std::vector<core::AnytimeItem> items;
+  for (size_t i = 0; i < tiles.size(); ++i) {
+    items.push_back({&tiles[i], layout.tiles[i].cx0 / 4,
+                     layout.tiles[i].cy0 / 4});
+  }
+  opts.coord_noise = true;
+  opts.postprocess = false;
+  opts.use_fmpp = false;
+  const Image reference = stitch_tiles(
+      full, layout,
+      model_->reconstruct_batch_anytime(items, opts, core::AnytimeControl{})
+          .images);
+  EXPECT_EQ(max_abs_diff(stitched.image, reference), 0.0);
+}
+
+// An idle worker starts a popped request at once, alone, however long
+// batch_timeout_ms (accepted and ignored) asks it to wait for batch-mates.
+TEST_F(ServeParallelTest, LoneRequestOnIdleWorkerStartsAtOnce) {
+  ServerConfig cfg = sharded_config(1);
+  cfg.batch_timeout_ms = 400;
+  ReceiverServer server(cfg, model_);
+  Session session = server.open_session();
+  const auto bytes = bitstream(0);
+  const Result r = session.reconstruct(request(bytes));
+  ASSERT_TRUE(r.status.is_ok()) << r.status.to_string();
+  EXPECT_EQ(r.steps_done, r.steps_target);
+  const obs::RequestRecord rec = record_of(server, 1);
+  EXPECT_EQ(rec.batch_size, 1);
+  EXPECT_LT(rec.model_us - rec.batch_us, 1e3 * cfg.batch_timeout_ms / 2)
+      << "the request waited for batch-mates";
+  EXPECT_EQ(max_abs_diff(r.image, core::receiver_reconstruct(bytes, *model_)),
+            0.0);
 }
 
 // ---- one shared model, worker-local partitions ----
