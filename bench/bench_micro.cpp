@@ -9,6 +9,13 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <iterator>
+#include <string>
+#include <vector>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "baselines/dc_recovery.h"
 #include "bench_util.h"
@@ -132,9 +139,9 @@ BENCHMARK(BM_Conv2dTrainStep);
 // ---- GEMM / conv2d compute path ----
 //
 // BM_Gemm covers the raw kernel at square sizes spanning the small-problem
-// cutoff up past the KC/NC blocking thresholds; BM_GemmNaive is the same
-// shape through the DCDIFF_GEMM_NAIVE reference loop, so the ratio between
-// the two is the blocked kernel's speedup on this host.
+// cutoff up past the KC/NC blocking thresholds; BM_GemmReference is the same
+// shape through gemm_naive, the unblocked reference loop, so the ratio
+// between the two is the blocked kernel's speedup on this host.
 
 void BM_Gemm(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -153,7 +160,7 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(32)->Arg(128)->Arg(512);
 
-void BM_GemmNaive(benchmark::State& state) {
+void BM_GemmReference(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(5);
   std::vector<float> a(static_cast<size_t>(n * n));
@@ -161,16 +168,14 @@ void BM_GemmNaive(benchmark::State& state) {
   std::vector<float> c(static_cast<size_t>(n * n));
   for (float& v : a) v = rng.normal();
   for (float& v : b) v = rng.normal();
-  nn::set_gemm_naive(true);
   for (auto _ : state) {
-    nn::gemm(false, false, n, n, n, a.data(), n, b.data(), n, 0.0f, c.data(),
-             n);
+    nn::gemm_naive(false, false, n, n, n, a.data(), n, b.data(), n, 0.0f,
+                   c.data(), n);
     benchmark::DoNotOptimize(c.data());
   }
-  nn::set_gemm_naive(false);
   state.SetItemsProcessed(state.iterations() * n * n * n * 2);
 }
-BENCHMARK(BM_GemmNaive)->Arg(128)->Arg(512);
+BENCHMARK(BM_GemmReference)->Arg(128)->Arg(512);
 
 void BM_Im2col(benchmark::State& state) {
   const int c = 32, h = 32, w = 32, kh = 3, kw = 3, stride = 1, pad = 1;
@@ -188,32 +193,57 @@ void BM_Im2col(benchmark::State& state) {
 }
 BENCHMARK(BM_Im2col);
 
-// The UNet's dominant layer shape at default config (base 32, 32x32 planes).
-void BM_Conv2dForwardUNetShape(benchmark::State& state) {
-  Rng rng(7);
-  nn::Conv2d conv(32, 32, 3, 1, 1, rng);
-  const nn::Tensor x = nn::Tensor::full({1, 32, 32, 32}, 0.5f);
-  nn::NoGradGuard no_grad;
-  for (auto _ : state) {
-    nn::Tensor y = conv(x);
-    benchmark::DoNotOptimize(y);
-  }
-}
-BENCHMARK(BM_Conv2dForwardUNetShape);
+// The conv forward as the paper-default model serves it (3x3, stride 1,
+// pad 1, bias): PackedA::conv2d_forward on a 2-thread pool partition, strip
+// packing included. perfbench's nn.gemm rows time PackedA::run on prebuilt
+// patch matrices instead. UNet shapes run at 2 rows (one request, ensemble
+// 2) and 8 (a batch of 4); decoder shapes at 1 image, as the decoder plan
+// runs. Items are multiply-adds.
+struct ServeConv {
+  int m, c, hw;  // output channels, input channels, plane side
+};
+constexpr ServeConv kServeConvs[] = {
+    {32, 32, 16}, {64, 64, 8},  {32, 96, 16}, {4, 32, 16},  // UNet
+    {16, 32, 64}, {32, 64, 32}, {3, 16, 64},                // decoder
+};
+constexpr int kUNetServeConvs = 4;
 
-void BM_Conv2dForwardNaive(benchmark::State& state) {
+void BM_Conv2dForwardServe(benchmark::State& state) {
+  const ServeConv& s = kServeConvs[state.range(0)];
+  const int rows = static_cast<int>(state.range(1));
+  const int k = s.c * 9;
+  const int64_t npix = static_cast<int64_t>(s.hw) * s.hw;
   Rng rng(7);
-  nn::Conv2d conv(32, 32, 3, 1, 1, rng);
-  const nn::Tensor x = nn::Tensor::full({1, 32, 32, 32}, 0.5f);
-  nn::NoGradGuard no_grad;
-  nn::set_gemm_naive(true);
-  for (auto _ : state) {
-    nn::Tensor y = conv(x);
-    benchmark::DoNotOptimize(y);
+  std::vector<float> w(static_cast<size_t>(s.m) * k);
+  std::vector<float> bias(static_cast<size_t>(s.m));
+  std::vector<float> x(static_cast<size_t>(rows) * s.c * npix);
+  for (std::vector<float>* v : {&w, &bias, &x}) {
+    for (float& e : *v) e = rng.normal();
   }
-  nn::set_gemm_naive(false);
+  std::vector<float> out(static_cast<size_t>(rows) * s.m * npix);
+  const nn::PackedA packed(false, s.m, k, w.data(), k);
+  nn::ThreadPool pool(2);
+  nn::PoolBinding bind(&pool);
+  for (auto _ : state) {
+    packed.conv2d_forward(x.data(), rows, s.c, s.hw, s.hw, 3, 3, 1, 1, s.hw,
+                          s.hw, bias.data(), out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel("m" + std::to_string(s.m) + "_k" + std::to_string(k) + "_" +
+                 std::to_string(s.hw) + "x" + std::to_string(s.hw));
+  state.SetItemsProcessed(state.iterations() * rows * s.m * k * npix);
 }
-BENCHMARK(BM_Conv2dForwardNaive);
+BENCHMARK(BM_Conv2dForwardServe)
+    ->ArgNames({"shape", "rows"})
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      for (int i = 0; i < kUNetServeConvs; ++i) b->Args({i, 2})->Args({i, 8});
+      for (int i = kUNetServeConvs; i < static_cast<int>(std::size(kServeConvs));
+           ++i) {
+        b->Args({i, 1});
+      }
+    })
+    ->UseRealTime();
 
 void BM_LinearForward(benchmark::State& state) {
   Rng rng(8);
@@ -275,19 +305,38 @@ BENCHMARK(BM_GroupNormSiLU)
 // each spinning `spin_us` microseconds, on a ThreadPool(threads). spin_us:0
 // is an empty dispatch; with spin_us:10 the wall time over 10 us is what
 // starting the other ranges and joining them costs. Wall time per
-// dispatch.
+// dispatch. On Linux, `colocated` is the share of dispatches in which a
+// worker's range started on the CPU the caller's range (range 0) started
+// on: such ranges time-share one CPU, so the dispatch takes their sum, not
+// their maximum.
 void BM_PoolHandoff(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const auto spin = std::chrono::microseconds(state.range(1));
   nn::ThreadPool pool(threads);
   nn::PoolBinding bind(&pool);
+  std::vector<int> cpu(static_cast<size_t>(threads), -1);
+  int64_t colocated = 0;
   for (auto _ : state) {
-    nn::parallel_for_ranges(threads, 1, [&](int64_t, int64_t) {
+    nn::parallel_for_ranges(threads, 1, [&](int64_t r, int64_t) {
+#ifdef __linux__
+      cpu[static_cast<size_t>(r)] = sched_getcpu();
+#endif
       const auto end = std::chrono::steady_clock::now() + spin;
       while (std::chrono::steady_clock::now() < end) {
       }
     });
+    for (int r = 1; r < threads; ++r) {
+      if (cpu[static_cast<size_t>(r)] >= 0 &&
+          cpu[static_cast<size_t>(r)] == cpu[0]) {
+        ++colocated;
+        break;
+      }
+    }
   }
+#ifdef __linux__
+  state.counters["colocated"] = benchmark::Counter(
+      static_cast<double>(colocated), benchmark::Counter::kAvgIterations);
+#endif
 }
 BENCHMARK(BM_PoolHandoff)
     ->ArgNames({"threads", "spin_us"})

@@ -24,7 +24,10 @@
 #
 # test_gemm rides it too: its bit-exact sweep of the batched conv forward
 # and its concurrent conv calls from pool workers run the per-thread strip
-# buffers of PackedA::conv2d_forward under both sanitizers.
+# buffers of PackedA::conv2d_forward under both sanitizers, and its
+# byte-pinning test of gemm(), gemm_rows() and PackedA::run()
+# (Gemm.EntryPointsBitEqualAcrossBlockEdges) runs their one blocked loop's
+# Workspace panels across every K-block, N-block and row-panel edge.
 #
 # test_serve_anytime and test_tiling ride the same label: the first drives
 # the ResultStream channel (bounded drop-oldest buffer, terminal promise)

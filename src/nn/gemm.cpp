@@ -1,13 +1,11 @@
 #include "nn/gemm.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <stdexcept>
 
 #include "nn/threadpool.h"
 #include "nn/workspace.h"
-#include "obs/env.h"
 
 namespace dcdiff::nn {
 
@@ -34,13 +32,6 @@ constexpr int64_t kGrainMacs = 1 << 17;
 // ~128 FMAs).
 constexpr int64_t kActMacs = kGrainMacs / kActGrain;
 
-std::atomic<int> g_naive_override{-1};  // -1 = follow env, 0/1 = forced
-
-bool naive_from_env() {
-  static const bool naive = obs::env_int("DCDIFF_GEMM_NAIVE", 0) > 0;
-  return naive;
-}
-
 inline float load_a(bool trans_a, const float* a, int64_t lda, int64_t i,
                     int64_t p) {
   return trans_a ? a[p * lda + i] : a[i * lda + p];
@@ -49,26 +40,6 @@ inline float load_a(bool trans_a, const float* a, int64_t lda, int64_t i,
 inline float load_b(bool trans_b, const float* b, int64_t ldb, int64_t p,
                     int64_t j) {
   return trans_b ? b[j * ldb + p] : b[p * ldb + j];
-}
-
-// Unblocked reference path (also the DCDIFF_GEMM_NAIVE escape hatch).
-// Parallelized over rows so A/B runs stay usable on real workloads.
-void gemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-                const float* a, int64_t lda, const float* b, int64_t ldb,
-                float beta, float* c, int64_t ldc) {
-  const int64_t grain = std::max<int64_t>(1, kGrainMacs / std::max<int64_t>(1, n * k));
-  parallel_for_ranges(m, grain, [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      float* crow = c + i * ldc;
-      for (int64_t j = 0; j < n; ++j) {
-        float acc = 0.0f;
-        for (int64_t p = 0; p < k; ++p) {
-          acc += load_a(trans_a, a, lda, i, p) * load_b(trans_b, b, ldb, p, j);
-        }
-        crow[j] = beta == 0.0f ? acc : beta * crow[j] + acc;
-      }
-    }
-  });
 }
 
 // Packs rows [0, m) x cols [pc, pc + kc) of A_op into MR-row panels:
@@ -91,7 +62,11 @@ void pack_a(bool trans_a, const float* a, int64_t lda, int64_t m, int64_t pc,
 
 // Packs rows [pc, pc + kc) x cols [jc, jc + nc) of B_op into NR-column
 // panels: bp[jr*kc*NR + p*NR + j], zero-padded past the last real column.
-void pack_b(bool trans_b, const float* b, int64_t ldb, int64_t pc, int64_t kc,
+// Kept out of line: inlined into gemm_blocked, its one caller, GCC 12 at
+// -O3 -march=native compiled the transposed reads about 2x slower (on one
+// thread of an AVX-512 Xeon, the linear forward's m8 n256 k256 transposed-B
+// product took 114 instead of 48 us).
+[[gnu::noinline]] void pack_b(bool trans_b, const float* b, int64_t ldb, int64_t pc, int64_t kc,
             int64_t jc, int64_t nc, float* bp) {
   for (int64_t j0 = 0; j0 < nc; j0 += NR) {
     float* dst = bp + (j0 / NR) * kc * NR;
@@ -244,12 +219,57 @@ void micro_kernel(int64_t kc, const float* __restrict ap,
   }
 }
 
-// gemm() and gemm_rows(): `work` is the MAC count their routing rule
-// compares with kSmallProblem.
+// The blocked loop behind gemm(), gemm_rows() and PackedA::run(). K-blocks
+// run outermost, so A is packed once per block: into Workspace scratch, or
+// not at all when `panels` holds A_op pre-packed block after block
+// (PackedA's layout). B is packed per (K-block, N-block). Every C element
+// adds its K-blocks in ascending order, K-blocks past the first with
+// beta = 1, so the three entry points are bit-equal on equal operands.
+void gemm_blocked(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
+                  const float* a, int64_t lda, const float* panels,
+                  const float* b, int64_t ldb, float beta, float* c,
+                  int64_t ldc) {
+  Workspace::Scope scope;
+  Workspace& ws = Workspace::tls();
+  const int64_t row_panels = (m + MR - 1) / MR;
+  const int64_t kc_max = std::min(KC, k);
+  float* ap = panels ? nullptr
+                     : ws.floats(static_cast<size_t>(row_panels * kc_max * MR));
+  float* bp = ws.floats(
+      static_cast<size_t>(((std::min(NC, n) + NR - 1) / NR) * kc_max * NR));
+  for (int64_t pc = 0; pc < k; pc += KC) {
+    const int64_t kc = std::min(KC, k - pc);
+    const float beta_eff = pc == 0 ? beta : 1.0f;
+    // Every block before this one is KC deep.
+    const float* apc = panels ? panels + row_panels * MR * pc : ap;
+    if (!panels) pack_a(trans_a, a, lda, m, pc, kc, ap);
+    for (int64_t jc = 0; jc < n; jc += NC) {
+      const int64_t nc = std::min(NC, n - jc);
+      const int64_t col_panels = (nc + NR - 1) / NR;
+      pack_b(trans_b, b, ldb, pc, kc, jc, nc, bp);
+      const int64_t tiles = row_panels * col_panels;
+      const int64_t grain =
+          std::max<int64_t>(1, kGrainMacs / (kc * MR * NR));
+      parallel_for_ranges(tiles, grain, [&](int64_t t0, int64_t t1) {
+        for (int64_t t = t0; t < t1; ++t) {
+          const int64_t ir = t / col_panels;
+          const int64_t jr = t % col_panels;
+          micro_kernel(kc, apc + ir * kc * MR, bp + jr * kc * NR,
+                       c + ir * MR * ldc + jc + jr * NR, ldc,
+                       std::min(MR, m - ir * MR), std::min(NR, nc - jr * NR),
+                       beta_eff);
+        }
+      });
+    }
+  }
+}
+
+// gemm(), gemm_rows() and PackedA::run(): `work` is the MAC count their
+// routing rule compares with kSmallProblem; `panels` is PackedA's or null.
 void gemm_routed(int64_t work, bool trans_a, bool trans_b, int64_t m,
                  int64_t n, int64_t k, const float* a, int64_t lda,
-                 const float* b, int64_t ldb, float beta, float* c,
-                 int64_t ldc) {
+                 const float* panels, const float* b, int64_t ldb, float beta,
+                 float* c, int64_t ldc) {
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
     // Degenerate: C = beta * C.
@@ -263,72 +283,47 @@ void gemm_routed(int64_t work, bool trans_a, bool trans_b, int64_t m,
     }
     return;
   }
-  if (gemm_naive_enabled() || work <= kSmallProblem) {
+  if (work <= kSmallProblem) {
     gemm_naive(trans_a, trans_b, m, n, k, a, lda, b, ldb, beta, c, ldc);
     return;
   }
-
-  Workspace::Scope scope;
-  Workspace& ws = Workspace::tls();
-  const int64_t row_panels = (m + MR - 1) / MR;
-  const int64_t kc_max = std::min(KC, k);
-  float* ap = ws.floats(static_cast<size_t>(row_panels * kc_max * MR));
-  float* bp = ws.floats(
-      static_cast<size_t>(((std::min(NC, n) + NR - 1) / NR) * kc_max * NR));
-
-  // K-blocks outermost so A is packed once per block instead of once per
-  // (jc, pc) pair — for wide-N products (batched conv patches) the old order
-  // repacked the same weight panels n/NC times. Every C element still
-  // accumulates its K-blocks in ascending pc order, so results are
-  // unchanged bit for bit.
-  for (int64_t pc = 0; pc < k; pc += KC) {
-    const int64_t kc = std::min(KC, k - pc);
-    const float beta_eff = pc == 0 ? beta : 1.0f;
-    pack_a(trans_a, a, lda, m, pc, kc, ap);
-    for (int64_t jc = 0; jc < n; jc += NC) {
-      const int64_t nc = std::min(NC, n - jc);
-      const int64_t col_panels = (nc + NR - 1) / NR;
-      pack_b(trans_b, b, ldb, pc, kc, jc, nc, bp);
-      const int64_t tiles = row_panels * col_panels;
-      const int64_t grain =
-          std::max<int64_t>(1, kGrainMacs / (kc * MR * NR));
-      parallel_for_ranges(tiles, grain, [&](int64_t t0, int64_t t1) {
-        for (int64_t t = t0; t < t1; ++t) {
-          const int64_t ir = t / col_panels;
-          const int64_t jr = t % col_panels;
-          micro_kernel(kc, ap + ir * kc * MR, bp + jr * kc * NR,
-                       c + ir * MR * ldc + jc + jr * NR, ldc,
-                       std::min(MR, m - ir * MR), std::min(NR, nc - jr * NR),
-                       beta_eff);
-        }
-      });
-    }
-  }
+  gemm_blocked(trans_a, trans_b, m, n, k, a, lda, panels, b, ldb, beta, c,
+               ldc);
 }
 
 }  // namespace
 
-bool gemm_naive_enabled() {
-  const int o = g_naive_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  return naive_from_env();
-}
-
-void set_gemm_naive(bool naive) {
-  g_naive_override.store(naive ? 1 : 0, std::memory_order_relaxed);
+// Parallelized over rows so the reference stays usable on real workloads.
+void gemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
+                const float* a, int64_t lda, const float* b, int64_t ldb,
+                float beta, float* c, int64_t ldc) {
+  const int64_t grain = std::max<int64_t>(1, kGrainMacs / std::max<int64_t>(1, n * k));
+  parallel_for_ranges(m, grain, [&](int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) {
+      float* crow = c + i * ldc;
+      for (int64_t j = 0; j < n; ++j) {
+        float acc = 0.0f;
+        for (int64_t p = 0; p < k; ++p) {
+          acc += load_a(trans_a, a, lda, i, p) * load_b(trans_b, b, ldb, p, j);
+        }
+        crow[j] = beta == 0.0f ? acc : beta * crow[j] + acc;
+      }
+    }
+  });
 }
 
 void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           const float* a, int64_t lda, const float* b, int64_t ldb, float beta,
           float* c, int64_t ldc) {
-  gemm_routed(m * n * k, trans_a, trans_b, m, n, k, a, lda, b, ldb, beta, c,
-              ldc);
+  gemm_routed(m * n * k, trans_a, trans_b, m, n, k, a, lda, nullptr, b, ldb,
+              beta, c, ldc);
 }
 
 void gemm_rows(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                const float* a, int64_t lda, const float* b, int64_t ldb,
                float beta, float* c, int64_t ldc) {
-  gemm_routed(n * k, trans_a, trans_b, m, n, k, a, lda, b, ldb, beta, c, ldc);
+  gemm_routed(n * k, trans_a, trans_b, m, n, k, a, lda, nullptr, b, ldb, beta,
+              c, ldc);
 }
 
 PackedA::PackedA(bool trans_a, int64_t m, int64_t k, const float* a,
@@ -336,53 +331,18 @@ PackedA::PackedA(bool trans_a, int64_t m, int64_t k, const float* a,
     : m_(m), k_(k), trans_a_(trans_a), a_(a), lda_(lda) {
   const int64_t row_panels = (m + MR - 1) / MR;
   panels_.resize(static_cast<size_t>(row_panels) * MR * k);
-  int64_t offset = 0;
   for (int64_t pc = 0; pc < k; pc += KC) {
-    const int64_t kc = std::min(KC, k - pc);
-    block_offset_.push_back(offset);
-    pack_a(trans_a, a, lda, m, pc, kc, panels_.data() + offset);
-    offset += row_panels * kc * MR;
+    pack_a(trans_a, a, lda, m, pc, std::min(KC, k - pc),
+           panels_.data() + row_panels * MR * pc);
   }
 }
 
 void PackedA::run(int64_t n, const float* b, int64_t ldb, float beta, float* c,
                   int64_t ldc) const {
-  if (m_ <= 0 || n <= 0) return;
-  // Mirror gemm()'s routing exactly so a batched matmul through PackedA is
-  // bit-equal to the per-call gemm() the single-image path would issue.
-  if (k_ <= 0 || gemm_naive_enabled() || m_ * n * k_ <= kSmallProblem) {
-    gemm(trans_a_, false, m_, n, k_, a_, lda_, b, ldb, beta, c, ldc);
-    return;
-  }
-  Workspace::Scope scope;
-  Workspace& ws = Workspace::tls();
-  const int64_t row_panels = (m_ + MR - 1) / MR;
-  const int64_t kc_max = std::min(KC, k_);
-  float* bp = ws.floats(
-      static_cast<size_t>(((std::min(NC, n) + NR - 1) / NR) * kc_max * NR));
-  for (int64_t jc = 0; jc < n; jc += NC) {
-    const int64_t nc = std::min(NC, n - jc);
-    const int64_t col_panels = (nc + NR - 1) / NR;
-    int64_t block = 0;
-    for (int64_t pc = 0; pc < k_; pc += KC, ++block) {
-      const int64_t kc = std::min(KC, k_ - pc);
-      const float beta_eff = pc == 0 ? beta : 1.0f;
-      const float* ap = panels_.data() + block_offset_[static_cast<size_t>(block)];
-      pack_b(false, b, ldb, pc, kc, jc, nc, bp);
-      const int64_t tiles = row_panels * col_panels;
-      const int64_t grain = std::max<int64_t>(1, kGrainMacs / (kc * MR * NR));
-      parallel_for_ranges(tiles, grain, [&](int64_t t0, int64_t t1) {
-        for (int64_t t = t0; t < t1; ++t) {
-          const int64_t ir = t / col_panels;
-          const int64_t jr = t % col_panels;
-          micro_kernel(kc, ap + ir * kc * MR, bp + jr * kc * NR,
-                       c + ir * MR * ldc + jc + jr * NR, ldc,
-                       std::min(MR, m_ - ir * MR),
-                       std::min(NR, nc - jr * NR), beta_eff);
-        }
-      });
-    }
-  }
+  // gemm()'s routing, so a batched matmul through PackedA is bit-equal to
+  // the per-call gemm() the single-image path would issue.
+  gemm_routed(m_ * n * k_, trans_a_, false, m_, n, k_, a_, lda_,
+              panels_.data(), b, ldb, beta, c, ldc);
 }
 
 void PackedA::conv2d_forward(const float* x, int n, int c, int h, int w,
@@ -397,12 +357,12 @@ void PackedA::conv2d_forward(const float* x, int n, int c, int h, int w,
   const int64_t in_plane = static_cast<int64_t>(c) * h * w;
   const int64_t out_plane = m_ * npix;
   // run()'s per-image routing: every image of the batch has the same shape,
-  // so the whole batch takes the naive or the blocked path. The naive path
-  // keeps the per-image im2col + gemm() it replaces: GCC vectorizes
+  // so the whole batch takes gemm_naive() or the blocked path. The small
+  // route keeps the per-image im2col + gemm() it replaces: GCC vectorizes
   // gemm_naive's K loop into unfused vector products summed in order, with
   // fused tails, so its bits belong to that compiled loop and its B stride,
   // and a sum written any other way would not reproduce them.
-  if (k_ <= 0 || gemm_naive_enabled() || m_ * npix * k_ <= kSmallProblem) {
+  if (k_ <= 0 || m_ * npix * k_ <= kSmallProblem) {
     Workspace::Scope scope;
     float* col = Workspace::tls().floats(static_cast<size_t>(k_ * npix));
     for (int ni = 0; ni < n; ++ni) {
@@ -442,11 +402,9 @@ void PackedA::conv2d_forward(const float* x, int n, int c, int h, int w,
       pack_conv_strip(x + ni * in_plane, c, h, w, kh, kw, stride, pad, wo, j0,
                       nr, bp);
       float* cs = out + ni * out_plane + j0;
-      int64_t block = 0;
-      for (int64_t pc = 0; pc < k_; pc += KC, ++block) {
+      for (int64_t pc = 0; pc < k_; pc += KC) {
         const int64_t kc = std::min(KC, k_ - pc);
-        const float* ap =
-            panels_.data() + block_offset_[static_cast<size_t>(block)];
+        const float* ap = panels_.data() + row_panels * MR * pc;
         for (int64_t ir = 0; ir < row_panels; ++ir) {
           micro_kernel(kc, ap + ir * kc * MR, bp + pc * NR,
                        cs + ir * MR * npix, npix, std::min(MR, m_ - ir * MR),

@@ -9,11 +9,9 @@
 // and linear forward/backward. Operands are packed into contiguous
 // K-blocked panels allocated from the calling thread's Workspace; the work
 // is parallelized over ThreadPool::current(), the calling thread's bound
-// pool partition (or the global pool when none is bound).
-//
-// Setting DCDIFF_GEMM_NAIVE=1 (or set_gemm_naive(true)) routes every call
-// through an unblocked reference loop instead — the A/B escape hatch for
-// debugging numerical or performance regressions in the blocked path.
+// pool partition (or the global pool when none is bound). Products within
+// the small-problem bound of 4096 multiply-adds (see gemm_rows() for how
+// each entry point sizes a product) skip the packing and run gemm_naive().
 #pragma once
 
 #include <cstdint>
@@ -48,11 +46,14 @@ void gemm_rows(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                const float* a, int64_t lda, const float* b, int64_t ldb,
                float beta, float* c, int64_t ldc);
 
-// True when the naive reference path is active (DCDIFF_GEMM_NAIVE=1 in the
-// environment at first use, or a set_gemm_naive(true) override).
-bool gemm_naive_enabled();
-// Runtime override (tests / A-B debugging). Takes effect immediately.
-void set_gemm_naive(bool naive);
+// The unblocked loop (same operands as gemm()): one dot product per
+// output, rows spread over the pool. It is the small-problem route of
+// gemm(), gemm_rows() and PackedA, so its bits are those of every product
+// within that bound, and it is the reference tests and bench_micro call
+// directly.
+void gemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
+                const float* a, int64_t lda, const float* b, int64_t ldb,
+                float beta, float* c, int64_t ldc);
 
 // im2col for one NCHW image plane set: x is (c, h, w); the output `col` is
 // (c*kh*kw) x (ho*wo) row-major, row (ci*kh + ky)*kw + kx holding the input
@@ -64,18 +65,17 @@ void im2col(const float* x, int c, int h, int w, int kh, int kw, int stride,
 
 // Pre-packed left operand for one-weight-many-inputs products.
 //
-// gemm() repacks A into micro-kernel panels for every NC-column block of
-// every call. When the same matrix multiplies a batch of right-hand sides
-// (conv2d weights against every image of every call), that packing is pure
-// waste: PackedA packs A_op (m x k) into panel layout exactly once and
-// run() / conv2d_forward() reuse it for every B. run() executes the identical blocked loop
-// with the identical micro-kernel and K-block accumulation order as
-// gemm(false, false, ...) on the same operands, so results are bit-equal —
-// batching stays a pure performance transform.
+// gemm() packs A into micro-kernel panels on every call. When the same
+// matrix multiplies a batch of right-hand sides (conv2d weights against
+// every image of every call), that packing is pure waste: PackedA packs
+// A_op (m x k) into panel layout exactly once and run() / conv2d_forward()
+// reuse it for every B. run() is gemm()'s blocked loop reading these
+// panels, so it is bit-equal to gemm(trans_a, false, ...) on the same
+// operands — batching stays a pure performance transform.
 //
-// The original `a` pointer must stay valid for the PackedA's lifetime: the
-// naive reference path (DCDIFF_GEMM_NAIVE=1) and sub-threshold small
-// products read it directly, again matching what gemm() would have done.
+// The original `a` pointer must stay valid for the PackedA's lifetime:
+// small products take gemm_naive(), which reads it directly, again
+// matching what gemm() would have done.
 class PackedA {
  public:
   PackedA(bool trans_a, int64_t m, int64_t k, const float* a, int64_t lda);
@@ -94,7 +94,7 @@ class PackedA {
   // (image, 16-column output strip) pairs, each packing its B strip
   // straight from x into Workspace scratch, running every weight row-panel
   // over it K-block by K-block, then adding the bias and applying `act` to
-  // the strip it wrote. Problems run() would route to the naive loop keep
+  // the strip it wrote. Problems run() would route to gemm_naive() keep
   // that route: im2col into Workspace scratch and gemm(), image by image,
   // then one parallel bias + `act` pass over the output rows.
   void conv2d_forward(const float* x, int n, int c, int h, int w, int kh,
@@ -106,10 +106,9 @@ class PackedA {
   int64_t m_ = 0;
   int64_t k_ = 0;
   bool trans_a_ = false;
-  const float* a_ = nullptr;  // for the naive / small-problem fallback
+  const float* a_ = nullptr;  // for the small-problem route
   int64_t lda_ = 0;
-  std::vector<float> panels_;          // all K-blocks, packed back to back
-  std::vector<int64_t> block_offset_;  // panel offset of each K-block
+  std::vector<float> panels_;  // all K-blocks, packed back to back
 };
 
 // Transpose scatter of im2col: accumulates col (laid out as above) back

@@ -1,20 +1,21 @@
 // The blocked GEMM compute path: kernel vs reference over a shape sweep,
-// im2col/col2im adjointness, the batched conv forward bit for bit against
-// the per-image im2col route, conv2d/linear equivalence between the blocked
-// and naive routes, per-row routing of the batch-row product, gradient
-// checks through the GEMM path, and workspace reuse from concurrent pool
-// workers.
+// gemm() / gemm_rows() / PackedA::run() bit for bit across the block edges
+// of their one loop, im2col/col2im adjointness, the batched conv forward bit
+// for bit against the per-image im2col route, conv2d/linear forward and
+// gradients against double-precision references, per-row routing of the
+// batch-row product, gradient checks through the GEMM path, and workspace
+// reuse from concurrent pool workers.
 #include "nn/gemm.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -28,13 +29,6 @@ namespace dcdiff::nn {
 namespace {
 
 using dcdiff::testing_util::check_gradient;
-
-// Restores the env-derived default on scope exit so tests don't leak the
-// override into each other.
-struct NaiveGuard {
-  explicit NaiveGuard(bool naive) { set_gemm_naive(naive); }
-  ~NaiveGuard() { set_gemm_naive(false); }
-};
 
 std::vector<float> random_vec(size_t n, Rng& rng, float scale = 1.0f) {
   std::vector<float> v(n);
@@ -128,24 +122,73 @@ TEST(Gemm, LargeEnoughToEngageAllBlockingLevels) {
   run_gemm_case(false, true, 40, 500, 300, 1.0f, 8);
 }
 
-TEST(Gemm, NaiveEscapeHatchMatchesBlocked) {
+// One case of EntryPointsBitEqualAcrossBlockEdges: gemm_rows(),
+// PackedA::run() (trans_b = false only) and a chain of one gemm() per
+// 256-deep K-block, each byte for byte against gemm(). The operands are the
+// leading elements of a, b and c0.
+void expect_entry_points_bit_equal(bool ta, bool tb, int64_t m, int64_t n,
+                                   int64_t k, float beta,
+                                   const std::vector<float>& a,
+                                   const std::vector<float>& b,
+                                   const std::vector<float>& c0) {
+  const int64_t lda = ta ? m : k;
+  const int64_t ldb = tb ? k : n;
+  const std::vector<float> init(c0.begin(), c0.begin() + m * n);
+  std::vector<float> want = init;
+  gemm(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, want.data(), n);
+  const auto expect_bits = [&](const std::vector<float>& got,
+                               const char* what) {
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                             want.size() * sizeof(float)))
+        << what << " m=" << m << " n=" << n << " k=" << k
+        << " trans_a=" << ta << " trans_b=" << tb << " beta=" << beta;
+  };
+  std::vector<float> got = init;
+  gemm_rows(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, beta, got.data(),
+            n);
+  expect_bits(got, "gemm_rows");
+  if (!tb) {
+    got = init;
+    PackedA(ta, m, k, a.data(), lda)
+        .run(n, b.data(), ldb, beta, got.data(), n);
+    expect_bits(got, "PackedA::run");
+  }
+  got = init;
+  for (int64_t pc = 0; pc < k; pc += 256) {
+    gemm(ta, tb, m, n, std::min<int64_t>(256, k - pc),
+         a.data() + (ta ? pc * lda : pc), lda,
+         b.data() + (tb ? pc : pc * ldb), ldb, pc == 0 ? beta : 1.0f,
+         got.data(), n);
+  }
+  expect_bits(got, "K-block chain");
+}
+
+// gemm(), gemm_rows() and PackedA::run() run one blocked loop, so on equal
+// operands they agree byte for byte. That loop adds each C element's
+// K-blocks in ascending order, those past the first with beta = 1, so a
+// chain of one gemm() per 256-deep K-block gives the same bytes. k, n and m
+// straddle the KC = 256 K-block, the NC = 480 N-block and the MR = 6 row
+// panel, and every whole product is above the 4096 multiply-add bound. A
+// chained one-deep tail (k = 257) of a small product takes gemm_naive(),
+// whose one product and beta = 1 update round as the micro-kernel's do.
+TEST(Gemm, EntryPointsBitEqualAcrossBlockEdges) {
   Rng rng(9);
-  const int64_t m = 30, n = 70, k = 130;
-  std::vector<float> a = random_vec(static_cast<size_t>(m * k), rng);
-  std::vector<float> b = random_vec(static_cast<size_t>(k * n), rng);
-  std::vector<float> blocked(static_cast<size_t>(m * n));
-  std::vector<float> naive(static_cast<size_t>(m * n));
-  {
-    NaiveGuard guard(false);
-    gemm(false, false, m, n, k, a.data(), k, b.data(), n, 0.0f,
-         blocked.data(), n);
+  const std::vector<float> a = random_vec(64 * 600, rng);
+  const std::vector<float> b = random_vec(600 * 1000, rng);
+  const std::vector<float> c0 = random_vec(64 * 1000, rng);
+  for (const int64_t k : {255, 256, 257, 600}) {
+    for (const int64_t n : {479, 480, 481, 1000}) {
+      for (const int64_t m : {1, 6, 7, 64}) {
+        for (const bool ta : {false, true}) {
+          for (const bool tb : {false, true}) {
+            for (const float beta : {0.0f, 1.0f}) {
+              expect_entry_points_bit_equal(ta, tb, m, n, k, beta, a, b, c0);
+            }
+          }
+        }
+      }
+    }
   }
-  {
-    NaiveGuard guard(true);
-    gemm(false, false, m, n, k, a.data(), k, b.data(), n, 0.0f, naive.data(),
-         n);
-  }
-  expect_close(blocked, naive);
 }
 
 // gemm_rows(): a row's bits never depend on how many rows share the call,
@@ -287,7 +330,8 @@ const ConvGeom kConvSweep[] = {
     {6, 13, 11, 13, 3, 3, 2, 0},    // strided, unpadded, odd planes
     {4, 9, 9, 7, 5, 5, 1, 2},       // 5x5 taps, pad 2
     {16, 10, 10, 12, 1, 1, 2, 0},   // strided 1x1 (not the plain GEMM)
-    {2, 4, 4, 3, 3, 3, 1, 1},       // under kSmallProblem: naive route
+    {2, 4, 4, 3, 3, 3, 1, 1},       // under kSmallProblem: gemm_naive route
+    {8, 4, 4, 16, 1, 1, 1, 0},      // m16_k8_n16: quickfast's small route
 };
 
 std::string geom_name(const ConvGeom& g, int n) {
@@ -300,12 +344,11 @@ std::string geom_name(const ConvGeom& g, int n) {
 
 // Runs the sweep at batch 1, 3 and 8, with and without bias, comparing
 // PackedA::conv2d_forward with memcmp against the per-image route it
-// replaced: im2col, then `product` (out plane = W * patches, beta 0), then
-// a separate bias pass. Both run on a 2-thread pool, the serve partition
-// size, so the batched entry's task split is exercised while the sweep
-// leaves the rest of the machine to concurrently running tests.
-template <typename Product>
-void sweep_conv_forward(Product product) {
+// replaced: im2col, then PackedA::run (out plane = W * patches, beta 0),
+// then a separate bias pass. Both run on a 2-thread pool, the serve
+// partition size, so the batched entry's task split is exercised while the
+// sweep leaves the rest of the machine to concurrently running tests.
+TEST(ConvForward, BatchedEntryBitEqualsPerImageIm2colAndPackedRun) {
   ThreadPool pool(2);
   PoolBinding bind(&pool);
   uint64_t seed = 41;
@@ -328,8 +371,8 @@ void sweep_conv_forward(Product product) {
       for (int ni = 0; ni < n; ++ni) {
         im2col(x.data() + static_cast<size_t>(ni) * g.c * g.h * g.w, g.c,
                g.h, g.w, g.kh, g.kw, g.stride, g.pad, ho, wo, col.data());
-        product(packed, w, g.f, kdim, npix, col.data(),
-                want.data() + static_cast<size_t>(ni) * g.f * npix);
+        packed.run(npix, col.data(), npix, 0.0f,
+                   want.data() + static_cast<size_t>(ni) * g.f * npix, npix);
       }
       std::vector<float> got(out_size, -7.0f);
       packed.conv2d_forward(x.data(), n, g.c, g.h, g.w, g.kh, g.kw, g.stride,
@@ -353,23 +396,6 @@ void sweep_conv_forward(Product product) {
   }
 }
 
-TEST(ConvForward, BatchedEntryBitEqualsPerImageIm2colAndPackedRun) {
-  NaiveGuard guard(false);
-  sweep_conv_forward([](const PackedA& packed, const std::vector<float>&, int,
-                        int, int64_t npix, const float* col, float* out) {
-    packed.run(npix, col, npix, 0.0f, out, npix);
-  });
-}
-
-TEST(ConvForward, NaiveBatchedEntryBitEqualsIm2colAndNaiveGemm) {
-  NaiveGuard guard(true);
-  sweep_conv_forward([](const PackedA&, const std::vector<float>& w, int f,
-                        int kdim, int64_t npix, const float* col, float* out) {
-    gemm(false, false, f, npix, kdim, w.data(), kdim, col, npix, 0.0f, out,
-         npix);
-  });
-}
-
 TEST(ConvForward, RejectsWeightsOfAnotherDepth) {
   const std::vector<float> w(4 * 27, 1.0f);
   const PackedA packed(false, 4, 27, w.data(), 27);
@@ -379,16 +405,48 @@ TEST(ConvForward, RejectsWeightsOfAnotherDepth) {
                std::invalid_argument);
 }
 
-// ---------- conv2d / linear equivalence, blocked vs naive ----------
+// ---------- conv2d / linear against double-precision references ----------
 
 struct ConvCase {
   int n, c, h, w, f, k, stride, pad;
 };
 
+// Calls fn(y index, x index, w index) for every in-bounds tap of the conv.
+template <typename Fn>
+void for_each_tap(const ConvCase& cc, int ho, int wo, Fn fn) {
+  size_t yi = 0;
+  for (int ni = 0; ni < cc.n; ++ni) {
+    for (int fi = 0; fi < cc.f; ++fi) {
+      for (int oy = 0; oy < ho; ++oy) {
+        for (int ox = 0; ox < wo; ++ox, ++yi) {
+          for (int ci = 0; ci < cc.c; ++ci) {
+            for (int ky = 0; ky < cc.k; ++ky) {
+              for (int kx = 0; kx < cc.k; ++kx) {
+                const int iy = oy * cc.stride - cc.pad + ky;
+                const int ix = ox * cc.stride - cc.pad + kx;
+                if (iy < 0 || iy >= cc.h || ix < 0 || ix >= cc.w) continue;
+                fn(yi, static_cast<size_t>(((ni * cc.c + ci) * cc.h + iy) *
+                                               cc.w + ix),
+                   static_cast<size_t>(((fi * cc.c + ci) * cc.k + ky) *
+                                           cc.k + kx));
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+std::vector<float> to_float(const std::vector<double>& v) {
+  return std::vector<float>(v.begin(), v.end());
+}
+
 // Every GEMM of every case (forward, input and weight gradient: f * pixels
 // * c*k*k multiply-adds per image) is above the 4096 small-problem bound,
-// so the first run takes the blocked route throughout.
-TEST(ConvGemmPath, ForwardAndGradMatchNaiveRoute) {
+// so all of them take the blocked route. The reference is y = conv(x, w) +
+// b and the gradients of sum(y * y), in double precision.
+TEST(ConvGemmPath, ForwardAndGradMatchDoubleReference) {
   const ConvCase cases[] = {
       {2, 3, 8, 8, 5, 3, 1, 1},    // padded same-size conv
       {1, 4, 9, 7, 6, 3, 2, 1},    // strided, non-square
@@ -403,51 +461,82 @@ TEST(ConvGemmPath, ForwardAndGradMatchNaiveRoute) {
     x.set_requires_grad(true);
     w.set_requires_grad(true);
     b.set_requires_grad(true);
+    Tensor y = conv2d(x, w, b, cc.stride, cc.pad);
+    sum(mul(y, y)).backward();
 
-    auto run = [&](bool naive) {
-      NaiveGuard guard(naive);
-      x.zero_grad();
-      w.zero_grad();
-      b.zero_grad();
-      Tensor y = conv2d(x, w, b, cc.stride, cc.pad);
-      sum(mul(y, y)).backward();
-      return std::tuple{y.value(), x.grad(), w.grad(), b.grad()};
-    };
-    auto [yv_b, xg_b, wg_b, bg_b] = run(false);
-    auto [yv_n, xg_n, wg_n, bg_n] = run(true);
-    expect_close(yv_b, yv_n);
-    expect_close(xg_b, xg_n);
-    expect_close(wg_b, wg_n);
-    expect_close(bg_b, bg_n);
+    const int ho = (cc.h + 2 * cc.pad - cc.k) / cc.stride + 1;
+    const int wo = (cc.w + 2 * cc.pad - cc.k) / cc.stride + 1;
+    const size_t plane = static_cast<size_t>(ho) * wo;
+    std::vector<double> yd(y.value().size());
+    for (size_t i = 0; i < yd.size(); ++i) {
+      yd[i] = b.value()[i / plane % static_cast<size_t>(cc.f)];
+    }
+    for_each_tap(cc, ho, wo, [&](size_t yi, size_t xi, size_t wi) {
+      yd[yi] += static_cast<double>(x.value()[xi]) * w.value()[wi];
+    });
+    std::vector<double> xg(x.value().size()), wg(w.value().size()),
+        bg(static_cast<size_t>(cc.f));
+    for_each_tap(cc, ho, wo, [&](size_t yi, size_t xi, size_t wi) {
+      xg[xi] += 2.0 * yd[yi] * w.value()[wi];
+      wg[wi] += 2.0 * yd[yi] * x.value()[xi];
+    });
+    for (size_t i = 0; i < yd.size(); ++i) {
+      bg[i / plane % static_cast<size_t>(cc.f)] += 2.0 * yd[i];
+    }
+    expect_close(y.value(), to_float(yd));
+    expect_close(x.grad(), to_float(xg));
+    expect_close(w.grad(), to_float(wg));
+    expect_close(b.grad(), to_float(bg));
   }
 }
 
 // The forward's 32 x 150 multiply-adds per row and both gradient products
-// (30 * 32 * 150) are above the 4096 small-problem bound, so the first run
-// takes the blocked route in all three GEMMs.
-TEST(LinearGemmPath, ForwardAndGradMatchNaiveRoute) {
+// (30 * 32 * 150) are above the 4096 small-problem bound, so all three
+// GEMMs take the blocked route. The reference is y = x w^T + b and the
+// gradients of sum(y * y), in double precision.
+TEST(LinearGemmPath, ForwardAndGradMatchDoubleReference) {
+  constexpr int rows = 30, in = 150, out = 32;
   Rng rng(19);
-  Tensor x = random_tensor({30, 150}, rng);
-  Tensor w = random_tensor({32, 150}, rng);
-  Tensor b = random_tensor({32}, rng);
+  Tensor x = random_tensor({rows, in}, rng);
+  Tensor w = random_tensor({out, in}, rng);
+  Tensor b = random_tensor({out}, rng);
   x.set_requires_grad(true);
   w.set_requires_grad(true);
   b.set_requires_grad(true);
-  auto run = [&](bool naive) {
-    NaiveGuard guard(naive);
-    x.zero_grad();
-    w.zero_grad();
-    b.zero_grad();
-    Tensor y = linear(x, w, b);
-    sum(mul(y, y)).backward();
-    return std::tuple{y.value(), x.grad(), w.grad(), b.grad()};
-  };
-  auto [yv_b, xg_b, wg_b, bg_b] = run(false);
-  auto [yv_n, xg_n, wg_n, bg_n] = run(true);
-  expect_close(yv_b, yv_n);
-  expect_close(xg_b, xg_n);
-  expect_close(wg_b, wg_n);
-  expect_close(bg_b, bg_n);
+  Tensor y = linear(x, w, b);
+  sum(mul(y, y)).backward();
+
+  const std::vector<float>& xv = x.value();
+  const std::vector<float>& wv = w.value();
+  std::vector<double> yd(static_cast<size_t>(rows * out));
+  std::vector<double> xg(xv.size()), wg(wv.size());
+  std::vector<double> bg(static_cast<size_t>(out));
+  for (int i = 0; i < rows; ++i) {
+    for (int o = 0; o < out; ++o) {
+      double acc = b.value()[static_cast<size_t>(o)];
+      for (int p = 0; p < in; ++p) {
+        acc += static_cast<double>(xv[static_cast<size_t>(i * in + p)]) *
+               wv[static_cast<size_t>(o * in + p)];
+      }
+      yd[static_cast<size_t>(i * out + o)] = acc;
+    }
+  }
+  for (int i = 0; i < rows; ++i) {
+    for (int o = 0; o < out; ++o) {
+      const double g = 2.0 * yd[static_cast<size_t>(i * out + o)];
+      bg[static_cast<size_t>(o)] += g;
+      for (int p = 0; p < in; ++p) {
+        const size_t xi = static_cast<size_t>(i * in + p);
+        const size_t wi = static_cast<size_t>(o * in + p);
+        xg[xi] += g * wv[wi];
+        wg[wi] += g * xv[xi];
+      }
+    }
+  }
+  expect_close(y.value(), to_float(yd));
+  expect_close(x.grad(), to_float(xg));
+  expect_close(w.grad(), to_float(wg));
+  expect_close(b.grad(), to_float(bg));
 }
 
 // The linear forward's rows are batch items: a row's output is the same
@@ -476,7 +565,6 @@ TEST(LinearGemmPath, RowBitsDoNotDependOnBatchSize) {
 // Both convs issue 6 * 36 * (25 or 100) multiply-adds per GEMM, above the
 // 4096 small-problem bound, so the gradients run the blocked kernel.
 TEST(ConvGemmPath, GradCheckThroughBlockedKernel) {
-  NaiveGuard guard(false);
   Rng rng(23);
   Tensor x = random_tensor({1, 4, 10, 10}, rng);
   Tensor w = random_tensor({6, 4, 3, 3}, rng);
@@ -488,7 +576,6 @@ TEST(ConvGemmPath, GradCheckThroughBlockedKernel) {
 // 40 x 110 multiply-adds per forward row and 3 * 40 * 110 per gradient
 // product, above the 4096 small-problem bound: all three GEMMs are blocked.
 TEST(LinearGemmPath, GradCheckThroughBlockedKernel) {
-  NaiveGuard guard(false);
   Rng rng(29);
   Tensor x = random_tensor({3, 110}, rng);
   Tensor w = random_tensor({40, 110}, rng);
