@@ -111,30 +111,40 @@ void BM_BaselineRecovery(benchmark::State& state) {
 }
 BENCHMARK(BM_BaselineRecovery)->Arg(0)->Arg(1)->Arg(2);
 
+// Every NN benchmark below that runs on the thread pool binds its own
+// 2-thread partition (nn::PoolBinding), as a serving worker does, and
+// reports wall time (UseRealTime): on the process-wide pool, which has a
+// thread per CPU, any other process on the host moves the numbers by a
+// large factor.
+
 void BM_Conv2dForward(benchmark::State& state) {
   Rng rng(3);
   nn::Conv2d conv(16, 16, 3, 1, 1, rng);
   const nn::Tensor x = nn::Tensor::full({1, 16, 32, 32}, 0.5f);
   nn::NoGradGuard no_grad;
+  nn::ThreadPool pool(2);
+  nn::PoolBinding bind(&pool);
   for (auto _ : state) {
     nn::Tensor y = conv(x);
     benchmark::DoNotOptimize(y);
   }
 }
-BENCHMARK(BM_Conv2dForward);
+BENCHMARK(BM_Conv2dForward)->UseRealTime();
 
 void BM_Conv2dTrainStep(benchmark::State& state) {
   Rng rng(4);
   nn::Conv2d conv(8, 8, 3, 1, 1, rng);
   const nn::Tensor x = nn::Tensor::full({1, 8, 16, 16}, 0.5f);
   const nn::Tensor target = nn::Tensor::full({1, 8, 16, 16}, 0.25f);
+  nn::ThreadPool pool(2);
+  nn::PoolBinding bind(&pool);
   for (auto _ : state) {
     nn::Tensor loss = nn::mse_loss(conv(x), target);
     loss.backward();
     benchmark::DoNotOptimize(loss);
   }
 }
-BENCHMARK(BM_Conv2dTrainStep);
+BENCHMARK(BM_Conv2dTrainStep)->UseRealTime();
 
 // ---- GEMM / conv2d compute path ----
 //
@@ -151,6 +161,8 @@ void BM_Gemm(benchmark::State& state) {
   std::vector<float> c(static_cast<size_t>(n * n));
   for (float& v : a) v = rng.normal();
   for (float& v : b) v = rng.normal();
+  nn::ThreadPool pool(2);
+  nn::PoolBinding bind(&pool);
   for (auto _ : state) {
     nn::gemm(false, false, n, n, n, a.data(), n, b.data(), n, 0.0f, c.data(),
              n);
@@ -158,7 +170,7 @@ void BM_Gemm(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n * n * n * 2);
 }
-BENCHMARK(BM_Gemm)->Arg(32)->Arg(128)->Arg(512);
+BENCHMARK(BM_Gemm)->Arg(32)->Arg(128)->Arg(512)->UseRealTime();
 
 void BM_GemmReference(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -168,6 +180,8 @@ void BM_GemmReference(benchmark::State& state) {
   std::vector<float> c(static_cast<size_t>(n * n));
   for (float& v : a) v = rng.normal();
   for (float& v : b) v = rng.normal();
+  nn::ThreadPool pool(2);
+  nn::PoolBinding bind(&pool);
   for (auto _ : state) {
     nn::gemm_naive(false, false, n, n, n, a.data(), n, b.data(), n, 0.0f,
                    c.data(), n);
@@ -175,7 +189,7 @@ void BM_GemmReference(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n * n * n * 2);
 }
-BENCHMARK(BM_GemmReference)->Arg(128)->Arg(512);
+BENCHMARK(BM_GemmReference)->Arg(128)->Arg(512)->UseRealTime();
 
 void BM_Im2col(benchmark::State& state) {
   const int c = 32, h = 32, w = 32, kh = 3, kw = 3, stride = 1, pad = 1;
@@ -184,6 +198,8 @@ void BM_Im2col(benchmark::State& state) {
   std::vector<float> x(static_cast<size_t>(c) * h * w);
   for (float& v : x) v = rng.normal();
   std::vector<float> col(static_cast<size_t>(c) * kh * kw * ho * wo);
+  nn::ThreadPool pool(2);
+  nn::PoolBinding bind(&pool);
   for (auto _ : state) {
     nn::im2col(x.data(), c, h, w, kh, kw, stride, pad, ho, wo, col.data());
     benchmark::DoNotOptimize(col.data());
@@ -191,7 +207,7 @@ void BM_Im2col(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(col.size()) * sizeof(float));
 }
-BENCHMARK(BM_Im2col);
+BENCHMARK(BM_Im2col)->UseRealTime();
 
 // The conv forward as the paper-default model serves it (3x3, stride 1,
 // pad 1, bias): PackedA::conv2d_forward on a 2-thread pool partition, strip
@@ -250,23 +266,27 @@ void BM_LinearForward(benchmark::State& state) {
   nn::Linear lin(256, 256, rng);
   const nn::Tensor x = nn::Tensor::full({8, 256}, 0.5f);
   nn::NoGradGuard no_grad;
+  nn::ThreadPool pool(2);
+  nn::PoolBinding bind(&pool);
   for (auto _ : state) {
     nn::Tensor y = lin(x);
     benchmark::DoNotOptimize(y);
   }
 }
-BENCHMARK(BM_LinearForward);
+BENCHMARK(BM_LinearForward)->UseRealTime();
 
 void BM_GroupNorm(benchmark::State& state) {
   nn::GroupNorm gn(32, 8);
   const nn::Tensor x = nn::Tensor::full({2, 32, 16, 16}, 1.5f);
   nn::NoGradGuard no_grad;
+  nn::ThreadPool pool(2);
+  nn::PoolBinding bind(&pool);
   for (auto _ : state) {
     nn::Tensor y = gn(x);
     benchmark::DoNotOptimize(y);
   }
 }
-BENCHMARK(BM_GroupNorm);
+BENCHMARK(BM_GroupNorm)->UseRealTime();
 
 // Group norm with the fused SiLU as the plan runs it (k_group_norm applying
 // the activation to each (sample, group) slice in that slice's task) on a

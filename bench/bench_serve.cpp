@@ -35,7 +35,7 @@
 // (a 1-core host serializes the partitions, so speedup ~1.0x).
 //
 // Compiled-plan sweep (PR 8): `--plan` measures the compiled static
-// inference plan (core/recon_plan.h + nn/plan/) against the eager tape path
+// inference plans (core/running_batch.h, nn/plan/) against the eager path
 // at identical inference options, for both the single-image reconstruct()
 // loop and the all-images reconstruct_batch() call. Outputs are verified
 // planned-vs-eager (1e-4; in practice bit-identical on this config) and the

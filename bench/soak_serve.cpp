@@ -16,7 +16,10 @@
 //   * every kComplete untiled final is byte-identical to reconstruct(x)
 //     of its bitstream with the request's options (compared as a digest of
 //     the image's float bytes, references computed fault-free up front),
-//     whichever requests joined or left the running batch around it;
+//     whichever requests joined or left the running batch around it. Even
+//     seeds serve postprocessed finals; odd seeds serve the raw estimate
+//     (ReconstructOptions::postprocess off), because the postprocess
+//     re-quantizes every DC and so hides most drift in the model's bits;
 //   * every accepted request and every tile was booked exactly once: the
 //     flight recorder's lifetime count is accepted + tiles, and each
 //     record's stamps run submit <= route <= batch <= model <= done;
@@ -69,6 +72,14 @@ int main() {
 
 namespace {
 
+// A small model with the paper's UNet widths (base 32, temb_dim 64). The
+// width matters to the byte oracle: the 64 -> 32 timestep projection costs
+// 4096 multiply-adds on one request's 2 rows and 8192 on a batch of two,
+// so the GEMM's small-problem bound (4096) falls between a request run
+// alone and one with a batch-mate. A linear that judged that bound per call
+// instead of per row would change a batched request's bits, and the soak
+// would see it; at base 8 / temb_dim 16 every embedding linear stays below
+// the bound and such a bug passes.
 core::DCDiffConfig soak_config() {
   core::DCDiffConfig cfg;
   cfg.image_size = 32;
@@ -80,10 +91,10 @@ core::DCDiffConfig soak_config() {
   cfg.diffusion_T = 50;
   cfg.ae.base = 8;
   cfg.ae.ac_channels = 8;
-  cfg.unet.base = 8;
-  cfg.unet.temb_dim = 16;
+  cfg.unet.base = 32;
+  cfg.unet.temb_dim = 64;
   cfg.ae_tag = "soak_fault_ae";
-  cfg.tag = "soak_fault";
+  cfg.tag = "soak_fault_unet32";
   return cfg;
 }
 
@@ -131,10 +142,12 @@ uint64_t digest(const Image& img) {
   return h;
 }
 
-// One soak cell: fresh server under `plan_text`, mixed workload, invariant
-// sweep. `bitstreams` are pre-encoded so encode cost is out of the loop;
-// `references` are the digests of reconstruct() of each.
-RunOutcome run_cell(const std::string& plan_text, int requests,
+// One soak cell: fresh server under `plan_text` serving with `postprocess`,
+// mixed workload, invariant sweep. `bitstreams` are pre-encoded so encode
+// cost is out of the loop; `references` are the digests of reconstruct() of
+// each with that postprocess setting.
+RunOutcome run_cell(const std::string& plan_text, bool postprocess,
+                    int requests,
                     const std::shared_ptr<const core::DCDiffModel>& model,
                     const std::vector<std::vector<uint8_t>>& bitstreams,
                     const std::vector<uint64_t>& references) {
@@ -159,6 +172,7 @@ RunOutcome run_cell(const std::string& plan_text, int requests,
   cfg.queue_capacity = requests;
   cfg.min_steps = 1;
   cfg.partial_interval = 1;
+  cfg.recon.postprocess = postprocess;
   {
     serve::ReceiverServer server(cfg, model);
     serve::Session session = server.open_session();
@@ -304,12 +318,17 @@ int main(int argc, char** argv) {
   }
 
   // The byte references, computed fault-free: an empty plan also keeps a
-  // DCDIFF_FAULT_PLAN from auto-installing during them.
+  // DCDIFF_FAULT_PLAN from auto-installing during them. references[p] are
+  // the digests with postprocess p.
   testing::install_plan(testing::FaultPlan{});
-  std::vector<uint64_t> references;
-  for (const auto& bytes : bitstreams) {
-    references.push_back(
-        digest(model->reconstruct(jpeg::decode_jfif(bytes))));
+  std::vector<uint64_t> references[2];
+  for (const bool postprocess : {false, true}) {
+    core::ReconstructOptions opts;
+    opts.postprocess = postprocess;
+    for (const auto& bytes : bitstreams) {
+      references[postprocess].push_back(
+          digest(model->reconstruct(jpeg::decode_jfif(bytes), opts)));
+    }
   }
   testing::clear_plan();
 
@@ -330,15 +349,17 @@ int main(int argc, char** argv) {
       }
       const uint64_t seed = 1000 + static_cast<uint64_t>(s) * 7919;
       const std::string plan_text = plan_for(tmpl, seed);
-      const RunOutcome out =
-          run_cell(plan_text, requests, model, bitstreams, references);
+      const bool postprocess = s % 2 == 0;
+      const RunOutcome out = run_cell(plan_text, postprocess, requests, model,
+                                      bitstreams, references[postprocess]);
       fires += testing::total_fires();
       if (!out.ok) {
         std::fprintf(stderr,
                      "soak_serve: INVARIANT VIOLATED\n  plan: %s\n  "
-                     "violation: %s\n  reproduce: DCDIFF_FAULT_PLAN='%s'\n",
-                     plan_text.c_str(), out.violation.c_str(),
-                     plan_text.c_str());
+                     "postprocess: %s\n  violation: %s\n  "
+                     "reproduce: DCDIFF_FAULT_PLAN='%s'\n",
+                     plan_text.c_str(), postprocess ? "on" : "off",
+                     out.violation.c_str(), plan_text.c_str());
         std::fprintf(stderr, "fault log:\n%s\n",
                      testing::fault_log_json().c_str());
         if (!log_path.empty() && testing::write_fault_log(log_path)) {
@@ -348,8 +369,10 @@ int main(int argc, char** argv) {
       }
       testing::clear_plan();
       ++cells;
-      std::printf("soak_serve: [%s seed=%llu] ok (%.1fs elapsed)\n", name,
-                  static_cast<unsigned long long>(seed), elapsed_s());
+      std::printf("soak_serve: [%s seed=%llu postprocess=%d] ok (%.1fs "
+                  "elapsed)\n",
+                  name, static_cast<unsigned long long>(seed),
+                  postprocess ? 1 : 0, elapsed_s());
       std::fflush(stdout);
     }
   }

@@ -4,7 +4,7 @@
 // modulation (per-sample backbone/skip scale factors s and b).
 //
 // Every latent row carries its own timestep: the UNet, its step plan
-// (core/recon_plan.h) and the DDIM formulas below take one timestep per
+// (core/running_batch.h) and the DDIM formulas below take one timestep per
 // row. The sampler, stage-2 training (forward noising at a random t per
 // sample) and FMPP's truncated DDIM loop all use these formulas, so the
 // schedule is read only here.

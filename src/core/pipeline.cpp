@@ -18,6 +18,7 @@
 #include "nn/cache.h"
 #include "nn/optim.h"
 #include "nn/packcache.h"
+#include "nn/plan/cache.h"
 #include "nn/serialize.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -483,21 +484,12 @@ Image DCDiffModel::reconstruct(const jpeg::CoeffImage& dropped,
 }
 
 std::vector<Image> DCDiffModel::reconstruct_batch(
-    const std::vector<const jpeg::CoeffImage*>& dropped,
+    const std::vector<jpeg::CoeffImage>& dropped,
     const ReconstructOptions& opts) const {
   std::vector<AnytimeItem> items;
   items.reserve(dropped.size());
-  for (const jpeg::CoeffImage* d : dropped) items.push_back(AnytimeItem{d});
+  for (const jpeg::CoeffImage& d : dropped) items.push_back(AnytimeItem{&d});
   return reconstruct_batch_anytime(items, opts, AnytimeControl{}).images;
-}
-
-std::vector<Image> DCDiffModel::reconstruct_batch(
-    const std::vector<jpeg::CoeffImage>& dropped,
-    const ReconstructOptions& opts) const {
-  std::vector<const jpeg::CoeffImage*> ptrs;
-  ptrs.reserve(dropped.size());
-  for (const auto& d : dropped) ptrs.push_back(&d);
-  return reconstruct_batch(ptrs, opts);
 }
 
 Image DCDiffModel::autoencode(const Image& original,

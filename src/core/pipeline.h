@@ -33,7 +33,7 @@ class PackCache;  // packcache.h; held by pointer only
 namespace dcdiff::core {
 
 // Executor switch. Every reconstruction runs its UNet steps and decoder on
-// compiled plans (see core/recon_plan.h and nn/plan/) unless
+// compiled plans (see core/running_batch.h and nn/plan/) unless
 // set_plan_enabled(false) asks for the eager modules, the reference that
 // tests and benchmarks compare the plans against. Process-wide, thread-safe.
 bool plan_enabled();
@@ -190,11 +190,6 @@ class DCDiffModel {
   // alone, whatever its batch-mates: the same noise rows, and kernels whose
   // per-row arithmetic does not depend on the row count (tests/test_plan.cpp,
   // tests/test_serve.cpp).
-  // Pointer overload: callers batch images without copying coefficient
-  // images. Pointers must stay valid for the duration.
-  std::vector<Image> reconstruct_batch(
-      const std::vector<const jpeg::CoeffImage*>& dropped,
-      const ReconstructOptions& opts = ReconstructOptions{}) const;
   std::vector<Image> reconstruct_batch(
       const std::vector<jpeg::CoeffImage>& dropped,
       const ReconstructOptions& opts = ReconstructOptions{}) const;
@@ -245,7 +240,7 @@ class DCDiffModel {
   // bound thread-locally for the duration of each inference call (see
   // nn/packcache.h). Replaced when training starts.
   std::shared_ptr<nn::PackCache> packs_;
-  // Compiled UNet-step and decoder plans (core/recon_plan.h), shared by
+  // Compiled UNet-step and decoder plans (core/running_batch.h), shared by
   // every thread that runs this model. Fresh per replica (the weights and
   // PackedA panels they reference stay shared through ae_/unet_/.../packs_).
   std::shared_ptr<nn::plan::PlanCache> plans_;
@@ -271,9 +266,13 @@ Image receiver_reconstruct(const std::vector<uint8_t>& bytes,
                            const DCDiffModel& model,
                            const ReconstructOptions& opts = ReconstructOptions{});
 
-// Non-throwing variant for serving workers: a malformed bitstream (or any
-// pipeline failure) becomes a typed Status instead of an exception escaping
-// the API boundary. On success *out holds the reconstruction.
+// Non-throwing receiver_reconstruct, for callers that must not let an
+// exception cross their boundary. (The serving engine does not call it: it
+// decodes with jpeg::try_decode_jfif at submit and runs RunningBatch.) A
+// malformed bitstream is the decoder's kDataLoss Status, whose message names
+// the segment that broke; a null `out` is kInvalidArgument; any other
+// failure is kInternal. On success *out equals receiver_reconstruct's
+// image.
 Status try_receiver_reconstruct(
     const std::vector<uint8_t>& bytes, const DCDiffModel& model, Image* out,
     const ReconstructOptions& opts = ReconstructOptions{}) noexcept;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <exception>
 #include <stdexcept>
 #include <string>
 
@@ -11,7 +12,10 @@
 #include "jpeg/dcdrop.h"
 #include "nn/kernels.h"
 #include "nn/packcache.h"
+#include "nn/plan/builder.h"
+#include "nn/plan/cache.h"
 #include "nn/rng.h"
+#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "testing/fault.h"
@@ -51,6 +55,15 @@ void move_rows(std::vector<float>& buf, size_t per, size_t from, size_t to,
   std::copy_n(buf.begin() + static_cast<long>(from * per),
               static_cast<long>(count * per),
               buf.begin() + static_cast<long>(to * per));
+}
+
+// Runs `p` in the thread's arena and copies its output to `dst` at once, so
+// nothing lives in the arena between runs.
+void run_into(const plan::Plan& p, const std::vector<const float*>& inputs,
+              float* dst) {
+  std::vector<const float*> outs;
+  p.run(inputs, &outs);
+  std::copy_n(outs[0], p.output_numel(0), dst);
 }
 
 }  // namespace
@@ -178,9 +191,12 @@ void RunningBatch::step() {
     t_prev_.insert(t_prev_.end(), static_cast<size_t>(ensemble_), t_prev);
   }
 
-  if (GroupPlans* p = plans(n)) {
-    p->denoise(z_.data(), t_, c1_.data(), c2_.data(), s_.data(), b_.data(),
-               pred_.data());
+  if (open_plans(n)) {
+    const Tensor temb = timestep_embedding(t_, model_.cfg_.unet.temb_dim);
+    run_into(*step_plan_,
+             {z_.data(), temb.value().data(), c1_.data(), c2_.data(),
+              s_.data(), b_.data()},
+             pred_.data());
   } else {
     const UNetConfig& uc = model_.cfg_.unet;
     const int h = height_ / 4, w = width_ / 4;
@@ -282,10 +298,11 @@ Image RunningBatch::decode(size_t i, std::vector<float> z0) {
   {
     DCDIFF_TRACE_SPAN("decode");
     const ACFeatures ac = model_.ae_->encode_ac(tilde_to_tensor(tilde));
-    if (plan_enabled() && plans_) {
+    if (plan_enabled() && decoder_plan_) {
       std::vector<float> out(static_cast<size_t>(3 * height_ * width_));
-      plans_->decode(z0.data(), ac.quarter.value().data(),
-                     ac.half.value().data(), out.data());
+      run_into(*decoder_plan_,
+               {z0.data(), ac.quarter.value().data(), ac.half.value().data()},
+               out.data());
       xhat = Tensor::from_data({1, 3, height_, width_}, std::move(out));
     } else {
       xhat = model_.ae_->decode(
@@ -325,25 +342,62 @@ std::array<std::pair<std::vector<float>*, size_t>, 7> RunningBatch::buffers() {
            {&b_, 1}}};
 }
 
-GroupPlans* RunningBatch::plans(int n) {
+bool RunningBatch::open_plans(int n) {
   static obs::Counter& fallbacks_c = obs::counter("plan.eager_fallbacks");
-  if (!plan_enabled()) {
-    plans_.reset();
-    plans_for_ = 0;
-    return nullptr;
+  if (plan_enabled() && plans_for_ == n) return step_plan_ != nullptr;
+  step_plan_.reset();
+  decoder_plan_.reset();
+  plans_for_ = 0;
+  if (!plan_enabled()) return false;
+  plans_for_ = n;
+  // A build or arena failure is logged where it happens; this request count
+  // runs eager until the count changes.
+  const UNet& unet = *model_.unet_;
+  const Autoencoder& ae = *model_.ae_;
+  const UNetConfig& uc = unet.config();
+  const AutoencoderConfig& ac = ae.config();
+  const int rows = n * ensemble_, h = height_ / 4, w = width_ / 4;
+  const std::string hw = std::to_string(h) + "x" + std::to_string(w);
+  std::shared_ptr<const plan::Plan> step, decoder;
+  Status st = model_.plans_->get_or_build(
+      "unet_r" + std::to_string(rows) + "_" + hw,
+      [&](plan::GraphBuilder& g) {
+        const plan::TensorId z = g.input({rows, uc.z_channels, h, w});
+        const plan::TensorId temb = g.input({rows, uc.temb_dim});
+        const plan::TensorId c1 = g.input({rows, uc.base, h, w});
+        const plan::TensorId c2 = g.input({rows, 2 * uc.base, h / 2, w / 2});
+        const plan::TensorId s = g.input({rows});
+        const plan::TensorId b = g.input({rows});
+        g.mark_output(unet.capture(g, z, temb, c1, c2, s, b));
+      },
+      *model_.packs_, &step);
+  if (st.is_ok()) {
+    st = model_.plans_->get_or_build(
+        "decoder_" + hw,
+        [&](plan::GraphBuilder& g) {
+          const plan::TensorId z = g.input({1, ac.z_channels, h, w});
+          const plan::TensorId quarter = g.input({1, ac.ac_channels, h, w});
+          const plan::TensorId half = g.input({1, ac.base, 2 * h, 2 * w});
+          g.mark_output(ae.capture_decode(g, z, quarter, half));
+        },
+        *model_.packs_, &decoder);
   }
-  if (plans_for_ != n) {
-    plans_.reset();
-    plans_for_ = n;
-    // A build or arena failure is logged where it happens; this request
-    // count runs eager until the count changes.
-    const Status st =
-        GroupPlans::open(*model_.plans_, *model_.packs_, *model_.unet_,
-                         *model_.ae_, n, ensemble_, height_ / 4, width_ / 4,
-                         &plans_);
-    if (!st.is_ok()) fallbacks_c.inc();
+  if (st.is_ok()) {
+    try {
+      plan::reserve_thread_arena(
+          std::max(step->arena_floats(), decoder->arena_floats()));
+    } catch (const std::exception& e) {
+      st = Status::internal(std::string("plan arena: ") + e.what());
+      DCDIFF_LOG_WARN("core.plan", "arena_failed", {{"error", st.to_string()}});
+    }
   }
-  return plans_ ? &*plans_ : nullptr;
+  if (!st.is_ok()) {
+    fallbacks_c.inc();
+    return false;
+  }
+  step_plan_ = std::move(step);
+  decoder_plan_ = std::move(decoder);
+  return true;
 }
 
 }  // namespace dcdiff::core

@@ -18,7 +18,7 @@
 //   sequential stream of its seed, or the coordinate-seeded field at its
 //   origin).
 // * step: one UNet-step call over every running row — the compiled step
-//   plan for that row count (core/recon_plan.h), or the eager UNet under
+//   plan for that row count, or the eager UNet under
 //   set_plan_enabled(false) or when a plan cannot be opened — each row at
 //   its request's own timestep, then ddim_step (core/diffusion.h) over the
 //   rows.
@@ -27,23 +27,36 @@
 //   its options.
 //   checkpoint() is the same decode without leaving: a progressive partial.
 //
+// Plans (nn/plan/): the batch fetches both from the model's PlanCache,
+// compiling each once per shape. The UNet-step plan (key
+// unet_r<rows>_<h>x<w>, latent h x w) takes what UNet::forward takes: each
+// row's timestep, as its sinusoidal embedding, and its FreeU factors (ones
+// when FMPP is off), so no key holds the step count, the ensemble size or
+// the prediction kind; it is reopened when the request count changes. The
+// decoder plan (key decoder_<h>x<w>) decodes one image. Both run in the
+// calling thread's arena, reserved once for the larger of the two. When a
+// plan cannot be built (a conv weight that still trains) or the arena
+// cannot grow, that request count steps and decodes eager
+// (plan.eager_fallbacks). The conditioner has no plan: it runs once per
+// request, at admission, and is the cheapest stage (DESIGN.md §13).
+//
 // DCDiffModel::reconstruct_batch_anytime is a loop over one batch per size
 // group; a serving worker keeps one batch per padded size and admits and
 // retires requests between steps. Every kernel is row-invariant, so a
 // request's pixels equal reconstruct() of its image alone byte for byte,
-// wherever its rows sit and whichever requests joined or left around it.
+// wherever its rows sit and whichever requests joined or left around it,
+// planned or eager.
 //
 // Not thread-safe: one thread drives a batch, and its plans run in that
 // thread's arena.
 #pragma once
 
 #include <array>
-#include <optional>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/pipeline.h"
-#include "core/recon_plan.h"
 
 namespace dcdiff::core {
 
@@ -112,9 +125,10 @@ class RunningBatch {
   void remove(size_t i);
   // Each per-row buffer with its floats per row.
   std::array<std::pair<std::vector<float>*, size_t>, 7> buffers();
-  // The compiled plans for n requests, opened when the count changes; null
-  // when plans are off or cannot be opened (plan.eager_fallbacks).
-  GroupPlans* plans(int n);
+  // Opens the step plan for n requests and the decoder plan when the count
+  // changes. False when plans are off or cannot be opened
+  // (plan.eager_fallbacks): n requests then run eager.
+  bool open_plans(int n);
 
   const DCDiffModel& model_;
   int capacity_, ensemble_, height_, width_;
@@ -123,8 +137,9 @@ class RunningBatch {
   std::vector<int> t_, t_prev_;
   std::vector<Request> reqs_;  // in row order
   int next_id_ = 0;
-  std::optional<GroupPlans> plans_;
-  int plans_for_ = 0;  // request count plans_ was opened for; 0: none
+  // Null unless open for plans_for_ requests (0: none).
+  std::shared_ptr<const nn::plan::Plan> step_plan_, decoder_plan_;
+  int plans_for_ = 0;
 };
 
 }  // namespace dcdiff::core

@@ -61,8 +61,8 @@ class Plan {
 // Grows the calling thread's arena to at least `floats` floats, so that the
 // thread's runs of plans that size allocate nothing. Throws std::bad_alloc
 // when the allocation fails; the fault site nn.plan.arena_fail fails it on
-// every call, before the size test (core::GroupPlans::open then runs its
-// group eager).
+// every call, before the size test (core::RunningBatch then steps that
+// request count eager).
 void reserve_thread_arena(size_t floats);
 // Frees the calling thread's arena; its next run grows one again. A serving
 // worker calls it when it goes idle, so an idle worker holds no arena.

@@ -96,23 +96,15 @@ core::ReconstructOptions ServerConfig::latency_recon(
 }
 
 ResultStream Session::submit(const ReconstructRequest& req) {
-  return ResultStream(server_->submit(id_, req));
+  return ResultStream(server_->submit(*this, req));
 }
 
 std::future<Result> Session::submit_future(const ReconstructRequest& req) {
-  return server_->submit(id_, req)->terminal.get_future();
+  return server_->submit(*this, req)->terminal.get_future();
 }
 
 Result Session::reconstruct(const ReconstructRequest& req) {
   return submit(req).wait();
-}
-
-uint64_t Session::submitted() const {
-  std::lock_guard<std::mutex> lk(server_->mu_);
-  for (const auto& [sid, count] : server_->session_submits_) {
-    if (sid == id_) return count;
-  }
-  return 0;
 }
 
 ReceiverServer::ReceiverServer(const ServerConfig& cfg,
@@ -178,22 +170,12 @@ ReceiverServer::~ReceiverServer() { shutdown(); }
 Session ReceiverServer::open_session() {
   std::lock_guard<std::mutex> lk(mu_);
   const uint64_t id = next_session_id_++;
-  session_submits_.emplace_back(id, 0);
   stats_.sessions_opened++;
   return Session(this, id);
 }
 
 const core::DCDiffModel& ReceiverServer::worker_model(int) const {
   return *model_;
-}
-
-void ReceiverServer::note_session_submit(uint64_t session_id) {
-  for (auto& [sid, count] : session_submits_) {
-    if (sid == session_id) {
-      ++count;
-      return;
-    }
-  }
 }
 
 int ReceiverServer::route_locked(int hint) const {
@@ -213,7 +195,7 @@ int ReceiverServer::route_locked(int hint) const {
 }
 
 std::shared_ptr<detail::StreamState> ReceiverServer::submit(
-    uint64_t session_id, const ReconstructRequest& req) {
+    const Session& session, const ReconstructRequest& req) {
   static obs::Counter& accepted = obs::counter("serve.accepted");
   static obs::Counter& rejected_decode = obs::counter("serve.rejected_decode");
   static obs::Counter& rejected_full = obs::counter("serve.rejected_queue_full");
@@ -222,6 +204,7 @@ std::shared_ptr<detail::StreamState> ReceiverServer::submit(
   static obs::Counter& tiles_ctr = obs::counter("serve.tiles");
   static obs::Gauge& depth = obs::gauge("serve.queue_depth");
 
+  session.submits_->fetch_add(1);
   auto state = std::make_shared<detail::StreamState>();
   state->want_partials = req.delivery == DeliveryMode::kProgressive;
 
@@ -240,7 +223,6 @@ std::shared_ptr<detail::StreamState> ReceiverServer::submit(
   const double submit_us = obs::trace_now_us();
 
   std::lock_guard<std::mutex> lk(mu_);
-  note_session_submit(session_id);
   if (!decode_status.is_ok()) {
     stats_.rejected_decode++;
     rejected_decode.inc();
@@ -271,7 +253,7 @@ std::shared_ptr<detail::StreamState> ReceiverServer::submit(
   // none). A tiled request's tiles share its submit and route stamps.
   obs::RequestRecord rec;
   rec.request_id = next_request_id_++;
-  rec.session_id = session_id;
+  rec.session_id = session.id_;
   rec.deadline_ms = std::max(0, req.deadline_ms);
   rec.submit_us = submit_us;
   rec.route_us = obs::trace_now_us();

@@ -69,6 +69,7 @@
 // identity through the queue.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -180,15 +181,19 @@ class Session {
   Result reconstruct(const ReconstructRequest& req);
 
   uint64_t id() const { return id_; }
-  // Requests this session has submitted (accepted or rejected; a tiled
-  // submission counts once).
-  uint64_t submitted() const;
+  // Requests this session and its copies have submitted (accepted or
+  // rejected; a tiled submission counts once).
+  uint64_t submitted() const { return submits_->load(); }
 
  private:
   friend class ReceiverServer;
-  Session(ReceiverServer* server, uint64_t id) : server_(server), id_(id) {}
+  Session(ReceiverServer* server, uint64_t id)
+      : server_(server),
+        id_(id),
+        submits_(std::make_shared<std::atomic<uint64_t>>(0)) {}
   ReceiverServer* server_;
   uint64_t id_;
+  std::shared_ptr<std::atomic<uint64_t>> submits_;  // shared by copies
 };
 
 class ReceiverServer {
@@ -333,9 +338,8 @@ class ReceiverServer {
   // (its thread only).
   using Batches = std::vector<std::unique_ptr<core::RunningBatch>>;
 
-  std::shared_ptr<detail::StreamState> submit(uint64_t session_id,
+  std::shared_ptr<detail::StreamState> submit(const Session& session,
                                               const ReconstructRequest& req);
-  void note_session_submit(uint64_t session_id);
   // Least-loaded worker index (queued + running requests, ties to the
   // lowest index); `hint` >= 0 overrides. Caller holds mu_.
   int route_locked(int hint) const;
@@ -382,7 +386,6 @@ class ReceiverServer {
   size_t total_queued_ = 0;  // sum of worker queue sizes
   bool stopping_ = false;
   Stats stats_;
-  std::vector<std::pair<uint64_t, uint64_t>> session_submits_;  // id -> count
   uint64_t next_session_id_ = 1;
   uint64_t next_request_id_ = 1;  // under mu_
 

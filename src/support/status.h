@@ -6,8 +6,11 @@
 // different — a malformed bitstream from one client must become a typed,
 // per-request error, never an exception unwinding through a worker thread
 // that is batching other clients' requests. The `Status`-returning variants
-// (`jpeg::try_decode_jfif`, `core::try_receiver_reconstruct`, everything in
-// `src/serve`) use this type at that boundary.
+// use this type at that boundary: `jpeg::try_decode_jfif`, which the server
+// runs on every submit, and everything in `src/serve`. Two more return it:
+// `core::try_receiver_reconstruct`, the whole receiver for one-shot callers
+// that must not throw, and `nn::plan::PlanCache`, whose refused builds a
+// running batch answers by running eager.
 //
 // Header-only; usable from every layer (no target links required beyond the
 // src/ include path).

@@ -243,6 +243,47 @@ TEST_F(PipelineTest, TrainingAfterReconstructLeavesNoStalePanels) {
   set_plan_enabled(true);
 }
 
+// try_receiver_reconstruct, the non-throwing receiver: malformed bytes are
+// the decoder's kDataLoss and its message names the segment that broke.
+// Random init: no case depends on the weights.
+TEST_F(PipelineTest, TryReceiverReconstructNamesTheBrokenSegment) {
+  const DCDiffModel model(tiny_config("try"));
+  const Image img = data::dataset_image(data::DatasetId::kKodak, 0, 32);
+  std::vector<uint8_t> bytes = sender_encode(img, 50).bytes;
+  // Mark the first quantization table 16-bit (Pq = 1): a baseline stream
+  // has none.
+  size_t at = 0;
+  while (at + 4 < bytes.size() &&
+         !(bytes[at] == 0xFF && bytes[at + 1] == 0xDB)) {
+    ++at;
+  }
+  ASSERT_LT(at + 4, bytes.size());
+  bytes[at + 4] |= 0x10;
+  Image out;
+  const Status st = try_receiver_reconstruct(bytes, model, &out);
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.to_string();
+  EXPECT_NE(st.message().find("DQT"), std::string::npos) << st.message();
+  EXPECT_TRUE(out.empty());
+}
+
+TEST_F(PipelineTest, TryReceiverReconstructRefusesNullOutput) {
+  const DCDiffModel model(tiny_config("try"));
+  const Image img = data::dataset_image(data::DatasetId::kKodak, 0, 32);
+  const std::vector<uint8_t> bytes = sender_encode(img, 50).bytes;
+  EXPECT_EQ(try_receiver_reconstruct(bytes, model, nullptr).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(PipelineTest, TryReceiverReconstructEqualsReconstruct) {
+  const DCDiffModel model(tiny_config("try"));
+  const Image img = data::dataset_image(data::DatasetId::kKodak, 1, 32);
+  const std::vector<uint8_t> bytes = sender_encode(img, 50).bytes;
+  Image out;
+  const Status st = try_receiver_reconstruct(bytes, model, &out);
+  ASSERT_TRUE(st.is_ok()) << st.to_string();
+  EXPECT_TRUE(same_bytes(out, model.reconstruct(jpeg::decode_jfif(bytes))));
+}
+
 TEST_F(PipelineTest, MldTrainingPathRuns) {
   // Covers the MLD branch of stage 2 (mld_start is reached with 6 steps at
   // 2/5 of the schedule).

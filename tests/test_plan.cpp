@@ -1,5 +1,6 @@
-// Tests for the compiled inference-plan subsystem (nn/plan/ +
-// core/recon_plan.h) and its wiring into DCDiffModel::reconstruct*.
+// Tests for the compiled inference-plan subsystem (nn/plan/), the UNet-step
+// and decoder plans core::RunningBatch opens, and their wiring into
+// DCDiffModel::reconstruct*.
 //
 // The load-bearing properties:
 //   * Planned execution (the UNet-step and decoder plans driven by the one
@@ -30,7 +31,11 @@
 //     size reuses it and equals the eager batched decode byte for byte.
 //   * The UNet-step plan takes what UNet::forward takes: rows at different
 //     timesteps in one run, with or without FreeU modulation, equal the
-//     eager forward byte for byte.
+//     eager forward byte for byte; so does a running batch whose requests
+//     join at different steps, one with FMPP and one without.
+//   * A plan refused at build time (a conv weight that still trains) leaves
+//     that request count eager, with the eager bytes, and the next call
+//     after the weight is frozen builds and runs both plans.
 //   * Plans borrow the model's PackCache panels (one per conv weight).
 //   * Each thread runs plans in its own arena: two threads sharing one
 //     model's plans, and a 3-worker server on one model, give the serial
@@ -47,14 +52,13 @@
 #include <functional>
 #include <future>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/pipeline.h"
-#include "core/recon_plan.h"
+#include "core/running_batch.h"
 #include "core/tensor_image.h"
 #include "data/datasets.h"
 #include "jpeg/codec.h"
@@ -420,6 +424,28 @@ TEST(PlanPaths, EpsPredictionPlannedMatchesEager) {
   }
 }
 
+// Captures the UNet-step plan for `rows` latent rows of h x w into `cache`,
+// on the graph inputs core::RunningBatch runs it with: z, the rows'
+// timestep embedding, the control features c1/c2 and the FreeU factors s/b.
+Status build_step_plan(const core::UNet& unet, int rows, int h, int w,
+                       nn::plan::PlanCache& cache, nn::PackCache& packs,
+                       std::shared_ptr<const nn::plan::Plan>* out) {
+  const core::UNetConfig& uc = unet.config();
+  return cache.get_or_build(
+      "unet_r" + std::to_string(rows),
+      [&](nn::plan::GraphBuilder& g) {
+        const nn::plan::TensorId z = g.input({rows, uc.z_channels, h, w});
+        const nn::plan::TensorId temb = g.input({rows, uc.temb_dim});
+        const nn::plan::TensorId c1 = g.input({rows, uc.base, h, w});
+        const nn::plan::TensorId c2 =
+            g.input({rows, 2 * uc.base, h / 2, w / 2});
+        const nn::plan::TensorId s = g.input({rows});
+        const nn::plan::TensorId b = g.input({rows});
+        g.mark_output(unet.capture(g, z, temb, c1, c2, s, b));
+      },
+      packs, out);
+}
+
 // The UNet-step plan takes what UNet::forward takes: one timestep and one
 // pair of FreeU factors per row. Rows at four different timesteps in one
 // run equal the eager forward byte for byte, modulated and with unit
@@ -429,16 +455,14 @@ TEST(PlanPaths, StepPlanRowsAtDifferentTimestepsMatchEager) {
   const core::DCDiffConfig cfg;
   const core::DCDiffModel model(cfg);
   const core::UNetConfig& uc = cfg.unet;
-  constexpr int kImages = 2, kEnsemble = 2, kRows = kImages * kEnsemble;
+  constexpr int kRows = 4;
   constexpr int h = 8, w = 8;
   nn::plan::PlanCache cache;
   nn::PackCache packs;
-  std::optional<core::GroupPlans> plans;
-  const Status st =
-      core::GroupPlans::open(cache, packs, model.unet(), model.autoencoder(),
-                             kImages, kEnsemble, h, w, &plans);
+  std::shared_ptr<const nn::plan::Plan> plan;
+  const Status st = build_step_plan(model.unet(), kRows, h, w, cache, packs,
+                                    &plan);
   ASSERT_TRUE(st.is_ok()) << st.to_string();
-  ASSERT_TRUE(plans.has_value());
 
   Rng rng(23);
   const auto random = [&](std::vector<int> shape) {
@@ -454,15 +478,132 @@ TEST(PlanPaths, StepPlanRowsAtDifferentTimestepsMatchEager) {
   const nn::Tensor s = nn::Tensor::from_data({kRows}, {1.2f, 0.9f, 1.1f, 1.0f});
   const nn::Tensor b = nn::Tensor::from_data({kRows}, {0.8f, 1.0f, 0.7f, 1.3f});
   const nn::Tensor ones = nn::Tensor::from_data({kRows}, {1, 1, 1, 1});
+  const nn::Tensor temb = nn::timestep_embedding(t, uc.temb_dim);
+  const auto planned = [&](const nn::Tensor& s_in, const nn::Tensor& b_in) {
+    std::vector<const float*> outs;
+    plan->run({z.value().data(), temb.value().data(), ctrl.c1.value().data(),
+               ctrl.c2.value().data(), s_in.value().data(),
+               b_in.value().data()},
+              &outs);
+    return nn::Tensor::from_data(
+        plan->output_shape(0),
+        std::vector<float>(outs[0], outs[0] + plan->output_numel(0)));
+  };
   const auto same = [](const nn::Tensor& x, const nn::Tensor& y) {
     return x.shape() == y.shape() &&
            std::memcmp(x.value().data(), y.value().data(),
                        x.numel() * sizeof(float)) == 0;
   };
-  EXPECT_TRUE(same(plans->denoise(z, t, ctrl, s, b),
-                   model.unet().forward(z, t, ctrl, s, b)));
-  EXPECT_TRUE(same(plans->denoise(z, t, ctrl, ones, ones),
-                   model.unet().forward(z, t, ctrl)));
+  EXPECT_TRUE(same(planned(s, b), model.unet().forward(z, t, ctrl, s, b)));
+  EXPECT_TRUE(same(planned(ones, ones), model.unet().forward(z, t, ctrl)));
+}
+
+// The running batch at paper widths: request A (FMPP on) runs 3 steps
+// alone, then B (FMPP off) joins, so every shared step runs rows at two
+// timesteps and with two kinds of FreeU factors, and A leaves 3 steps
+// before B. Each leaves at its own 12th step, postprocess off so the raw
+// estimate is compared. The planned images equal the eager ones byte for
+// byte, with no fallback, and A's equals reconstruct() of A alone.
+TEST(PlanRunningBatch, RequestsJoiningMidChainMatchEager) {
+  const core::DCDiffConfig cfg;  // paper widths, random init
+  ASSERT_EQ(cfg.ddim_steps, 12);
+  const core::DCDiffModel model(cfg);
+  std::vector<jpeg::CoeffImage> coeffs;
+  for (int i = 0; i < 2; ++i) {
+    const Image img = data::dataset_image(data::DatasetId::kKodak, i, 32);
+    coeffs.push_back(jpeg::decode_jfif(core::sender_encode(img).bytes));
+  }
+  core::ReconstructOptions a_opts;
+  a_opts.postprocess = false;
+  core::ReconstructOptions b_opts = a_opts;
+  b_opts.use_fmpp = false;
+  const auto run = [&] {
+    core::RunningBatch batch(model, 2, cfg.sample_ensemble, 32, 32);
+    const int a = batch.admit({&coeffs[0], 0, 0}, a_opts);
+    for (int i = 0; i < 3; ++i) batch.step();
+    const int b = batch.admit({&coeffs[1], 0, 0}, b_opts);
+    std::vector<Image> out;
+    for (int i = 0; i < 9; ++i) batch.step();
+    EXPECT_EQ(batch.steps_done(a), 12);
+    out.push_back(batch.retire(a));
+    for (int i = 0; i < 3; ++i) batch.step();
+    EXPECT_EQ(batch.steps_done(b), 12);
+    out.push_back(batch.retire(b));
+    return out;
+  };
+  core::set_plan_enabled(false);
+  const std::vector<Image> eager = run();
+  core::set_plan_enabled(true);
+  const uint64_t fallbacks_before =
+      obs::counter("plan.eager_fallbacks").value();
+  const std::vector<Image> planned = run();
+  EXPECT_EQ(obs::counter("plan.eager_fallbacks").value(), fallbacks_before);
+  ASSERT_EQ(planned.size(), 2u);
+  for (size_t i = 0; i < planned.size(); ++i) {
+    EXPECT_TRUE(same_bytes(planned[i], eager[i])) << "request " << i;
+  }
+  EXPECT_TRUE(same_bytes(planned[0], model.reconstruct(coeffs[0], a_opts)));
+}
+
+// A step plan refused at build time leaves its request count eager: a
+// conv weight that still trains is a kInvalidArgument build failure, and
+// reconstruct_batch returns the eager bytes, counting one build failure
+// and one fallback. Once the weight is frozen again the next call builds
+// the step and decoder plans and runs them.
+TEST(PlanPaths, RefusedStepPlanRunsEagerUntilWeightIsFrozen) {
+  const core::DCDiffModel model(random_init_config());
+  std::vector<jpeg::CoeffImage> coeffs;
+  for (int i = 0; i < 2; ++i) {
+    const Image img = data::dataset_image(data::DatasetId::kKodak, i, 32);
+    coeffs.push_back(jpeg::decode_jfif(core::sender_encode(img).bytes));
+  }
+  core::set_plan_enabled(false);
+  const std::vector<Image> eager = model.reconstruct_batch(coeffs);
+  core::set_plan_enabled(true);
+
+  nn::Tensor weight;
+  for (const nn::Tensor& p : model.unet().params()) {
+    if (p.ndim() == 4) {
+      weight = p;
+      break;
+    }
+  }
+  ASSERT_TRUE(weight.defined());
+  weight.set_requires_grad(true);
+  {
+    nn::plan::PlanCache cache;
+    nn::PackCache packs;
+    std::shared_ptr<const nn::plan::Plan> plan;
+    EXPECT_EQ(
+        build_step_plan(model.unet(), 4, 8, 8, cache, packs, &plan).code(),
+        StatusCode::kInvalidArgument);
+  }
+
+  obs::Counter& builds = obs::counter("plan.builds");
+  obs::Counter& failures = obs::counter("plan.build_failures");
+  obs::Counter& fallbacks = obs::counter("plan.eager_fallbacks");
+  uint64_t builds_before = builds.value();
+  const uint64_t failures_before = failures.value();
+  const uint64_t fallbacks_before = fallbacks.value();
+  const std::vector<Image> fallback = model.reconstruct_batch(coeffs);
+  EXPECT_EQ(builds.value(), builds_before);
+  EXPECT_EQ(failures.value() - failures_before, 1u);
+  EXPECT_EQ(fallbacks.value() - fallbacks_before, 1u);
+  ASSERT_EQ(fallback.size(), eager.size());
+  for (size_t i = 0; i < eager.size(); ++i) {
+    EXPECT_TRUE(same_bytes(fallback[i], eager[i])) << "image " << i;
+  }
+
+  weight.set_requires_grad(false);
+  builds_before = builds.value();
+  const std::vector<Image> planned = model.reconstruct_batch(coeffs);
+  EXPECT_EQ(builds.value() - builds_before, 2u);
+  EXPECT_EQ(failures.value() - failures_before, 1u);
+  EXPECT_EQ(fallbacks.value() - fallbacks_before, 1u);
+  ASSERT_EQ(planned.size(), eager.size());
+  for (size_t i = 0; i < eager.size(); ++i) {
+    EXPECT_TRUE(same_bytes(planned[i], eager[i])) << "image " << i;
+  }
 }
 
 // Batch-mates never change an image's pixels. At the paper's UNet widths

@@ -103,10 +103,7 @@ TEST_F(ServeTest, BatchedMatchesSingleAtSeveralBatchSizes) {
     for (int i = 0; i < n; ++i) {
       coeffs.push_back(jpeg::decode_jfif(bitstream(i)));
     }
-    std::vector<const jpeg::CoeffImage*> ptrs;
-    for (const auto& c : coeffs) ptrs.push_back(&c);
-
-    const std::vector<Image> batched = model_->reconstruct_batch(ptrs);
+    const std::vector<Image> batched = model_->reconstruct_batch(coeffs);
     ASSERT_EQ(batched.size(), static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
       const Image single = model_->reconstruct(coeffs[static_cast<size_t>(i)]);
@@ -121,8 +118,8 @@ TEST_F(ServeTest, BatchedHonoursReconstructOptions) {
   opts.ensemble = 1;
   opts.ddim_steps = 2;
   const jpeg::CoeffImage coeffs = jpeg::decode_jfif(bitstream(0));
-  const std::vector<const jpeg::CoeffImage*> ptrs = {&coeffs, &coeffs};
-  const std::vector<Image> batched = model_->reconstruct_batch(ptrs, opts);
+  const std::vector<Image> batched =
+      model_->reconstruct_batch({coeffs, coeffs}, opts);
   const Image single = model_->reconstruct(coeffs, opts);
   ASSERT_EQ(batched.size(), 2u);
   EXPECT_EQ(max_abs_diff(single, batched[0]), 0.0);
@@ -190,6 +187,59 @@ TEST_F(ServeTest, ConcurrentSessionsAllComplete) {
   EXPECT_EQ(stats.accepted, static_cast<uint64_t>(kClients * kPerClient));
   EXPECT_EQ(stats.completed, static_cast<uint64_t>(kClients * kPerClient));
   EXPECT_GE(stats.batches, 1u);
+}
+
+// Each session counts its own submits, accepted and rejected alike, and a
+// copy of a session shares its count. 200 sessions, opened and used from 4
+// client threads: session i submits i malformed bitstreams, then one valid
+// request through a copy of its handle.
+TEST_F(ServeTest, EachSessionCountsItsOwnSubmits) {
+  constexpr int kSessions = 200;
+  constexpr int kClients = 4;
+  ServerConfig cfg;
+  cfg.max_batch = 4;
+  cfg.queue_capacity = kSessions;
+  cfg.recon.ddim_steps = 1;
+  cfg.recon.ensemble = 1;
+  ReceiverServer server(cfg, model_);
+  const std::vector<uint8_t> valid = bitstream(0);
+
+  struct Opened {
+    Session session;
+    uint64_t submits;
+    std::future<Result> served;
+  };
+  std::vector<std::vector<Opened>> opened(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = c; i < kSessions; i += kClients) {
+        Session session = server.open_session();
+        for (int k = 0; k < i; ++k) {
+          (void)session.submit(request({0xDE, 0xAD, 0xBE, 0xEF}));
+        }
+        Session copy = session;
+        std::future<Result> served = copy.submit_future(request(valid));
+        opened[static_cast<size_t>(c)].push_back(
+            {session, static_cast<uint64_t>(i) + 1, std::move(served)});
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+
+  uint64_t malformed = 0;
+  for (std::vector<Opened>& client : opened) {
+    for (Opened& o : client) {
+      EXPECT_EQ(o.session.submitted(), o.submits) << "session "
+                                                  << o.session.id();
+      EXPECT_EQ(o.served.get().outcome, Outcome::kComplete);
+      malformed += o.submits - 1;
+    }
+  }
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.sessions_opened, static_cast<uint64_t>(kSessions));
+  EXPECT_EQ(stats.accepted, static_cast<uint64_t>(kSessions));
+  EXPECT_EQ(stats.rejected_decode, malformed);
 }
 
 TEST_F(ServeTest, QueueFullSubmitsAreRejected) {

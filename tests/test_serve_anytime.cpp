@@ -150,8 +150,7 @@ TEST_F(ServeAnytimeTest, FullStepAnytimeRunIsBitIdenticalToBatch) {
   const jpeg::CoeffImage c0 = jpeg::decode_jfif(bitstream(0));
   const jpeg::CoeffImage c1 = jpeg::decode_jfif(bitstream(1));
 
-  const std::vector<const jpeg::CoeffImage*> batch = {&c0, &c1};
-  const std::vector<Image> reference = model_->reconstruct_batch(batch);
+  const std::vector<Image> reference = model_->reconstruct_batch({c0, c1});
 
   std::vector<core::AnytimeItem> items(2);
   items[0].coeffs = &c0;
